@@ -2,11 +2,11 @@
 
 The one-parameter family g_rho squashes the round three-sphere along the
 Hopf fibres; rho = 1 is the round metric.  Closed forms exist for the scalar
-curvature (8 - 2 rho^2), the Ricci-positivity window (0 < rho < sqrt 2) and
-the volume (2 pi^2 rho).  The sweep-out width comes from a one-dimensional
-integral evaluated with the adaptive quadrature in
-:mod:`widthlab.numerics`; the *normalized* width divides out volume^(2/3),
-making it scale invariant.
+curvature (8 - 2 rho^2), the Ricci-positivity window (0 < rho < sqrt 2), the
+volume (2 pi^2 rho) and the sweep-out width, whose one-dimensional integral
+has an elementary antiderivative (asinh or asin; a series takes over at the
+round point, where both tend to 0/0).  The *normalized* width divides out
+volume^(2/3), making it scale invariant.
 
 The module also provides the two desk checks used throughout the test
 suite: a finite-difference certificate that rho = 1 is a strict local
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fsio import atomic_write_text
-from .numerics import QuadratureConfig, central_second_difference, integrate_adaptive
+from .numerics import central_second_difference
 
 __all__ = [
     "BergerReport",
@@ -43,6 +43,8 @@ __all__ = [
 
 ROUND_NORMALIZED_WIDTH = (16.0 / math.pi) ** (1.0 / 3.0)
 PRODUCT_BOUND = 24.0 * math.pi
+# Work cap on scan grids, far finer than any plot of the family needs.
+MAX_SCAN_POINTS = 100_000
 
 
 def _require_positive_rho(rho: float) -> float:
@@ -70,35 +72,51 @@ def volume(rho: float) -> float:
     return 2.0 * math.pi**2 * rho
 
 
-def normalized_width(rho: float, config: QuadratureConfig | None = None) -> float:
+# Below this |z| the series of G replaces the elementary formulas, which
+# tend to 0/0 at the round point z = 0.
+_SERIES_RADIUS = 1e-3
+
+
+def _g(z: float) -> float:
+    """``G(z) = integral_0^1 dx / sqrt(1 + z x^2)`` for z >= -1.
+
+    ``asinh(sqrt z)/sqrt z`` for z > 0 and ``asin(sqrt -z)/sqrt -z`` for
+    z < 0; near 0 its Taylor series, whose first omitted term is below
+    3e-17 on ``|z| < _SERIES_RADIUS``.
+    """
+    if abs(z) < _SERIES_RADIUS:
+        return 1.0 + z * (-1 / 6 + z * (3 / 40 + z * (-5 / 112 + z * 35 / 1152)))
+    if z > 0.0:
+        root = math.sqrt(z)
+        return math.asinh(root) / root
+    root = math.sqrt(-z)
+    return math.asin(root) / root
+
+
+def normalized_width(rho: float) -> float:
     """Scale-invariant sweep-out width of g_rho.
 
-    Evaluates ``(2/pi)^(1/3) * integral_0^pi sin(s) *
-    sqrt((1 - sin^2 s) rho^(-4/3) + sin^2 s * rho^(2/3)) ds`` adaptively.
-    At rho = 1 the integrand collapses to sin(s) and the value is
-    ``(16/pi)^(1/3)``.
+    The width integral ``integral_0^pi sin(s) * sqrt(a cos^2 s + b sin^2 s) ds``
+    with ``a = rho^(-4/3)`` and ``b = rho^(2/3)`` becomes, with x = cos s,
+    ``integral_-1^1 sqrt(b + (a - b) x^2) dx = sqrt(a) + sqrt(b) G(z)`` with
+    ``z = (a - b)/b``; the normalized width is ``(2/pi)^(1/3)`` times it.
+    At rho = 1 the integral is 2 and the value is ``(16/pi)^(1/3)``.
     """
     rho = _require_positive_rho(rho)
-    if config is None:
-        config = QuadratureConfig(abs_tol=1e-12)
     a = rho ** (-4.0 / 3.0)
     b = rho ** (2.0 / 3.0)
-
-    def integrand(s: float) -> float:
-        sin2 = math.sin(s) ** 2
-        return math.sin(s) * math.sqrt((1.0 - sin2) * a + sin2 * b)
-
-    return (2.0 / math.pi) ** (1.0 / 3.0) * integrate_adaptive(integrand, 0.0, math.pi, config)
+    integral = math.sqrt(a) + math.sqrt(b) * _g((a - b) / b)
+    return (2.0 / math.pi) ** (1.0 / 3.0) * integral
 
 
-def width(rho: float, config: QuadratureConfig | None = None) -> float:
+def width(rho: float) -> float:
     """Sweep-out width, i.e. ``normalized_width * volume^(2/3)``."""
-    return normalized_width(rho, config) * volume(rho) ** (2.0 / 3.0)
+    return normalized_width(rho) * volume(rho) ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
 class BergerReport:
-    """One scan row of closed-form and quadrature invariants at a given rho."""
+    """One scan row of the closed-form invariants at a given rho."""
 
     rho: float
     scalar_curvature: float
@@ -118,9 +136,9 @@ class BergerReport:
                 )
 
 
-def report_at(rho: float, config: QuadratureConfig | None = None) -> BergerReport:
+def report_at(rho: float) -> BergerReport:
     """Assemble the full invariant report at a single parameter value."""
-    nw = normalized_width(rho, config)
+    nw = normalized_width(rho)
     vol = volume(rho)
     return BergerReport(
         rho=float(rho),
@@ -132,32 +150,18 @@ def report_at(rho: float, config: QuadratureConfig | None = None) -> BergerRepor
     )
 
 
-def scan(
-    rho_min: float,
-    rho_max: float,
-    count: int,
-    config: QuadratureConfig | None = None,
-    threads: int = 1,
-) -> list[BergerReport]:
+def scan(rho_min: float, rho_max: float, count: int) -> list[BergerReport]:
     """Evaluate reports on a logarithmically spaced parameter grid.
 
     Args:
-        rho_min, rho_max: strictly increasing positive endpoints.
-        count: number of grid points, at least 2.
-        threads: evaluate rows with a thread pool of this size when > 1;
-            ordering of the returned list is by rho either way.
+        rho_min, rho_max: strictly increasing positive finite endpoints.
+        count: number of grid points, from 2 to ``MAX_SCAN_POINTS``.
     """
-    if not (0.0 < rho_min < rho_max):
-        raise ValueError(f"need 0 < rho_min < rho_max, got [{rho_min}, {rho_max}]")
-    if count < 2:
-        raise ValueError(f"scan needs at least 2 points, got {count}")
-    rhos = np.geomspace(rho_min, rho_max, count)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: report_at(r, config), rhos))
-    return [report_at(r, config) for r in rhos]
+    if not (0.0 < rho_min < rho_max) or not math.isfinite(rho_max):
+        raise ValueError(f"need finite 0 < rho_min < rho_max, got [{rho_min}, {rho_max}]")
+    if not (2 <= count <= MAX_SCAN_POINTS):
+        raise ValueError(f"scan needs 2 to {MAX_SCAN_POINTS} points, got {count}")
+    return [report_at(r) for r in np.geomspace(rho_min, rho_max, count)]
 
 
 _CSV_HEADER = "rho,scalar_curvature,ricci_positive,volume,width,normalized_width"
@@ -221,11 +225,7 @@ class LocalMinCertificate:
     passed: bool
 
 
-def local_min_certificate(
-    h: float,
-    config: QuadratureConfig | None = None,
-    first_tol: float = 1e-4,
-) -> LocalMinCertificate:
+def local_min_certificate(h: float, first_tol: float = 1e-4) -> LocalMinCertificate:
     """Certify the strict local minimum of normalized width at rho = 1.
 
     Computes the central first difference ``(nw(1+h) - nw(1-h)) / (2h)`` and
@@ -238,11 +238,8 @@ def local_min_certificate(
     """
     if not (0.0 < h < 0.5):
         raise ValueError(f"step must satisfy 0 < h < 0.5, got {h}")
-    if config is None:
-        config = QuadratureConfig(abs_tol=1e-12)
-    nw = lambda rho: normalized_width(rho, config)
-    first = (nw(1.0 + h) - nw(1.0 - h)) / (2.0 * h)
-    second = central_second_difference(nw, 1.0, h)
+    first = (normalized_width(1.0 + h) - normalized_width(1.0 - h)) / (2.0 * h)
+    second = central_second_difference(normalized_width, 1.0, h)
     passed = abs(first) <= first_tol and second > 0.0
     return LocalMinCertificate(
         h=h, first_difference=first, second_difference=second, first_tol=first_tol, passed=passed
@@ -260,11 +257,7 @@ class BoundCheck:
     equality: bool
 
 
-def scalar_normalized_bound_check(
-    rho: float,
-    config: QuadratureConfig | None = None,
-    tol: float = 1e-4,
-) -> BoundCheck:
+def scalar_normalized_bound_check(rho: float, tol: float = 1e-4) -> BoundCheck:
     """Check ``width(rho) * (8 - 2 rho^2) <= 24 pi`` on 0 < rho < 2.
 
     The product equals 24 pi exactly at the round metric and falls away from
@@ -277,7 +270,7 @@ def scalar_normalized_bound_check(
     rho = _require_positive_rho(rho)
     if rho >= 2.0:
         raise ValueError(f"product bound requires 0 < rho < 2, got {rho}")
-    product = width(rho, config) * scalar_curvature(rho)
+    product = width(rho) * scalar_curvature(rho)
     return BoundCheck(
         rho=rho,
         product=product,

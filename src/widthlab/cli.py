@@ -4,7 +4,7 @@ Every subcommand runs one analysis and writes machine-readable output (JSON
 for structured reports, CSV for curves and scans; CSV files get a JSON
 sidecar at ``<path>.meta.json``).  Each emitted file embeds the fully
 resolved configuration and the format version string, and repeated runs
-with identical configuration and seed produce byte-identical files.
+with identical configuration produce byte-identical files.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, unreadable
 input, precondition violations), 2 on numerical failure (flow positivity
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -40,8 +39,6 @@ FORMAT_VERSION = "widthlab-report/1"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-
-DEFAULT_SEED = 2026
 
 _COMMANDS = (
     "berger-scan",
@@ -100,15 +97,11 @@ class RunConfig:
     command: str
     output_path: str
     input_path: str | None = None
-    seed: int = DEFAULT_SEED
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.command in _NEEDS_INPUT and not self.input_path:
             raise ValueError(f"{self.command} requires an input path")
 
@@ -117,8 +110,6 @@ class RunConfig:
             "command": self.command,
             "input_path": self.input_path,
             "output_path": self.output_path,
-            "seed": self.seed,
-            "threads": self.threads,
             **self.params,
         }
 
@@ -154,7 +145,7 @@ def _write_sidecar(csv_path: str, cfg: RunConfig) -> None:
 
 def _run_berger_scan(cfg: RunConfig) -> None:
     p = cfg.params
-    reports = berger.scan(p["rho_min"], p["rho_max"], p["n"], threads=cfg.threads)
+    reports = berger.scan(p["rho_min"], p["rho_max"], p["n"])
     berger.write_scan_csv(reports, cfg.output_path)
     _write_sidecar(cfg.output_path, cfg)
     print(f"wrote {len(reports)} scan rows to {cfg.output_path}")
@@ -162,6 +153,14 @@ def _run_berger_scan(cfg: RunConfig) -> None:
 
 def _run_berger_certify(cfg: RunConfig) -> None:
     p = cfg.params
+    if not (1 <= p["grid_n"] <= berger.MAX_SCAN_POINTS):
+        raise ValueError(
+            f"--grid-n must be between 1 and {berger.MAX_SCAN_POINTS}, got {p['grid_n']}"
+        )
+    if not (0.0 < p["grid_lo"] < p["grid_hi"] < 2.0):
+        raise ValueError(
+            f"need 0 < --grid-lo < --grid-hi < 2, got [{p['grid_lo']}, {p['grid_hi']}]"
+        )
     certificate = berger.local_min_certificate(p["h"], first_tol=p["tol"])
     rhos = np.geomspace(p["grid_lo"], p["grid_hi"], p["grid_n"])
     checks = [berger.scalar_normalized_bound_check(r, tol=p["tol"]) for r in rhos]
@@ -404,7 +403,7 @@ def roundcheck() -> RoundcheckReport:
     return RoundcheckReport(items=tuple(items))
 
 
-def _run_roundcheck(cfg: RunConfig) -> None:
+def _run_roundcheck(cfg: RunConfig) -> int:
     report = roundcheck()
     for item in report.items:
         print(f"{'PASS' if item.passed else 'FAIL'} {item.name}: {item.detail}")
@@ -419,7 +418,9 @@ def _run_roundcheck(cfg: RunConfig) -> None:
     }
     _write_json(cfg.output_path, payload)
     if not report.passed:
-        raise QuadratureError("roundcheck self-test failed", 0.0, 0.0)
+        print("numerical failure: roundcheck self-test failed", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 _HANDLERS = {
@@ -434,16 +435,19 @@ _HANDLERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run one resolved configuration and map failures to exit codes."""
+    """Run one resolved configuration and map failures to exit codes.
+
+    Handlers return None on success; the self-test returns its exit code.
+    """
     try:
-        _HANDLERS[cfg.command](cfg)
+        code = _HANDLERS[cfg.command](cfg)
     except (yamabe.FlowError, QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
+    return EXIT_OK if code is None else code
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", dest="output_path", help="output file path")
-        sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
 
     sp = sub.add_parser("berger-scan", help="normalized width over a log grid")
     common(sp)
@@ -521,17 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads() -> int:
-    raw = os.environ.get("WIDTHLAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"WIDTHLAB_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ValueError(f"WIDTHLAB_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional JSON config file, and explicit flags."""
     command = args.command
@@ -539,7 +531,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {
         "input_path": None,
         "output_path": _DEFAULT_OUTPUT[command],
-        "seed": DEFAULT_SEED,
         **params,
     }
     if getattr(args, "config", None):
@@ -559,8 +550,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         command=command,
         output_path=merged.pop("output_path"),
         input_path=merged.pop("input_path"),
-        seed=merged.pop("seed"),
-        threads=_resolve_threads(),
         params=merged,
     )
 

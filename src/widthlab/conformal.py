@@ -3,10 +3,12 @@
 A metric in this class is described by a positive profile u(theta) sampled on
 the uniform latitude grid; the latitude two-spheres {theta = const} have area
 ``A(theta) = 4 pi u(theta)^4 sin^2(theta)`` and sweep the sphere from pole to
-pole, so ``max_theta A`` is an upper bound for the sweep-out width.  So is
-the largest sphere of any other sweep-out: the round spheres ``{x . v = c}``
-for a unit v tilted off the axis give a tighter bound for squashed
-profiles (``tilted_width_bound``).
+pole, so ``max_theta A`` bounds the sweep-out width from above.
+``width_upper_bound`` estimates that maximum from the node areas (it may
+fall on either side of it).  The largest sphere of any other sweep-out is a
+bound as well: the round spheres ``{x . v = c}`` for a unit v tilted off the
+axis give a tighter one for squashed profiles, and ``tilted_width_bound``
+certifies its maximum.
 
 The module provides the discrete scalar curvature of g, volume and areas,
 location of the minimal (critical-area) coordinate spheres, and a
@@ -267,10 +269,12 @@ def minimal_coordinate_spheres(profile: AxisymProfile) -> list[LatitudeSphere]:
 
 
 def width_upper_bound(profile: AxisymProfile) -> float:
-    """Maximal latitude-sphere area, refined by quadratic interpolation.
+    """Estimate of the maximal latitude-sphere area.
 
-    This is the value of the latitude sweep-out, hence an upper bound for
-    the sweep-out width of the metric.
+    The vertex of the parabola through the largest node area and its two
+    neighbours.  The exact maximum bounds the sweep-out width from above,
+    but this estimate can fall on either side of it by its interpolation
+    error, so it is not a bound; ``tilted_width_bound`` is one.
     """
     areas = area_profile(profile)
     values = areas.values
@@ -532,7 +536,6 @@ def second_variation_oracle(
     theta_star: float,
     k: int,
     eps: float,
-    quad: QuadratureConfig | None = None,
 ) -> float:
     """Finite-difference Jacobi quadratic form on a zonal harmonic.
 
@@ -562,12 +565,9 @@ def second_variation_oracle(
             f"eps={eps} out of range: need 0 < eps <= 0.25 and "
             f"eps/u(theta*)^2 <= {0.5 * margin:.3e}"
         )
-    if quad is None:
-        # Tolerance scales with the sphere area so conformally scaled
-        # profiles integrate at the same relative precision.
-        quad = QuadratureConfig(
-            abs_tol=1e-12 * max(1.0, sphere_area(profile, theta_star))
-        )
+    # Tolerance scales with the sphere area so conformally scaled profiles
+    # integrate at the same relative precision.
+    quad = QuadratureConfig(abs_tol=1e-12 * max(1.0, sphere_area(profile, theta_star)))
     thetas = profile.thetas
     u = profile.u
 
@@ -609,7 +609,6 @@ def jacobi_spectrum(
     theta_star: float,
     k_max: int,
     eps: float = 1e-2,
-    quad: QuadratureConfig | None = None,
 ) -> SpectrumReport:
     """Morse index and nullity of a critical latitude sphere.
 
@@ -625,8 +624,8 @@ def jacobi_spectrum(
     """
     if k_max < 2:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
-    d_full = second_variation_oracle(profile, theta_star, 0, eps, quad)
-    d_half = second_variation_oracle(profile, theta_star, 0, 0.5 * eps, quad)
+    d_full = second_variation_oracle(profile, theta_star, 0, eps)
+    d_half = second_variation_oracle(profile, theta_star, 0, 0.5 * eps)
     q = -(4.0 * d_half - d_full) / 3.0
     radius_sq = profile.interp_u(theta_star) ** 4 * math.sin(theta_star) ** 2
     eigenvalues = []
@@ -706,9 +705,11 @@ def curvature_integral_over_sphere(profile: AxisymProfile, theta_star: float) ->
 class IsoperimetricCheck:
     """Sweep-out maximum against the round equator at equal volume.
 
-    ``max_profile_area`` bounds the isoperimetric profile maximum from
-    above, so ``passed`` certifies the sharp comparison whenever it is true;
-    a failure of this conservative check is not a counterexample.
+    ``max_profile_area`` is ``width_upper_bound``, an estimate of the
+    maximal latitude-sphere area.  That area bounds the isoperimetric profile
+    maximum from above, so ``passed`` supports the sharp comparison up to the
+    estimate's interpolation error without certifying it; a failure of this
+    conservative check is not a counterexample.
     """
 
     max_profile_area: float

@@ -26,8 +26,9 @@ stiffer than the interior); CFL_NUMBER = 0.125 keeps a 25% margin.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
-time derivative of the sweep-out width bound is compared against the first
-variation ``(r - R(theta*)) * area(theta*)`` of the maximal latitude sphere.
+time derivative of the maximal latitude area (estimated by
+``conformal.width_upper_bound``) is compared against the first variation
+``(r - R(theta*)) * area(theta*)`` of the maximal latitude sphere.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ __all__ = [
 
 CFL_NUMBER = 0.125
 MAX_SUBSTEPS_PER_CALL = 100_000
+# Cap on the outer steps of one run (each holds six monitor entries); twice
+# the criterion-6 run of t_end = 5 at dt = 1e-5.
+MAX_STEPS = 1_000_000
 
 
 class FlowError(RuntimeError):
@@ -143,7 +147,11 @@ def hilbert_einstein_energy(profile: AxisymProfile) -> float:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of the flow with its standard diagnostics."""
+    """Snapshot of the flow with its standard diagnostics.
+
+    ``width_bound`` is ``conformal.width_upper_bound``: an estimate of the
+    maximal latitude-sphere area, not a rigorous width bound.
+    """
 
     time: float
     profile: AxisymProfile
@@ -263,18 +271,24 @@ def run(
     outer step; otherwise the status is ``"completed"``.
 
     Raises:
-        ValueError: for non-positive dt/t_end or sample_every < 1.
+        ValueError: for non-positive or non-finite dt/t_end, more than
+            ``MAX_STEPS`` outer steps, or sample_every < 1.
         FlowError: positivity loss or unsatisfiable stability constraint.
     """
-    if not (dt > 0.0) or not (t_end > 0.0):
-        raise ValueError(f"t_end and dt must be positive, got t_end={t_end}, dt={dt}")
+    if not (0.0 < dt < math.inf) or not (0.0 < t_end < math.inf):
+        raise ValueError(
+            f"t_end and dt must be positive and finite, got t_end={t_end}, dt={dt}"
+        )
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(
+            f"t_end/dt = {t_end / dt:.3g} outer steps exceeds the cap of {MAX_STEPS}"
+        )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     kernel = _FlowKernel(profile.n)
     u = profile.u.copy()
     target_volume = kernel.volume(u)
-    n_steps = int(round(t_end / dt))
-    n_steps = max(n_steps, 1)
+    n_steps = max(int(round(t_end / dt)), 1)
 
     mon_t = np.empty(n_steps)
     mon_drift = np.empty(n_steps)
@@ -509,7 +523,6 @@ def write_run_summary_json(
     trace: FlowTrace,
     path: str,
     config: dict | None = None,
-    format_version: str = "widthlab-report/1",
 ) -> Theorem1Report:
     """Write a JSON summary of a flow run (final state plus monitors).
 
@@ -519,7 +532,7 @@ def write_run_summary_json(
     report = theorem1_monitor(trace)
     monitors = trace.monitors
     payload = {
-        "format": format_version,
+        "format": "widthlab-report/1",
         "config": config or {},
         "status": trace.status,
         "steps": int(monitors["t"].size),

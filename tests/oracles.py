@@ -1,15 +1,19 @@
 """Independent numerical oracles used to freeze expected values in tests.
 
 Nothing in here imports the implementation's closed forms: volumes come from
-Monte Carlo integration of metric volume elements, extrema from dense-grid
-searches.  Tests compare the package against these routes.
+Monte Carlo integration of metric volume elements, widths from adaptive
+quadrature of their integrands, extrema from dense-grid searches.  Tests
+compare the package against these routes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+from widthlab.numerics import QuadratureConfig, integrate_adaptive
 
 ROUND_S3_VOLUME = 2.0 * np.pi**2
 
@@ -54,6 +58,23 @@ def mc_berger_volume(rho: float, samples: int, seed: int, chunk: int = 100_000) 
         total += np.sqrt(np.linalg.det(restricted)).sum()
         remaining -= m
     return ROUND_S3_VOLUME * total / samples
+
+
+def quad_berger_normalized_width(rho: float) -> float:
+    """Normalized Berger width by adaptive quadrature of its integrand in s.
+
+    ``(2/pi)^(1/3) * integral_0^pi sin(s) * sqrt(cos^2 s * rho^(-4/3) +
+    sin^2 s * rho^(2/3)) ds`` at absolute tolerance 1e-12.
+    """
+    a = rho ** (-4.0 / 3.0)
+    b = rho ** (2.0 / 3.0)
+
+    def integrand(s: float) -> float:
+        sin2 = math.sin(s) ** 2
+        return math.sin(s) * math.sqrt((1.0 - sin2) * a + sin2 * b)
+
+    integral = integrate_adaptive(integrand, 0.0, math.pi, QuadratureConfig(abs_tol=1e-12))
+    return (2.0 / math.pi) ** (1.0 / 3.0) * integral
 
 
 def mc_tilted_sphere_area(

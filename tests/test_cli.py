@@ -80,8 +80,6 @@ class TestArgumentHandling:
     def test_run_config_validation(self):
         with pytest.raises(ValueError, match="unknown command"):
             cli.RunConfig(command="zap", output_path="x.json")
-        with pytest.raises(ValueError, match="threads"):
-            cli.RunConfig(command="roundcheck", output_path="x.json", threads=0)
         with pytest.raises(ValueError, match="input"):
             cli.RunConfig(command="equidist-check", output_path="x.json")
 
@@ -104,21 +102,18 @@ class TestArgumentHandling:
         assert cli.main(["berger-scan", "--config", str(cfg_path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
-    def test_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WIDTHLAB_THREADS", "3")
-        out = str(tmp_path / "s.csv")
-        code = cli.main(
-            ["berger-scan", "--rho-min", "0.5", "--rho-max", "2", "--n", "4",
-             "--output", out]
-        )
-        assert code == 0
-        meta = json.loads(open(out + ".meta.json").read())
-        assert meta["config"]["threads"] == 3
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        assert cli.main(["berger-scan", "--seed", "1"]) == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1}))
+        assert cli.main(["berger-scan", "--config", str(cfg_path)]) == 1
+        assert "seed" in capsys.readouterr().err
 
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("WIDTHLAB_THREADS", "minus-two")
-        assert cli.main(["roundcheck"]) == 1
-        assert "WIDTHLAB_THREADS" in capsys.readouterr().err
+    def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        assert cli.main(["berger-scan", "--n", "3", "--output", out]) == 0
+        config = json.loads(open(out + ".meta.json").read())["config"]
+        assert "seed" not in config and "threads" not in config
 
 
 class TestBergerScan:
@@ -141,6 +136,18 @@ class TestBergerScan:
         assert meta["config"]["command"] == "berger-scan"
         assert meta["config"]["n"] == 50
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rho-max", "inf"], ["--rho-min", "nan"], ["--n", "1"], ["--n", "1000000000"]],
+    )
+    def test_bad_input_prints_only_the_error(self, tmp_path, capsys, flags):
+        out = str(tmp_path / "scan.csv")
+        assert cli.main(["berger-scan", *flags, "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestBergerCertify:
     def test_certificates(self, tmp_path):
@@ -155,6 +162,27 @@ class TestBergerCertify:
         assert data["local_min"]["second_difference"] > 0.0
         assert data["product_bound"]["all_below_bound"] is True
         assert data["product_bound"]["max_product"] <= 24.0 * np.pi + 1e-4
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--grid-n", "0"], "--grid-n"),
+            (["--grid-n", "-3"], "--grid-n"),
+            (["--grid-n", "1000000000"], "--grid-n"),
+            (["--grid-lo", "0"], "--grid-lo"),
+            (["--grid-lo", "1.5", "--grid-hi", "1.0"], "--grid-hi"),
+            (["--grid-hi", "2"], "--grid-hi"),
+            (["--grid-hi", "inf"], "--grid-hi"),
+            (["--grid-lo", "nan"], "--grid-lo"),
+        ],
+    )
+    def test_bad_grid_rejected(self, tmp_path, capsys, flags, named):
+        out = str(tmp_path / "cert.json")
+        assert cli.main(["berger-certify", *flags, "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestConformalAnalyze:
@@ -219,6 +247,17 @@ class TestYamabeRun:
                          "--dt", "5", "--output", out])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-end", "inf"], ["--dt", "1e-300"], ["--dt", "nan"]]
+    )
+    def test_bad_time_input_exits_one(self, tmp_path, round_profile_path, capsys,
+                                      flags):
+        out = str(tmp_path / "flow.json")
+        code = cli.main(["yamabe-run", "--profile", round_profile_path, *flags,
+                         "--output", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEquidistCommands:
@@ -300,6 +339,20 @@ class TestRoundcheck:
         report = cli.roundcheck()
         assert report.passed
         assert len(report.items) == 4
+
+    def test_failed_item_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def broken():
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(cli, "_yamabe_item", broken)
+        out = str(tmp_path / "rc.json")
+        assert cli.main(["roundcheck", "--output", out]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "forced failure" in captured.out
+        assert "roundcheck self-test failed" in captured.err
+        data = json.loads(open(out).read())
+        assert data["passed"] is False
+        assert [i["passed"] for i in data["items"]] == [True, True, False, True]
 
 
 class TestDeterminism:
