@@ -200,9 +200,19 @@ def _sphere_payload(sphere) -> dict:
     }
 
 
+_PROFILE_FLAG = {"conformal-analyze": "--input", "yamabe-run": "--profile"}
+
+
+def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
+    try:
+        return conformal.load_profile(cfg.input_path)
+    except conformal.ProfileError as exc:
+        raise conformal.ProfileError(f"{_PROFILE_FLAG[cfg.command]}: {exc}") from None
+
+
 def _run_conformal_analyze(cfg: RunConfig) -> None:
     p = cfg.params
-    profile = conformal.load_profile(cfg.input_path)
+    profile = _load_profile(cfg)
     star = conformal.star_scan(profile, k_max=p["k_max"], eps=p["eps"])
     curvature = conformal.scalar_curvature_field(profile)
     iso = conformal.isoperimetric_check(profile)
@@ -235,7 +245,7 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
 
 def _run_yamabe_run(cfg: RunConfig) -> None:
     p = cfg.params
-    profile = conformal.load_profile(cfg.input_path)
+    profile = _load_profile(cfg)
     trace = yamabe.run(
         profile,
         t_end=p["t_end"],
@@ -282,6 +292,11 @@ def _run_equidist_check(cfg: RunConfig) -> None:
 
 def _run_equidist_sequence(cfg: RunConfig) -> None:
     p = cfg.params
+    if not (1 <= p["k_max"] <= equidist.MAX_SEQUENCE_STEPS):
+        raise ValueError(
+            f"--k-max must be between 1 and {equidist.MAX_SEQUENCE_STEPS}, "
+            f"got {p['k_max']}"
+        )
     mu0, family = equidist.load_instance(cfg.input_path)
     if p["weighted"]:
         trace = equidist.weighted_cesaro_structured(
@@ -524,6 +539,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_type(key: str, value, default) -> None:
+    """A config-file value must have its default's type.
+
+    Integers are not booleans, numbers may be integers, and paths are
+    strings (or null where the default is null).
+    """
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = is_int, "an integer"
+    elif isinstance(default, float):
+        ok, kind = is_int or isinstance(value, float), "a number"
+    else:
+        ok = isinstance(value, str) or (value is None and default is None)
+        kind = "a path string"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional JSON config file, and explicit flags."""
     command = args.command
@@ -541,6 +576,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"unknown config keys for {command}: {sorted(unknown)}"
             )
+        for key, value in file_values.items():
+            _check_config_type(key, value, merged[key])
         merged.update(file_values)
     for key in merged:
         value = getattr(args, key, None)

@@ -42,6 +42,7 @@ from .numerics import (
 
 __all__ = [
     "ProfileError",
+    "MAX_PROFILE_NODES",
     "AxisymProfile",
     "LatitudeSphere",
     "SpectrumReport",
@@ -71,6 +72,8 @@ __all__ = [
 ]
 
 ZERO_EIGENVALUE_TOL = 1e-6
+# Cap on the nodes of a profile file; six times the finest grid in the tests.
+MAX_PROFILE_NODES = 20_001
 
 
 class ProfileError(ValueError):
@@ -134,15 +137,35 @@ class AxisymProfile:
 
 
 def load_profile(path: str) -> AxisymProfile:
-    """Read a profile from JSON ``{"n": ..., "u": [...], "description": ...}``."""
+    """Read a profile from JSON ``{"n": ..., "u": [...], "description": ...}``.
+
+    Raises:
+        ProfileError: a malformed file, more than ``MAX_PROFILE_NODES``
+            nodes, or a profile whose volume or scalar curvature overflows
+            or underflows in floating point.
+    """
     with open(path, "r") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "n" not in payload or "u" not in payload:
         raise ProfileError(f"profile file {path} must contain 'n' and 'u'")
     u = np.asarray(payload["u"], dtype=float)
+    if u.size > MAX_PROFILE_NODES:
+        raise ProfileError(
+            f"profile file {path}: {u.size} nodes exceed the cap of {MAX_PROFILE_NODES}"
+        )
     if int(payload["n"]) != u.size:
         raise ProfileError(f"profile file {path}: n={payload['n']} but {u.size} samples")
-    return AxisymProfile(GridFunction(u))
+    profile = AxisymProfile(GridFunction(u))
+    with np.errstate(all="ignore"):
+        vol = volume(profile)
+        curvature = _scalar_curvature(profile)
+    if not (0.0 < vol < math.inf and np.all(np.isfinite(curvature))):
+        raise ProfileError(
+            f"profile file {path}: volume or scalar curvature overflows or "
+            f"underflows in floating point (volume {vol:.3g}, u from "
+            f"{u.min():.3g} to {u.max():.3g})"
+        )
+    return profile
 
 
 def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:
@@ -160,6 +183,10 @@ def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:
     differences in the interior.  At the poles the regular limit is
     ``3 u''(0)``, with u'' taken from the three-point one-sided stencil.
     """
+    return GridFunction(_scalar_curvature(profile))
+
+
+def _scalar_curvature(profile: AxisymProfile) -> np.ndarray:
     u = profile.u
     h = profile.grid.spacing
     thetas = profile.thetas
@@ -169,7 +196,7 @@ def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:
     lap[1:-1] = upp + 2.0 * up / np.tan(thetas[1:-1])
     lap[0] = 3.0 * (u[0] - 2.0 * u[1] + u[2]) / (h * h)
     lap[-1] = 3.0 * (u[-1] - 2.0 * u[-2] + u[-3]) / (h * h)
-    return GridFunction((-8.0 * lap + 6.0 * u) / u**5)
+    return (-8.0 * lap + 6.0 * u) / u**5
 
 
 def volume(profile: AxisymProfile) -> float:

@@ -48,6 +48,8 @@ __all__ = [
 
 MAX_GROUND_SET = 64
 MAX_FAMILY = 64
+# Cap on the greedy steps of one Cesaro sequence (100x the CLI default).
+MAX_SEQUENCE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,13 @@ The measured spectral stability limit of the discrete update is
 ``h^2 min(u)^4 / 6`` across grids (the symmetric pole rows are 1.5x
 stiffer than the interior); CFL_NUMBER = 0.125 keeps a 25% margin.
 
+Cost: each sub-step evaluates its state once.  ``_FlowKernel.evaluate``
+returns the curvature, the volume and the average curvature from one pass
+that forms ``u^6`` once, and the evaluation at the end of an outer step (which
+``run`` records in its monitors) is reused by the first sub-step of the next.
+The operations and their order are those of evaluating each quantity on its
+own, so the output is the same to the bit.
+
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
 time derivative of the maximal latitude area (estimated by
@@ -83,15 +90,18 @@ class FlowError(RuntimeError):
 
 
 class _FlowKernel:
-    """Precomputed grid data for fast repeated curvature/volume evaluation."""
+    """Precomputed grid data and scratch buffers for repeated flow evaluation.
+
+    ``evaluate`` returns fresh arrays; the scratch buffers only hold
+    intermediates, and the kernel lives for one call of ``run`` or ``step``.
+    """
 
     def __init__(self, n: int):
-        self.n = n
         self.h = np.pi / (n - 1)
-        self.thetas = np.linspace(0.0, np.pi, n)
-        self.sin2 = np.sin(self.thetas) ** 2
-        self.cot = np.zeros(n)
-        self.cot[1:-1] = 1.0 / np.tan(self.thetas[1:-1])
+        self.h2 = self.h * self.h
+        thetas = np.linspace(0.0, np.pi, n)
+        self.sin2 = np.sin(thetas) ** 2
+        self.cot_inner = 1.0 / np.tan(thetas[1:-1])
         # Composite Simpson weights (3/8 tail when the interval count is odd).
         w = np.zeros(n)
         m = n - 1
@@ -110,21 +120,48 @@ class _FlowKernel:
                 w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
+        self._inner = np.empty(n - 2)
+        self._pow = np.empty(n)
+        self._tmp = np.empty(n)
 
-    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
-        # Symmetric ghost-node pole rows: stable as dynamics (see module
-        # docstring), identical volume integrals to the one-sided evaluator.
-        h2 = self.h * self.h
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 + self.cot[1:-1] * (
-            u[2:] - u[:-2]
-        ) / self.h
-        lap[0] = 6.0 * (u[1] - u[0]) / h2
-        lap[-1] = 6.0 * (u[-2] - u[-1]) / h2
-        return (-8.0 * lap + 6.0 * u) / u**5
+    def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Scalar curvature, volume and volume-averaged curvature of u.
+
+        The curvature ``(-8 lap(u) + 6 u) / u^5`` uses symmetric ghost-node
+        pole rows: stable as dynamics (see module docstring), identical
+        volume integrals to the one-sided evaluator.  ``u^6`` is formed once
+        and serves both integrals.
+        """
+        h2, tmp = self.h2, self._tmp
+        scalar = np.empty_like(u)
+        lap, d = scalar[1:-1], self._inner
+        up, dn = u[2:], u[:-2]
+        np.multiply(2.0, u[1:-1], out=d)
+        np.subtract(up, d, out=d)
+        np.add(d, dn, out=d)
+        np.divide(d, h2, out=lap)
+        np.subtract(up, dn, out=d)
+        np.multiply(self.cot_inner, d, out=d)
+        np.divide(d, self.h, out=d)
+        np.add(lap, d, out=lap)
+        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / h2
+        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / h2
+        np.multiply(-8.0, scalar, out=scalar)
+        np.multiply(6.0, u, out=tmp)
+        np.add(scalar, tmp, out=scalar)
+        np.divide(scalar, np.power(u, 5.0, out=tmp), out=scalar)
+        u6 = np.power(u, 6.0, out=self._pow)
+        np.multiply(u6, self.sin2, out=tmp)
+        vol = 4.0 * np.pi * float(self.simpson.dot(tmp))
+        np.multiply(scalar, u6, out=tmp)
+        np.multiply(tmp, self.sin2, out=tmp)
+        r = 4.0 * np.pi * float(self.simpson.dot(tmp)) / vol
+        return scalar, vol, r
 
     def volume(self, u: np.ndarray) -> float:
-        return 4.0 * np.pi * float(self.simpson @ (u**6 * self.sin2))
+        w = np.power(u, 6.0, out=self._pow)
+        np.multiply(w, self.sin2, out=w)
+        return 4.0 * np.pi * float(self.simpson.dot(w))
 
     def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
         return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
@@ -132,17 +169,13 @@ class _FlowKernel:
 
 def average_scalar_curvature(profile: AxisymProfile) -> float:
     """Volume average ``(integral R dV) / V`` of the scalar curvature."""
-    kernel = _FlowKernel(profile.n)
-    u = profile.u
-    return kernel.average_r(kernel.scalar_curvature(u), u, kernel.volume(u))
+    return _FlowKernel(profile.n).evaluate(profile.u)[2]
 
 
 def hilbert_einstein_energy(profile: AxisymProfile) -> float:
     """Scale-invariant curvature energy ``(integral R dV) / V^(1/3)``."""
-    kernel = _FlowKernel(profile.n)
-    u = profile.u
-    vol = kernel.volume(u)
-    return kernel.average_r(kernel.scalar_curvature(u), u, vol) * vol ** (2.0 / 3.0)
+    _, vol, r = _FlowKernel(profile.n).evaluate(profile.u)
+    return r * vol ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -164,10 +197,7 @@ class FlowState:
 
 def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
     """Assemble the diagnostic snapshot for a profile."""
-    kernel = _FlowKernel(profile.n)
-    u = profile.u
-    vol = kernel.volume(u)
-    r = kernel.average_r(kernel.scalar_curvature(u), u, vol)
+    _, vol, r = _FlowKernel(profile.n).evaluate(profile.u)
     return FlowState(
         time=float(time),
         profile=profile,
@@ -185,32 +215,42 @@ def _advance(
     dt: float,
     target_volume: float,
     cfl: float,
-) -> tuple[np.ndarray, int]:
-    """Advance by dt with explicit sub-steps inside the stability region."""
+    evaluation: tuple[np.ndarray, float, float],
+) -> tuple[np.ndarray, int, tuple[np.ndarray, float, float]]:
+    """Advance by dt with explicit sub-steps inside the stability region.
+
+    ``evaluation`` is ``kernel.evaluate(u)``; the evaluation of the returned
+    state comes back with it, so each state is evaluated once.
+    """
     remaining = dt
     substeps = 0
-    h2 = kernel.h * kernel.h
+    # min(u * c) == min(u) * c for c > 0 (rounding is monotone), so after a
+    # renormalization the new minimum is known without another pass.
+    lo = float(u.min())
     while remaining > 0.0:
-        stable = cfl * h2 * float(np.min(u)) ** 4
+        scalar, _, r = evaluation
+        stable = cfl * kernel.h2 * lo**4
         sub = min(remaining, stable)
         substeps += 1
         if substeps > MAX_SUBSTEPS_PER_CALL:
             raise FlowError(
                 f"step rejected: stability constraint needs more than "
-                f"{MAX_SUBSTEPS_PER_CALL} sub-steps (min(u) = {np.min(u):.3e})"
+                f"{MAX_SUBSTEPS_PER_CALL} sub-steps (min(u) = {lo:.3e})"
             )
-        scalar = kernel.scalar_curvature(u)
-        vol = kernel.volume(u)
-        r = kernel.average_r(scalar, u, vol)
         u = u + sub * (u / 4.0) * (r - scalar)
-        if not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+        # Positive and finite: a NaN passes through min and max and fails both.
+        lo, hi = float(u.min()), float(u.max())
+        if not (lo > 0.0 and hi < math.inf):
             raise FlowError(
                 f"conformal factor lost positivity during an explicit sub-step "
                 f"of size {sub:.3e}"
             )
-        u = u * (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
+        scale = (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
+        u = u * scale
+        lo *= scale
         remaining -= sub
-    return u, substeps
+        evaluation = kernel.evaluate(u)
+    return u, substeps, evaluation
 
 
 def step(state: FlowState, dt: float, cfl: float = CFL_NUMBER) -> FlowState:
@@ -228,7 +268,8 @@ def step(state: FlowState, dt: float, cfl: float = CFL_NUMBER) -> FlowState:
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     kernel = _FlowKernel(state.profile.n)
-    u, _ = _advance(kernel, state.profile.u.copy(), dt, state.volume, cfl)
+    u = state.profile.u
+    u, _, _ = _advance(kernel, u, dt, state.volume, cfl, kernel.evaluate(u))
     return flow_state(AxisymProfile(GridFunction(u)), state.time + dt)
 
 
@@ -287,7 +328,8 @@ def run(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     kernel = _FlowKernel(profile.n)
     u = profile.u.copy()
-    target_volume = kernel.volume(u)
+    evaluation = kernel.evaluate(u)
+    scalar0, target_volume, r0 = evaluation
     n_steps = max(int(round(t_end / dt)), 1)
 
     mon_t = np.empty(n_steps)
@@ -315,19 +357,15 @@ def run(
 
     states: list[FlowState] = []
     samples: list[dict] = []
-    scalar0 = kernel.scalar_curvature(u)
-    r0 = kernel.average_r(scalar0, u, target_volume)
     snapshot(0.0, u, float(np.max(np.abs(scalar0 - r0))))
 
     status = "completed"
     taken = 0
     for i in range(n_steps):
-        u, subs = _advance(kernel, u, dt, target_volume, cfl)
+        u, subs, evaluation = _advance(kernel, u, dt, target_volume, cfl, evaluation)
         taken = i + 1
         time = taken * dt
-        scalar = kernel.scalar_curvature(u)
-        vol = kernel.volume(u)
-        r = kernel.average_r(scalar, u, vol)
+        scalar, vol, r = evaluation
         sup_dev = float(np.max(np.abs(scalar - r)))
         mon_t[i] = time
         mon_drift[i] = abs(vol - target_volume)

@@ -2,8 +2,10 @@
 
 Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
-quadrature of their integrands, extrema from dense-grid searches.  Tests
-compare the package against these routes.
+quadrature of their integrands, extrema from dense-grid searches.  The
+explicit flow step is kept here in its unfused form, one numpy expression per
+quantity, as the reference the fused step in ``widthlab.yamabe`` must match
+bit for bit.  Tests compare the package against these routes.
 """
 
 from __future__ import annotations
@@ -132,3 +134,124 @@ def dense_grid_extrema(
         elif d[i - 1] < 0.0 and d[i] > 0.0:
             out.append((float(t[i]), "min"))
     return out
+
+
+class ReferenceFlowKernel:
+    """Grid data and the unfused curvature, volume and average evaluations."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.h = np.pi / (n - 1)
+        self.thetas = np.linspace(0.0, np.pi, n)
+        self.sin2 = np.sin(self.thetas) ** 2
+        self.cot = np.zeros(n)
+        self.cot[1:-1] = 1.0 / np.tan(self.thetas[1:-1])
+        # Composite Simpson weights (3/8 tail when the interval count is odd).
+        w = np.zeros(n)
+        m = n - 1
+        if m % 2 == 0:
+            w[0] = w[-1] = 1.0
+            w[1:-1:2] = 4.0
+            w[2:-2:2] = 2.0
+            w *= self.h / 3.0
+        else:
+            head = m - 3
+            if head > 0:
+                w[0] = 1.0
+                w[1:head:2] = 4.0
+                w[2:head:2] = 2.0
+                w[head] = 1.0
+                w[:head + 1] *= self.h / 3.0
+            w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
+        self.simpson = w
+
+    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
+        h2 = self.h * self.h
+        lap = np.empty_like(u)
+        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 + self.cot[1:-1] * (
+            u[2:] - u[:-2]
+        ) / self.h
+        lap[0] = 6.0 * (u[1] - u[0]) / h2
+        lap[-1] = 6.0 * (u[-2] - u[-1]) / h2
+        return (-8.0 * lap + 6.0 * u) / u**5
+
+    def volume(self, u: np.ndarray) -> float:
+        return 4.0 * np.pi * float(self.simpson @ (u**6 * self.sin2))
+
+    def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
+        return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
+
+
+def reference_advance(
+    kernel: ReferenceFlowKernel,
+    u: np.ndarray,
+    dt: float,
+    target_volume: float,
+    cfl: float,
+    max_substeps: int,
+) -> tuple[np.ndarray, int]:
+    """Explicit Euler sub-steps under the CFL rule, each renormalized.
+
+    Every sub-step evaluates its state from scratch.
+    """
+    remaining = dt
+    substeps = 0
+    h2 = kernel.h * kernel.h
+    while remaining > 0.0:
+        stable = cfl * h2 * float(np.min(u)) ** 4
+        sub = min(remaining, stable)
+        substeps += 1
+        if substeps > max_substeps:
+            raise RuntimeError(f"more than {max_substeps} sub-steps")
+        scalar = kernel.scalar_curvature(u)
+        vol = kernel.volume(u)
+        r = kernel.average_r(scalar, u, vol)
+        u = u + sub * (u / 4.0) * (r - scalar)
+        if not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+            raise RuntimeError(f"positivity lost in a sub-step of size {sub:.3e}")
+        u = u * (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
+        remaining -= sub
+    return u, substeps
+
+
+def explicit_flow_reference(
+    u0: np.ndarray,
+    t_end: float,
+    dt: float,
+    sample_every: int,
+    convergence_tol: float,
+    cfl: float,
+    max_substeps: int,
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """The flow run loop on the unfused kernel: sampled u and monitors.
+
+    Samples and monitors follow ``widthlab.yamabe.run``: the initial state,
+    every ``sample_every``-th outer step, the last step and a converged
+    step are sampled; the monitors hold one entry per outer step.
+    """
+    kernel = ReferenceFlowKernel(u0.size)
+    u = u0.copy()
+    target_volume = kernel.volume(u)
+    n_steps = max(int(round(t_end / dt)), 1)
+    samples = [u.copy()]
+    rows = []
+    for i in range(n_steps):
+        u, subs = reference_advance(kernel, u, dt, target_volume, cfl, max_substeps)
+        taken = i + 1
+        scalar = kernel.scalar_curvature(u)
+        vol = kernel.volume(u)
+        r = kernel.average_r(scalar, u, vol)
+        sup_dev = float(np.max(np.abs(scalar - r)))
+        rows.append(
+            (taken * dt, abs(vol - target_volume), r * vol ** (2.0 / 3.0), r, sup_dev, subs)
+        )
+        converged = sup_dev < convergence_tol
+        if taken % sample_every == 0 or taken == n_steps or converged:
+            samples.append(u.copy())
+        if converged:
+            break
+    names = ("t", "volume_drift", "energy", "r_avg", "sup_R_minus_r", "substeps")
+    columns = list(zip(*rows))
+    monitors = {name: np.array(col) for name, col in zip(names, columns)}
+    monitors["substeps"] = monitors["substeps"].astype(int)
+    return samples, monitors

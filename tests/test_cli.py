@@ -2,6 +2,7 @@
 formats, determinism, and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def nonmember_instance_path(tmp_path):
         eq.MeasureFamily(members=(eq.FiniteMeasure(np.array([1.0, 1.0])),)),
     )
     return path
+
+
+def assert_only_error_line(capsys, named):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 class TestArgumentHandling:
@@ -108,6 +116,38 @@ class TestArgumentHandling:
         cfg_path.write_text(json.dumps({"seed": 1}))
         assert cli.main(["berger-scan", "--config", str(cfg_path)]) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            ("berger-certify", {"grid_n": "5"}, "grid_n"),
+            ("berger-certify", {"grid_n": 5.0}, "grid_n"),
+            ("berger-scan", {"n": 2.5}, "n"),
+            ("berger-scan", {"n": True}, "n"),
+            ("berger-scan", {"rho_min": "0.5"}, "rho_min"),
+            ("berger-scan", {"rho_max": False}, "rho_max"),
+            ("equidist-sequence", {"weighted": 1}, "weighted"),
+            ("yamabe-run", {"trace_csv": 3}, "trace_csv"),
+            ("berger-scan", {"output_path": None}, "output_path"),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, command, values, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert_only_error_line(capsys, repr(key))
+
+    def test_config_accepts_int_for_float_and_null_path(self, tmp_path,
+                                                        round_profile_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rho_min": 1, "rho_max": 2, "n": 3}))
+        out = str(tmp_path / "s.csv")
+        assert cli.main(["berger-scan", "--config", str(cfg_path), "--output", out]) == 0
+        cfg_path.write_text(json.dumps({"trace_csv": None, "t_end": 1}))
+        out = str(tmp_path / "flow.json")
+        assert cli.main(["yamabe-run", "--config", str(cfg_path), "--profile",
+                         round_profile_path, "--output", out]) == 0
+        assert json.loads(open(out).read())["config"]["trace_csv"] is None
 
     def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -201,6 +241,40 @@ class TestConformalAnalyze:
         assert sphere["index"] == 4 and sphere["nullity"] == 0
         assert data["star_holds_on_axisym_candidates"] is True
         assert data["isoperimetric"]["passed"] is False
+
+
+def write_constant_profile(path, value, n):
+    path.write_text(json.dumps({"n": n, "u": [value] * n}))
+    return str(path)
+
+
+class TestProfileInput:
+    @pytest.mark.parametrize("value", [1e52, 1e-80])
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_profile_outside_float_range_rejected(self, tmp_path, capsys, value,
+                                                  command, flag):
+        path = write_constant_profile(tmp_path / "p.json", value, 11)
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, flag, path, "--output", str(out)])
+        assert code == 1
+        assert_only_error_line(capsys, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_node_cap(self, tmp_path, capsys, command, flag):
+        path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES + 1)
+        assert cli.main([command, flag, path, "--output", str(tmp_path / "o")]) == 1
+        assert_only_error_line(capsys, flag)
+
+    def test_node_cap_admits_cap(self, tmp_path):
+        path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES)
+        assert cf.load_profile(path).n == cf.MAX_PROFILE_NODES
 
 
 class TestYamabeRun:
@@ -309,6 +383,14 @@ class TestEquidistCommands:
         assert code == 0
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["config"]["weighted"] is True
+
+    @pytest.mark.parametrize("k_max", [0, eq.MAX_SEQUENCE_STEPS + 1])
+    def test_sequence_step_cap(self, tmp_path, member_instance_path, capsys, k_max):
+        out = str(tmp_path / "trace.csv")
+        code = cli.main(["equidist-sequence", "--input", member_instance_path,
+                         "--k-max", str(k_max), "--output", out])
+        assert code == 1
+        assert_only_error_line(capsys, "--k-max")
 
     def test_sequence_rejects_non_member(self, tmp_path, nonmember_instance_path,
                                          capsys):

@@ -15,12 +15,20 @@ from widthlab.conformal import (
 from widthlab.numerics import GridFunction, composite_simpson
 from widthlab import yamabe
 
+from oracles import ReferenceFlowKernel, explicit_flow_reference, reference_advance
+
 ROUND_ENERGY = 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0)
 ROUND_NORMALIZED_WIDTH = (16.0 / math.pi) ** (1.0 / 3.0)
 
 
 def bump_profile(n, amplitude=0.3):
     return AxisymProfile.from_function(lambda t: 1.0 + amplitude * np.cos(t), n)
+
+
+@pytest.fixture(scope="module")
+def converging_trace():
+    """The bump flow at n = 101, dt = 1e-4; it converges at t = 1.2261."""
+    return yamabe.run(bump_profile(101), t_end=3.0, dt=1e-4, sample_every=200)
 
 
 class TestAverageScalarCurvature:
@@ -124,8 +132,8 @@ class TestRun:
         times = [s.time for s in trace.states]
         assert times == pytest.approx([0.0, 30e-4, 60e-4, 90e-4, 0.01])
 
-    def test_perturbed_profile_converges_to_mobius_round(self):
-        trace = yamabe.run(bump_profile(101), t_end=3.0, dt=1e-4, sample_every=200)
+    def test_perturbed_profile_converges_to_mobius_round(self, converging_trace):
+        trace = converging_trace
         mon = trace.monitors
         assert trace.status == "converged"
         assert mon["sup_R_minus_r"][-1] < 1e-3
@@ -193,8 +201,9 @@ class TestTheorem1Monitor:
         tight = tilted_width_bound(start.profile).bound
         assert tight * start.r_avg < report.latitude_product_at_max
 
-    def test_monotone_r_along_trace(self):
-        trace = yamabe.run(bump_profile(101), t_end=2.0, dt=1e-4, sample_every=200)
+    def test_monotone_r_along_trace(self, converging_trace):
+        trace = converging_trace
+        assert trace.states[-1].time < 2.0
         r_values = trace.monitors["r_avg"]
         assert np.all(r_values >= r_values[-1] - 1e-6)
 
@@ -274,8 +283,9 @@ class TestTraceOutputs:
         assert first[0] == 0.0
         assert first[1] == trace.samples[0]["volume"]
 
-    def test_json_summary(self, tmp_path):
-        trace = yamabe.run(bump_profile(101), t_end=2.0, dt=1e-4, sample_every=200)
+    def test_json_summary(self, tmp_path, converging_trace):
+        trace = converging_trace
+        assert trace.states[-1].time < 2.0
         path = tmp_path / "summary.json"
         yamabe.write_run_summary_json(trace, str(path), config={"n": 101, "dt": 1e-4})
         payload = json.loads(path.read_text())
@@ -310,3 +320,55 @@ class TestTraceOutputs:
         yamabe.write_run_summary_json(trace, str(a), config={"n": 101})
         yamabe.write_run_summary_json(trace, str(b), config={"n": 101})
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFusedStepMatchesReference:
+    """The fused flow step reproduces the unfused reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, dt, t_end, sample_every, substeps",
+        [
+            (101, 1e-3, 0.05, 7, (11, 100)),  # tens of sub-steps per outer step
+            (401, 1e-5, 2e-3, 40, (2, 10)),  # the criterion-6 grid and step
+            (101, 1e-5, 1e-3, 25, (1, 1)),  # below the CFL limit
+        ],
+    )
+    def test_run_matches_reference(self, n, dt, t_end, sample_every, substeps):
+        profile = bump_profile(n)
+        trace = yamabe.run(profile, t_end=t_end, dt=dt, sample_every=sample_every)
+        samples, monitors = explicit_flow_reference(
+            profile.u, t_end, dt, sample_every, 1e-3,
+            yamabe.CFL_NUMBER, yamabe.MAX_SUBSTEPS_PER_CALL,
+        )
+        assert trace.monitors["t"].size == round(t_end / dt)
+        assert len(trace.states) == len(samples)
+        for state, u in zip(trace.states, samples):
+            assert np.array_equal(state.profile.u, u)
+        assert trace.monitors.keys() == monitors.keys()
+        for key, values in monitors.items():
+            assert np.array_equal(trace.monitors[key], values), key
+        counts = trace.monitors["substeps"]
+        assert substeps[0] <= counts.min() and counts.max() <= substeps[1]
+
+    def test_step_matches_reference(self):
+        state = yamabe.flow_state(bump_profile(101))
+        after = yamabe.step(state, 1e-3)
+        kernel = ReferenceFlowKernel(101)
+        u, substeps = reference_advance(
+            kernel, state.profile.u.copy(), 1e-3, state.volume,
+            yamabe.CFL_NUMBER, yamabe.MAX_SUBSTEPS_PER_CALL,
+        )
+        assert substeps > 10
+        assert np.array_equal(after.profile.u, u)
+        vol = kernel.volume(u)
+        assert after.volume == vol
+        assert after.r_avg == kernel.average_r(kernel.scalar_curvature(u), u, vol)
+
+    def test_energies_match_reference(self):
+        profile = bump_profile(201)
+        kernel = ReferenceFlowKernel(201)
+        u = profile.u
+        vol = kernel.volume(u)
+        r = kernel.average_r(kernel.scalar_curvature(u), u, vol)
+        assert yamabe.average_scalar_curvature(profile) == r
+        assert yamabe.hilbert_einstein_energy(profile) == r * vol ** (2.0 / 3.0)
