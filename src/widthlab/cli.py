@@ -8,7 +8,7 @@ with identical configuration produce byte-identical files.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, unreadable
 input, precondition violations), 2 on numerical failure (flow positivity
-loss, quadrature exhaustion, or a failed self-test item).
+loss or a failed self-test item).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import berger, conformal, equidist, yamabe
 from ._fsio import atomic_write_text
-from .numerics import QuadratureError
 
 __all__ = [
     "FORMAT_VERSION",
@@ -212,6 +211,14 @@ def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
 
 def _run_conformal_analyze(cfg: RunConfig) -> None:
     p = cfg.params
+    if not (2 <= p["k_max"] <= conformal.MAX_JACOBI_DEGREE):
+        raise ValueError(
+            f"--k-max must be between 2 and {conformal.MAX_JACOBI_DEGREE}, got {p['k_max']}"
+        )
+    if not (0.0 < p["eps"] <= conformal.MAX_VARIATION_EPS):
+        raise ValueError(
+            f"--eps must lie in (0, {conformal.MAX_VARIATION_EPS}], got {p['eps']}"
+        )
     profile = _load_profile(cfg)
     star = conformal.star_scan(profile, k_max=p["k_max"], eps=p["eps"])
     curvature = conformal.scalar_curvature_field(profile)
@@ -456,7 +463,7 @@ def dispatch(cfg: RunConfig) -> int:
     """
     try:
         code = _HANDLERS[cfg.command](cfg)
-    except (yamabe.FlowError, QuadratureError, ArithmeticError) as exc:
+    except (yamabe.FlowError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -11,11 +11,13 @@ axis give a tighter one for squashed profiles, and ``tilted_width_bound``
 certifies its maximum.
 
 The module provides the discrete scalar curvature of g, volume and areas,
-location of the minimal (critical-area) coordinate spheres, and a
-finite-difference second-variation oracle for their stability: the area of a
-normal graph with zonal-harmonic height is differenced in the graph
-amplitude, which measures the Jacobi eigenvalues
-``lambda_k = k(k+1)/radius^2 - Q`` with ``Q = Ric(N,N) + |A|^2``.
+location of the minimal (critical-area) coordinate spheres, and their
+stability by finite differences: the area of a normal graph with
+zonal-harmonic height is differenced in the graph amplitude, which measures
+the Jacobi eigenvalues ``lambda_k = k(k+1)/radius^2 - Q`` with
+``Q = Ric(N,N) + |A|^2``.  ``jacobi_spectrum`` takes Q from the k = 0 graphs,
+which are latitude spheres, so it differences latitude areas;
+``second_variation_oracle`` integrates the graph area for any k.
 
 A separately seeded Monte Carlo check verifies the round-metric identity
 that averaging a function over uniformly random great two-spheres equals its
@@ -43,6 +45,8 @@ from .numerics import (
 __all__ = [
     "ProfileError",
     "MAX_PROFILE_NODES",
+    "MAX_JACOBI_DEGREE",
+    "MAX_VARIATION_EPS",
     "AxisymProfile",
     "LatitudeSphere",
     "SpectrumReport",
@@ -72,6 +76,10 @@ __all__ = [
 ]
 
 ZERO_EIGENVALUE_TOL = 1e-6
+# Largest harmonic degree of a Jacobi spectrum, 250 times the CLI default.
+MAX_JACOBI_DEGREE = 1_000
+# Largest graph amplitude of a second variation.
+MAX_VARIATION_EPS = 0.25
 # Cap on the nodes of a profile file; six times the finest grid in the tests.
 MAX_PROFILE_NODES = 20_001
 
@@ -140,7 +148,8 @@ def load_profile(path: str) -> AxisymProfile:
     """Read a profile from JSON ``{"n": ..., "u": [...], "description": ...}``.
 
     Raises:
-        ProfileError: a malformed file, more than ``MAX_PROFILE_NODES``
+        ProfileError: a malformed file, an ``n`` that is not an integer equal
+            to the number of samples, more than ``MAX_PROFILE_NODES``
             nodes, or a profile whose volume or scalar curvature overflows
             or underflows in floating point.
     """
@@ -153,8 +162,11 @@ def load_profile(path: str) -> AxisymProfile:
         raise ProfileError(
             f"profile file {path}: {u.size} nodes exceed the cap of {MAX_PROFILE_NODES}"
         )
-    if int(payload["n"]) != u.size:
-        raise ProfileError(f"profile file {path}: n={payload['n']} but {u.size} samples")
+    n = payload["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n != u.size:
+        raise ProfileError(
+            f"profile file {path}: 'n' must be the integer sample count {u.size}, got {n!r}"
+        )
     profile = AxisymProfile(GridFunction(u))
     with np.errstate(all="ignore"):
         vol = volume(profile)
@@ -558,21 +570,14 @@ def _legendre_pair(k: int, x: float) -> tuple[float, float]:
     return p, k * (p_prev - x * p) / denom
 
 
-def second_variation_oracle(
-    profile: AxisymProfile,
-    theta_star: float,
-    k: int,
-    eps: float,
-) -> float:
-    """Finite-difference Jacobi quadratic form on a zonal harmonic.
+def _graph_setup(
+    profile: AxisymProfile, theta_star: float, k: int, eps: float
+) -> tuple[float, float]:
+    """Validate a zonal-graph second variation and return ``(c, norm_sq)``.
 
-    Perturbs the critical latitude sphere to the normal graph
-    ``theta(omega) = theta_star + eps * P_k(cos phi) / u(theta_star)^2``
-    (height ``eps * P_k`` against the unit normal of g), computes its area by
-    quadrature, and returns the second difference in eps divided by the
-    squared L^2 norm of the harmonic on the unperturbed sphere.  For an exact
-    Jacobi field this converges to ``k(k+1)/radius^2 - Q`` as eps -> 0; in
-    particular the k = 0 value is ``-Q``.
+    ``c = 1 / u(theta_star)^2`` turns a height against the unit normal of g
+    into a latitude offset, and ``norm_sq`` is the squared L^2 norm of
+    ``P_k`` on the unperturbed sphere.
 
     Raises:
         ValueError: for non-critical ``theta_star``, degree k < 0, or an eps
@@ -587,11 +592,40 @@ def second_variation_oracle(
     u_star = profile.interp_u(theta_star)
     c = 1.0 / (u_star * u_star)
     margin = min(theta_star, np.pi - theta_star)
-    if not (0.0 < eps <= 0.25) or eps * c > 0.5 * margin:
+    if not (0.0 < eps <= MAX_VARIATION_EPS) or eps * c > 0.5 * margin:
         raise ValueError(
-            f"eps={eps} out of range: need 0 < eps <= 0.25 and "
+            f"eps={eps} out of range: need 0 < eps <= {MAX_VARIATION_EPS} and "
             f"eps/u(theta*)^2 <= {0.5 * margin:.3e}"
         )
+    norm_sq = 4.0 * np.pi * u_star**4 * math.sin(theta_star) ** 2 / (2 * k + 1)
+    return c, norm_sq
+
+
+def second_variation_oracle(
+    profile: AxisymProfile,
+    theta_star: float,
+    k: int,
+    eps: float,
+) -> float:
+    """Finite-difference Jacobi quadratic form on a zonal harmonic, by quadrature.
+
+    Perturbs the critical latitude sphere to the normal graph
+    ``theta(omega) = theta_star + eps * P_k(cos phi) / u(theta_star)^2``
+    (height ``eps * P_k`` against the unit normal of g), computes its area by
+    adaptive quadrature in phi, and returns the second difference in eps
+    divided by the squared L^2 norm of the harmonic on the unperturbed
+    sphere.  For an exact Jacobi field this converges to
+    ``k(k+1)/radius^2 - Q`` as eps -> 0; in particular the k = 0 value is
+    ``-Q``.  ``jacobi_spectrum`` computes the k = 0 case from latitude areas
+    directly; this quadrature route is its independent reference and the only
+    route for k > 0.
+
+    Raises:
+        ValueError: for non-critical ``theta_star``, degree k < 0, or an eps
+            so large the graph would leave the latitude band around the
+            sphere.
+    """
+    c, norm_sq = _graph_setup(profile, theta_star, k, eps)
     # Tolerance scales with the sphere area so conformally scaled profiles
     # integrate at the same relative precision.
     quad = QuadratureConfig(abs_tol=1e-12 * max(1.0, sphere_area(profile, theta_star)))
@@ -615,7 +649,6 @@ def second_variation_oracle(
 
     base = graph_area(0.0)
     second_diff = (graph_area(eps) - 2.0 * base + graph_area(-eps)) / (eps * eps)
-    norm_sq = 4.0 * np.pi * u_star**4 * math.sin(theta_star) ** 2 / (2 * k + 1)
     return second_diff / norm_sq
 
 
@@ -639,20 +672,36 @@ def jacobi_spectrum(
 ) -> SpectrumReport:
     """Morse index and nullity of a critical latitude sphere.
 
-    The curvature term Q is extracted from the k = 0 second-variation oracle
-    at ``eps`` and ``eps/2`` with Richardson extrapolation (the second
-    difference carries an O(eps^2) bias).  Eigenvalues then follow from
-    ``lambda_k = k(k+1)/radius^2 - Q`` with multiplicity 2k+1, and zeros are
-    detected at tolerance 1e-6.
+    The curvature term Q is the k = 0 second variation at ``eps`` and
+    ``eps/2`` with Richardson extrapolation (the second difference carries an
+    O(eps^2) bias).  For k = 0 the normal graph of height eps is the latitude
+    sphere at ``theta_star + eps / u(theta_star)^2``, so each second
+    difference is one of ``sphere_area``: five areas in all.  This is the
+    quantity ``second_variation_oracle`` integrates for k = 0.  Eigenvalues
+    then follow from ``lambda_k = k(k+1)/radius^2 - Q`` with multiplicity
+    2k+1, and zeros are detected at tolerance 1e-6.
 
     Raises:
-        ValueError: if ``k_max < 2`` (the spectrum must at least reach the
-            translation harmonics).
+        ValueError: if ``k_max`` is below 2 (the spectrum must at least reach
+            the translation harmonics) or above ``MAX_JACOBI_DEGREE``, and for
+            the arguments ``second_variation_oracle`` rejects.
     """
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
-    d_full = second_variation_oracle(profile, theta_star, 0, eps)
-    d_half = second_variation_oracle(profile, theta_star, 0, 0.5 * eps)
+    if not (2 <= k_max <= MAX_JACOBI_DEGREE):
+        raise ValueError(f"k_max must be between 2 and {MAX_JACOBI_DEGREE}, got {k_max}")
+    c, norm_sq = _graph_setup(profile, theta_star, 0, eps)
+    base = sphere_area(profile, theta_star)
+
+    def second_variation(step: float) -> float:
+        offset = step * c
+        second_diff = (
+            sphere_area(profile, theta_star + offset)
+            - 2.0 * base
+            + sphere_area(profile, theta_star - offset)
+        ) / (step * step)
+        return second_diff / norm_sq
+
+    d_full = second_variation(eps)
+    d_half = second_variation(0.5 * eps)
     q = -(4.0 * d_half - d_full) / 3.0
     radius_sq = profile.interp_u(theta_star) ** 4 * math.sin(theta_star) ** 2
     eigenvalues = []

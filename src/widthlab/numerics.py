@@ -1,10 +1,12 @@
 """Shared numerical kernels: adaptive quadrature and uniform-grid helpers.
 
-Everything downstream (Berger-family width integrals, conformal volume and
-area functionals, flow diagnostics) funnels through the two primitives in
-this module: an adaptive Simpson integrator with Richardson error control,
-and finite-difference utilities for functions sampled on the uniform grid
-theta_i = i * pi / (n - 1) over [0, pi].
+The module has two primitives: an adaptive Simpson integrator with
+Richardson error control, and finite-difference and Simpson utilities for
+functions sampled on the uniform grid theta_i = i * pi / (n - 1) over
+[0, pi].  The grid utilities serve the conformal volume and area functionals
+and the flow diagnostics.  The Berger width and the Jacobi term are closed
+forms and finite differences of areas, so the adaptive integrator serves only
+the quadrature reference ``conformal.second_variation_oracle`` and the tests.
 """
 
 from __future__ import annotations

@@ -242,6 +242,36 @@ class TestConformalAnalyze:
         assert data["star_holds_on_axisym_candidates"] is True
         assert data["isoperimetric"]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--k-max", "1"], "--k-max"),
+            (["--k-max", str(cf.MAX_JACOBI_DEGREE + 1)], "--k-max"),
+            (["--eps", "0"], "--eps"),
+            (["--eps", "-0.01"], "--eps"),
+            (["--eps", str(2 * cf.MAX_VARIATION_EPS)], "--eps"),
+            (["--eps", "nan"], "--eps"),
+            (["--eps", "inf"], "--eps"),
+        ],
+    )
+    def test_bad_spectrum_input_rejected_before_work(self, tmp_path, bump_profile_path,
+                                                     monkeypatch, capsys, flags, named):
+        def unreachable(path):
+            raise AssertionError("profile loaded before the flags were checked")
+
+        monkeypatch.setattr(cf, "load_profile", unreachable)
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--input", bump_profile_path, *flags,
+                         "--output", str(out)]) == 1
+        assert_only_error_line(capsys, named)
+        assert not out.exists()
+
+    def test_degree_cap_is_accepted(self, tmp_path, bump_profile_path):
+        out = str(tmp_path / "ana.json")
+        assert cli.main(["conformal-analyze", "--input", bump_profile_path,
+                         "--k-max", str(cf.MAX_JACOBI_DEGREE), "--output", out]) == 0
+        assert json.loads(open(out).read())["minimal_spheres"][0]["index"] == 4
+
 
 def write_constant_profile(path, value, n):
     path.write_text(json.dumps({"n": n, "u": [value] * n}))
@@ -271,6 +301,19 @@ class TestProfileInput:
         path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES + 1)
         assert cli.main([command, flag, path, "--output", str(tmp_path / "o")]) == 1
         assert_only_error_line(capsys, flag)
+
+    @pytest.mark.parametrize("declared", [11.9, 11.0, "11", True, None, 10])
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_sample_count_must_be_the_integer_n(self, tmp_path, capsys, declared,
+                                                 command, flag):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": declared, "u": [1.0] * 11}))
+        out = tmp_path / "out.json"
+        assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, flag)
+        assert not out.exists()
 
     def test_node_cap_admits_cap(self, tmp_path):
         path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES)
@@ -435,6 +478,21 @@ class TestRoundcheck:
         data = json.loads(open(out).read())
         assert data["passed"] is False
         assert [i["passed"] for i in data["items"]] == [True, True, False, True]
+
+
+class TestNoQuadratureOnCommandPaths:
+    @pytest.mark.parametrize("command", ["conformal-analyze", "roundcheck"])
+    def test_runs_without_adaptive_quadrature(self, tmp_path, bump_profile_path,
+                                              monkeypatch, capsys, command):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("adaptive quadrature reached")
+
+        monkeypatch.setattr(cf, "integrate_adaptive", forbidden)
+        args = [command, "--output", str(tmp_path / "out.json")]
+        if command == "conformal-analyze":
+            args += ["--input", bump_profile_path]
+        assert cli.main(args) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestDeterminism:

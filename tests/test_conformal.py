@@ -334,6 +334,41 @@ class TestJacobiSpectrum:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201), PI / 2, 1)
+        with pytest.raises(ValueError, match="k_max"):
+            cf.jacobi_spectrum(
+                cf.AxisymProfile.round_profile(201), PI / 2, cf.MAX_JACOBI_DEGREE + 1
+            )
+        spectrum = cf.jacobi_spectrum(
+            cf.AxisymProfile.round_profile(201), PI / 2, cf.MAX_JACOBI_DEGREE
+        )
+        assert len(spectrum.eigenvalues) == cf.MAX_JACOBI_DEGREE + 1
+
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    def test_matches_quadrature_oracle(self, n):
+        # Q from latitude areas against the Richardson combination of the
+        # k = 0 quadrature oracle, with index and nullity recounted from it.
+        rng = np.random.default_rng(20261018 + n)
+        profiles = [cf.AxisymProfile.round_profile(n)]
+        for _ in range(3):
+            a = rng.uniform(-0.12, 0.12, size=4)
+            profiles.append(cf.AxisymProfile.from_function(
+                lambda t, a=a: 1.0 + sum(ak * np.cos(k * t) for k, ak in enumerate(a, 1)), n
+            ))
+        checked = 0
+        for p in profiles:
+            for sphere in cf.minimal_coordinate_spheres(p):
+                spectrum = cf.jacobi_spectrum(p, sphere.theta, 4)
+                d_full = cf.second_variation_oracle(p, sphere.theta, 0, 1e-2)
+                d_half = cf.second_variation_oracle(p, sphere.theta, 0, 5e-3)
+                q = -(4.0 * d_half - d_full) / 3.0
+                assert abs(spectrum.jacobi_Q - q) < 1e-8
+                lams = [(k * (k + 1) / spectrum.induced_radius_sq - q, 2 * k + 1)
+                        for k in range(5)]
+                index = sum(m for lam, m in lams if lam < -cf.ZERO_EIGENVALUE_TOL)
+                nullity = sum(m for lam, m in lams if abs(lam) <= cf.ZERO_EIGENVALUE_TOL)
+                assert (spectrum.index, spectrum.nullity) == (index, nullity)
+                checked += 1
+        assert checked >= 4
 
     def test_bump_maximizer_unstable(self):
         p = bump(401)
