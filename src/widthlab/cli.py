@@ -14,6 +14,7 @@ loss or a failed self-test item).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,10 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
             f"--eps must lie in (0, {conformal.MAX_VARIATION_EPS}], got {p['eps']}"
         )
     profile = _load_profile(cfg)
-    star = conformal.star_scan(profile, k_max=p["k_max"], eps=p["eps"])
+    try:
+        star = conformal.star_scan(profile, k_max=p["k_max"], eps=p["eps"])
+    except conformal.VariationEpsError as exc:
+        raise ValueError(f"--eps: {exc}") from None
     curvature = conformal.scalar_curvature_field(profile)
     iso = conformal.isoperimetric_check(profile)
     payload = {
@@ -477,7 +481,13 @@ def dispatch(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Building it costs far more than parsing one command line, and parsing
+    leaves the parser unchanged, so one instance serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="widthlab",
         description="Width, curvature-flow, and equidistribution analyses "

@@ -44,6 +44,7 @@ from .numerics import (
 
 __all__ = [
     "ProfileError",
+    "VariationEpsError",
     "MAX_PROFILE_NODES",
     "MAX_JACOBI_DEGREE",
     "MAX_VARIATION_EPS",
@@ -86,6 +87,10 @@ MAX_PROFILE_NODES = 20_001
 
 class ProfileError(ValueError):
     """Raised for profiles that fail positivity or pole-regularity checks."""
+
+
+class VariationEpsError(ValueError):
+    """Raised when an eps within range is too large for one sphere's graph."""
 
 
 @dataclass(frozen=True)
@@ -581,8 +586,9 @@ def _graph_setup(
 
     Raises:
         ValueError: for non-critical ``theta_star``, degree k < 0, or an eps
-            so large the graph would leave the latitude band around the
-            sphere.
+            outside (0, MAX_VARIATION_EPS].
+        VariationEpsError: for an eps so large the graph would leave the
+            latitude band around the sphere.
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"harmonic degree must be a nonnegative integer, got {k}")
@@ -592,10 +598,14 @@ def _graph_setup(
     u_star = profile.interp_u(theta_star)
     c = 1.0 / (u_star * u_star)
     margin = min(theta_star, np.pi - theta_star)
-    if not (0.0 < eps <= MAX_VARIATION_EPS) or eps * c > 0.5 * margin:
-        raise ValueError(
-            f"eps={eps} out of range: need 0 < eps <= {MAX_VARIATION_EPS} and "
-            f"eps/u(theta*)^2 <= {0.5 * margin:.3e}"
+    if not (0.0 < eps <= MAX_VARIATION_EPS):
+        raise ValueError(f"eps={eps} out of range: need 0 < eps <= {MAX_VARIATION_EPS}")
+    if eps * c > 0.5 * margin:
+        raise VariationEpsError(
+            f"eps={eps} too large for the sphere at theta*={theta_star:.6g}: the "
+            f"graph must stay within half its distance to a pole "
+            f"(eps/u(theta*)^2 <= {0.5 * margin:.3e}), so eps <= "
+            f"{0.5 * margin / c:.6g} there"
         )
     norm_sq = 4.0 * np.pi * u_star**4 * math.sin(theta_star) ** 2 / (2 * k + 1)
     return c, norm_sq

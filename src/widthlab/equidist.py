@@ -3,10 +3,16 @@
 Radon measures on X = {1..n} are nonnegative weight vectors; the weak-*
 topology is realized as the sup norm.  Membership of a target measure in
 the closed convex cone spanned by a finite family is decided by an exact
-rational simplex method (coefficients are converted from float to
-`fractions.Fraction` without rounding), so member certificates reconstruct
-the target exactly and separating functionals satisfy their sign conditions
-exactly, not merely to floating tolerance.
+simplex method.  Float data are dyadic rationals, so one power-of-two
+scale turns them into integers without rounding, and the dense tableau is
+pivoted fraction-free (Bareiss) on Python ints.  When the feasibility LP is
+infeasible, its phase-1 duals y are a Farkas functional, and
+``<y, mu0> / ||y||_1`` bounds the sup-norm defect of every conic
+combination from below; a target whose bound exceeds the tolerance is a
+non-member with f = y, and only near-members run the LP that minimizes the
+defect.  Member certificates reconstruct the target exactly and separating
+functionals satisfy their sign conditions exactly, both checked in
+`fractions.Fraction` arithmetic, not merely to floating tolerance.
 
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,128 +161,166 @@ class EquidistTrace:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational simplex (dense tableau, Bland's rule).
+# Exact simplex on an integer tableau (dense, Bland's rule, fraction-free).
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class _Simplex:
-    """Minimal dense two-phase simplex over exact rationals.
+def _bareiss_row(row: list[int], prow: list[int], col: int, p: int, d: int) -> list[int]:
+    """``row`` after a fraction-free pivot on ``p = prow[col]``, where ``d``
+    is the previous pivot; the divisions are exact."""
+    f = row[col]
+    if f == 0:
+        return row if p == d else [p * v // d for v in row]
+    if d == 1:
+        return [p * v - f * w for v, w in zip(row, prow)]
+    return [(p * v - f * w) // d for v, w in zip(row, prow)]
 
-    Solves min c.x subject to A x = b, x >= 0 where b >= 0.  Bland's rule
-    guarantees termination; the problem sizes here are desk scale, so no
-    sparsity or revised-form machinery is needed.
+
+class _Simplex:
+    """Minimal dense two-phase simplex in exact integer arithmetic.
+
+    Solves min c.x subject to A x = b, x >= 0 where b >= 0, for rational A,
+    b and c.  Bland's rule guarantees termination; the problem sizes here are
+    desk scale, so no sparsity or revised-form machinery is needed.
+
+    The tableau ``[L A | I | L b]`` holds Python ints, with L the lcm of the
+    denominators of A and b (a power of two for float data) and the
+    artificial columns kept as the identity.  Pivoting is fraction-free
+    (Bareiss, Math. Comp. 22, 1968): the rational tableau is ``tab / det``,
+    where ``det`` is the last pivot element, and a pivot on ``p`` maps every
+    other row to ``(p * row - f * pivot_row) / det`` with exact division.  The
+    reduced costs are kept the same way, as numerators over ``det``.
+    Entering columns and ratio-test rows are chosen by sign and by
+    cross-multiplication; ``det`` is negative after some of the pivots that
+    drive artificials out of the basis, so every sign test carries its sign.
+    Scaling the rows by L multiplies every reduced cost of a column, and
+    every ratio of the ratio test, by one positive factor, so the pivot
+    sequence, x, the objective and the duals y are those of the same simplex
+    over ``fractions.Fraction``.
     """
 
     def __init__(self, columns: list[list[Fraction]], b: list[Fraction], costs: list[Fraction]):
         self.m = len(b)
         self.n_rows_original = self.m
         self.n_struct = len(columns)
+        scale = math.lcm(
+            *(v.denominator for col in columns for v in col), *(v.denominator for v in b)
+        )
+        cost_scale = math.lcm(*(c.denominator for c in costs))
         # Tableau columns: structural variables then artificials then rhs.
         self.tab = [
-            [columns[j][i] for j in range(self.n_struct)]
-            + [(_ONE if i == k else _ZERO) for k in range(self.m)]
-            + [b[i]]
+            [col[i].numerator * (scale // col[i].denominator) for col in columns]
+            + [int(i == k) for k in range(self.m)]
+            + [b[i].numerator * (scale // b[i].denominator)]
             for i in range(self.m)
         ]
+        self.det = 1
+        self.scale = scale
+        self.cost_scale = cost_scale
+        self.costs = [c.numerator * (cost_scale // c.denominator) for c in costs]
         self.basis = [self.n_struct + i for i in range(self.m)]
         self.row_ids = list(range(self.m))
-        self.costs = costs
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, z: list[int] | None = None) -> None:
         tab = self.tab
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
+        prow = tab[row]
+        p = prow[col]
+        d = self.det
         for r in range(self.m):
-            if r != row and tab[r][col] != 0:
-                factor = tab[r][col]
-                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
+            if r != row:
+                tab[r] = _bareiss_row(tab[r], prow, col, p, d)
+        if z is not None:
+            z[:] = _bareiss_row(z, prow, col, p, d)
+        self.det = p
         self.basis[row] = col
 
-    def _reduced_costs(self, cost_of) -> tuple[list[Fraction], list[Fraction]]:
-        # y solves y . B = c_B implicitly through the updated tableau:
-        # reduced cost of column j is c_j - sum_r c_{basis r} * tab[r][j].
-        cb = [cost_of(j) for j in self.basis]
-        width = len(self.tab[0]) - 1 if self.tab else 0
-        reduced = []
-        for j in range(width):
-            val = cost_of(j)
-            for r in range(self.m):
-                if self.tab[r][j] != 0:
-                    val -= cb[r] * self.tab[r][j]
-            reduced.append(val)
-        return reduced, cb
-
-    def _minimize(self, cost_of, width: int) -> None:
+    def _minimize(self, cost: list[int], width: int) -> None:
+        tab = self.tab
+        basis = self.basis
+        cb = [cost[j] for j in basis]
+        # Reduced costs over det: c_j det - sum_r c_{basis r} tab[r][j]; the
+        # rhs entry (cost 0) carries minus the objective.
+        z = [
+            c_j * self.det - sum(c * row[j] for c, row in zip(cb, tab) if c)
+            for j, c_j in enumerate(cost + [0])
+        ]
         while True:
-            reduced, _ = self._reduced_costs(cost_of)
-            entering = next((j for j in range(width) if reduced[j] < 0), None)
+            sign = 1 if self.det > 0 else -1
+            entering = next((j for j in range(width) if z[j] * sign < 0), None)
             if entering is None:
                 return
-            best_row = None
-            best_ratio = None
+            best = None
             for r in range(self.m):
-                coeff = self.tab[r][entering]
-                if coeff > 0:
-                    ratio = self.tab[r][-1] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[best_row])
-                    ):
-                        best_ratio = ratio
-                        best_row = r
-            if best_row is None:
+                coeff = tab[r][entering]
+                if coeff * sign > 0:
+                    if best is None:
+                        best = r
+                        continue
+                    # Both coefficients carry the sign of det, so the ratio
+                    # test compares tab[r][-1] / coeff by cross-multiplying.
+                    lhs = tab[r][-1] * tab[best][entering]
+                    rhs = tab[best][-1] * coeff
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                        best = r
+            if best is None:
                 raise ArithmeticError("unbounded linear program")
-            self._pivot(best_row, entering)
+            self._pivot(best, entering, z)
 
     def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
         """Two-phase solve; returns (objective, x, y) with y the final duals."""
-        art_cost = lambda j: _ONE if j >= self.n_struct else _ZERO
-        self._minimize(art_cost, self.n_struct + self.n_rows_original)
-        phase1 = sum(
-            self.tab[r][-1] for r in range(self.m) if self.basis[r] >= self.n_struct
+        n_struct = self.n_struct
+        n_art = self.n_rows_original
+        art_cost = [0] * n_struct + [1] * n_art
+        self._minimize(art_cost, n_struct + n_art)
+        phase1 = Fraction(
+            sum(row[-1] for row, j in zip(self.tab, self.basis) if j >= n_struct),
+            self.det * self.scale,
         )
         if phase1 > 0:
-            return self._finish(art_cost, phase1)
+            # Phase-1 duals are unscaled: the row scale L cancels against the
+            # unit costs of the identity artificial columns.
+            return self._finish(art_cost, phase1, _ONE)
         # Drive residual zero-level artificials out of the basis when possible;
         # rows where no structural pivot exists are redundant constraints and
         # are dropped (their dual components are reported as zero).
         for r in range(self.m):
-            if self.basis[r] >= self.n_struct:
-                col = next(
-                    (j for j in range(self.n_struct) if self.tab[r][j] != 0), None
-                )
+            if self.basis[r] >= n_struct:
+                col = next((j for j in range(n_struct) if self.tab[r][j] != 0), None)
                 if col is not None:
                     self._pivot(r, col)
-        keep = [r for r in range(self.m) if self.basis[r] < self.n_struct]
+        keep = [r for r in range(self.m) if self.basis[r] < n_struct]
         if len(keep) < self.m:
             self.tab = [self.tab[r] for r in keep]
             self.basis = [self.basis[r] for r in keep]
             self.row_ids = [self.row_ids[r] for r in keep]
             self.m = len(keep)
-        struct_cost = lambda j: self.costs[j] if j < self.n_struct else _ONE
-        # Entering restricted to structural columns: artificials stay out.
-        self._minimize(struct_cost, self.n_struct)
-        objective = sum(
-            struct_cost(self.basis[r]) * self.tab[r][-1] for r in range(self.m)
+        # Entering restricted to structural columns: artificials stay out,
+        # so their costs never matter.
+        struct_cost = self.costs + [0] * n_art
+        self._minimize(struct_cost, n_struct)
+        objective = Fraction(
+            sum(struct_cost[j] * row[-1] for row, j in zip(self.tab, self.basis)),
+            self.det * self.cost_scale,
         )
-        return self._finish(struct_cost, objective)
+        return self._finish(struct_cost, objective, Fraction(self.scale, self.cost_scale))
 
-    def _finish(self, cost_of, objective):
+    def _finish(self, cost: list[int], objective: Fraction, dual_scale: Fraction):
+        det = self.det
         x = [_ZERO] * self.n_struct
-        for r, j in enumerate(self.basis):
+        for row, j in zip(self.tab, self.basis):
             if j < self.n_struct:
-                x[j] = self.tab[r][-1]
+                x[j] = Fraction(row[-1], det)
         # Duals: y_i = c_B . column of the i-th artificial in the tableau,
         # indexed by original row (dropped redundant rows contribute zero).
-        cb = [cost_of(j) for j in self.basis]
+        cb = [cost[j] for j in self.basis]
         y = [_ZERO] * self.n_rows_original
         for row_id in self.row_ids:
             col = self.n_struct + row_id
-            y[row_id] = sum(cb[r] * self.tab[r][col] for r in range(self.m))
+            total = sum(c * row[col] for c, row in zip(cb, self.tab) if c)
+            y[row_id] = dual_scale * Fraction(total, det)
         return objective, x, y
 
 
@@ -288,11 +333,20 @@ def cone_hull_membership(
 ) -> MembershipCertificate:
     """Decide whether mu0 lies in the closed cone generated by the family.
 
-    The feasibility system ``sum_j x_j mu_j = mu0, x >= 0`` is solved in
-    exact rational arithmetic.  If it is infeasible, a second exact program
-    minimizes the sup-norm defect ``t = ||sum x_j mu_j - mu0||_inf``; the
-    verdict is "member" when the minimal defect is at most ``tol``, and
-    otherwise the optimal dual variables yield the separating functional.
+    The feasibility system ``A x = b, x >= 0`` (columns of A the members,
+    b = mu0) is solved in exact arithmetic on an integer tableau.  If it is
+    infeasible, phase 1 ends with a positive objective and its duals y form
+    a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0`` for every
+    member.  Since ``<y, b> <= <y, b - A x> <= ||y||_1 ||A x - b||_inf`` for
+    every x >= 0, the sup-norm defect of every conic combination is at least
+    ``<y, b> / ||y||_1``; when that bound exceeds ``tol`` the verdict is
+    "non_member" with f = y.  Only near-members, whose bound is at most
+    ``tol``, run a second exact program that minimizes the defect
+    ``t = ||sum x_j mu_j - mu0||_inf``: the verdict is "member" when the
+    minimal defect is at most ``tol``, and otherwise its optimal duals yield
+    the separating functional.  Either functional passes exact sign checks
+    before it is issued, so the verdict is the one the defect program alone
+    would give.
 
     Raises:
         ValueError: ground set above the supported size, non-positive tol,
@@ -312,16 +366,27 @@ def cone_hull_membership(
     b = _fractions(mu0.weights)
     cols = [_fractions(m.weights) for m in members]
 
-    feas = _Simplex(
-        [list(col) for col in cols], list(b), [_ZERO] * len(cols)
-    )
-    defect, x, _ = feas.solve()
+    defect, x, y = _Simplex(cols, b, [_ZERO] * len(cols)).solve()
     if defect == 0:
         return _member_certificate(x, members, mu0, exact=True)
+    # Phase 1 ended positive, so defect = <y, b> and y is a Farkas functional.
+    if defect > Fraction(tol) * sum(abs(v) for v in y):
+        return _separating_certificate(y, b, cols)
 
-    # Exact minimization of t = sup-norm reconstruction defect:
-    # rows i:      (A x)_i - t + s1_i = b_i
-    # rows n + i:  (A x)_i + t - s2_i = b_i
+    t_min, solution, y = _Simplex(*_defect_program(b, cols)).solve()
+    if t_min <= Fraction(tol):
+        return _member_certificate(solution[: len(cols)], members, mu0, exact=False)
+    return _separating_certificate([y[i] + y[n + i] for i in range(n)], b, cols)
+
+
+def _defect_program(b: list[Fraction], cols: list[list[Fraction]]):
+    """Columns, rhs and costs of the LP whose optimum is the least sup-norm
+    defect ``t = ||sum x_j col_j - b||_inf`` over x >= 0:
+
+    rows i:      (A x)_i - t + s1_i = b_i
+    rows n + i:  (A x)_i + t - s2_i = b_i
+    """
+    n = len(b)
     columns: list[list[Fraction]] = []
     costs: list[Fraction] = []
     for col in cols:
@@ -335,12 +400,11 @@ def cone_hull_membership(
     for i in range(n):  # s2
         columns.append([-_ONE if r == n + i else _ZERO for r in range(2 * n)])
         costs.append(_ZERO)
-    program = _Simplex(columns, b + b, costs)
-    t_min, solution, y = program.solve()
-    if t_min <= Fraction(tol):
-        return _member_certificate(solution[: len(cols)], members, mu0, exact=False)
+    return columns, b + b, costs
 
-    f = [y[i] + y[n + i] for i in range(n)]
+
+def _separating_certificate(f, b, cols) -> MembershipCertificate:
+    """Non-member certificate for f after exact checks of its sign conditions."""
     pairing = sum(fi * bi for fi, bi in zip(f, b))
     if pairing <= 0:
         raise ArithmeticError("separating functional failed exact verification")
@@ -455,22 +519,39 @@ def _greedy_trace(
     k_max: int,
     weighted: bool,
 ) -> EquidistTrace:
-    """Greedy nearest-mean selection shared by both Cesaro variants."""
+    """Greedy nearest-mean selection shared by both Cesaro variants.
+
+    Each step applies the same ufuncs in the same order as the plain
+    expression ``max(|(running + candidates) / denominator - target|)``, but
+    into buffers allocated once, so the trace is bit-identical to it.
+    """
+    add, divide, subtract, absolute = np.add, np.divide, np.subtract, np.absolute
+    row_max = np.maximum.reduce
     running = np.zeros_like(target)
+    trial = np.empty_like(candidates)
+    denominators = np.empty_like(masses)
+    column = denominators[:, None]
+    dists = np.empty(candidates.shape[0])
+    rows = list(candidates)
+    mass_of = masses.tolist()
     total_mass = 0.0
     sequence = []
     errors = []
     for k in range(1, k_max + 1):
+        add(running, candidates, out=trial)
         if weighted:
-            trial = (running + candidates) / (total_mass + masses)[:, None]
+            add(total_mass, masses, out=denominators)
+            divide(trial, column, out=trial)
         else:
-            trial = (running + candidates) / float(k)
-        dists = np.max(np.abs(trial - target), axis=1)
-        pick = int(np.argmin(dists))  # argmin takes the lowest index on ties
+            divide(trial, float(k), out=trial)
+        subtract(trial, target, out=trial)
+        absolute(trial, out=trial)
+        row_max(trial, axis=1, out=dists)
+        pick = int(dists.argmin())  # argmin takes the lowest index on ties
         sequence.append(pick)
-        errors.append(float(dists[pick]))
-        running = running + candidates[pick]
-        total_mass += masses[pick]
+        errors.append(dists.item(pick))
+        add(running, rows[pick], out=running)
+        total_mass += mass_of[pick]
     return EquidistTrace(sequence=tuple(sequence), cesaro_errors=tuple(errors))
 
 

@@ -5,16 +5,22 @@ Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches.  The
 explicit flow step is kept here in its unfused form, one numpy expression per
 quantity, as the reference the fused step in ``widthlab.yamabe`` must match
-bit for bit.  Tests compare the package against these routes.
+bit for bit.  The membership LP is kept here as the dense simplex over
+``fractions.Fraction`` that the integer tableau in ``widthlab.equidist`` must
+match pivot for pivot, and the greedy Cesaro loop as the allocating numpy
+loop whose traces the buffered one must equal.  Tests compare the package
+against these routes.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from widthlab.equidist import EquidistTrace
 from widthlab.numerics import QuadratureConfig, integrate_adaptive
 
 ROUND_S3_VOLUME = 2.0 * np.pi**2
@@ -255,3 +261,155 @@ def explicit_flow_reference(
     monitors = {name: np.array(col) for name, col in zip(names, columns)}
     monitors["substeps"] = monitors["substeps"].astype(int)
     return samples, monitors
+
+
+# ---------------------------------------------------------------------------
+# Exact rational simplex (dense tableau, Bland's rule) and the greedy loop.
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class FractionSimplex:
+    """Minimal dense two-phase simplex over exact rationals.
+
+    Solves min c.x subject to A x = b, x >= 0 where b >= 0.  Bland's rule
+    guarantees termination; the problem sizes here are desk scale, so no
+    sparsity or revised-form machinery is needed.
+    """
+
+    def __init__(self, columns: list[list[Fraction]], b: list[Fraction], costs: list[Fraction]):
+        self.m = len(b)
+        self.n_rows_original = self.m
+        self.n_struct = len(columns)
+        # Tableau columns: structural variables then artificials then rhs.
+        self.tab = [
+            [columns[j][i] for j in range(self.n_struct)]
+            + [(_ONE if i == k else _ZERO) for k in range(self.m)]
+            + [b[i]]
+            for i in range(self.m)
+        ]
+        self.basis = [self.n_struct + i for i in range(self.m)]
+        self.row_ids = list(range(self.m))
+        self.costs = costs
+
+    def _pivot(self, row: int, col: int) -> None:
+        tab = self.tab
+        piv = tab[row][col]
+        tab[row] = [v / piv for v in tab[row]]
+        for r in range(self.m):
+            if r != row and tab[r][col] != 0:
+                factor = tab[r][col]
+                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
+        self.basis[row] = col
+
+    def _reduced_costs(self, cost_of) -> tuple[list[Fraction], list[Fraction]]:
+        # y solves y . B = c_B implicitly through the updated tableau:
+        # reduced cost of column j is c_j - sum_r c_{basis r} * tab[r][j].
+        cb = [cost_of(j) for j in self.basis]
+        width = len(self.tab[0]) - 1 if self.tab else 0
+        reduced = []
+        for j in range(width):
+            val = cost_of(j)
+            for r in range(self.m):
+                if self.tab[r][j] != 0:
+                    val -= cb[r] * self.tab[r][j]
+            reduced.append(val)
+        return reduced, cb
+
+    def _minimize(self, cost_of, width: int) -> None:
+        while True:
+            reduced, _ = self._reduced_costs(cost_of)
+            entering = next((j for j in range(width) if reduced[j] < 0), None)
+            if entering is None:
+                return
+            best_row = None
+            best_ratio = None
+            for r in range(self.m):
+                coeff = self.tab[r][entering]
+                if coeff > 0:
+                    ratio = self.tab[r][-1] / coeff
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[r] < self.basis[best_row])
+                    ):
+                        best_ratio = ratio
+                        best_row = r
+            if best_row is None:
+                raise ArithmeticError("unbounded linear program")
+            self._pivot(best_row, entering)
+
+    def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+        """Two-phase solve; returns (objective, x, y) with y the final duals."""
+        art_cost = lambda j: _ONE if j >= self.n_struct else _ZERO
+        self._minimize(art_cost, self.n_struct + self.n_rows_original)
+        phase1 = sum(
+            self.tab[r][-1] for r in range(self.m) if self.basis[r] >= self.n_struct
+        )
+        if phase1 > 0:
+            return self._finish(art_cost, phase1)
+        # Drive residual zero-level artificials out of the basis when possible;
+        # rows where no structural pivot exists are redundant constraints and
+        # are dropped (their dual components are reported as zero).
+        for r in range(self.m):
+            if self.basis[r] >= self.n_struct:
+                col = next(
+                    (j for j in range(self.n_struct) if self.tab[r][j] != 0), None
+                )
+                if col is not None:
+                    self._pivot(r, col)
+        keep = [r for r in range(self.m) if self.basis[r] < self.n_struct]
+        if len(keep) < self.m:
+            self.tab = [self.tab[r] for r in keep]
+            self.basis = [self.basis[r] for r in keep]
+            self.row_ids = [self.row_ids[r] for r in keep]
+            self.m = len(keep)
+        struct_cost = lambda j: self.costs[j] if j < self.n_struct else _ONE
+        # Entering restricted to structural columns: artificials stay out.
+        self._minimize(struct_cost, self.n_struct)
+        objective = sum(
+            struct_cost(self.basis[r]) * self.tab[r][-1] for r in range(self.m)
+        )
+        return self._finish(struct_cost, objective)
+
+    def _finish(self, cost_of, objective):
+        x = [_ZERO] * self.n_struct
+        for r, j in enumerate(self.basis):
+            if j < self.n_struct:
+                x[j] = self.tab[r][-1]
+        # Duals: y_i = c_B . column of the i-th artificial in the tableau,
+        # indexed by original row (dropped redundant rows contribute zero).
+        cb = [cost_of(j) for j in self.basis]
+        y = [_ZERO] * self.n_rows_original
+        for row_id in self.row_ids:
+            col = self.n_struct + row_id
+            y[row_id] = sum(cb[r] * self.tab[r][col] for r in range(self.m))
+        return objective, x, y
+
+
+def reference_greedy_trace(
+    target: np.ndarray,
+    candidates: np.ndarray,
+    masses: np.ndarray,
+    k_max: int,
+    weighted: bool,
+) -> EquidistTrace:
+    """Greedy nearest-mean selection shared by both Cesaro variants."""
+    running = np.zeros_like(target)
+    total_mass = 0.0
+    sequence = []
+    errors = []
+    for k in range(1, k_max + 1):
+        if weighted:
+            trial = (running + candidates) / (total_mass + masses)[:, None]
+        else:
+            trial = (running + candidates) / float(k)
+        dists = np.max(np.abs(trial - target), axis=1)
+        pick = int(np.argmin(dists))  # argmin takes the lowest index on ties
+        sequence.append(pick)
+        errors.append(float(dists[pick]))
+        running = running + candidates[pick]
+        total_mass += masses[pick]
+    return EquidistTrace(sequence=tuple(sequence), cesaro_errors=tuple(errors))

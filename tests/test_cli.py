@@ -149,6 +149,17 @@ class TestArgumentHandling:
                          round_profile_path, "--output", out]) == 0
         assert json.loads(open(out).read())["config"]["trace_csv"] is None
 
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path,
+                                                         member_instance_path):
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["equidist-check", "--input", member_instance_path,
+                         "--tol", "1e-3", "--output", str(first)]) == 0
+        assert cli.main(["equidist-check", "--input", member_instance_path,
+                         "--output", str(second)]) == 0
+        assert json.loads(first.read_text())["config"]["tol"] == 1e-3
+        assert json.loads(second.read_text())["config"]["tol"] == 1e-9
+
     def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
         out = str(tmp_path / "s.csv")
         assert cli.main(["berger-scan", "--n", "3", "--output", out]) == 0
@@ -265,6 +276,21 @@ class TestConformalAnalyze:
                          "--output", str(out)]) == 1
         assert_only_error_line(capsys, named)
         assert not out.exists()
+
+    def test_eps_too_large_for_one_sphere_names_the_flag(self, tmp_path, capsys):
+        # eps = 0.25 is in range, but the equator of u = 0.5 admits
+        # eps <= (pi/4) u^2 = pi/16 only.
+        path = write_constant_profile(tmp_path / "half.json", 0.5, 61)
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--input", path, "--eps", "0.25",
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --eps: ") and err.count("\n") == 1
+        assert "theta*=1.5708" in err
+        assert f"eps <= {np.pi / 16:.6g}" in err
+        assert not out.exists()
+        assert cli.main(["conformal-analyze", "--input", path, "--eps", "0.19",
+                         "--output", str(out)]) == 0
 
     def test_degree_cap_is_accepted(self, tmp_path, bump_profile_path):
         out = str(tmp_path / "ana.json")

@@ -2,11 +2,13 @@
 Cesaro equidistribution constructions."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import widthlab.equidist as eq
+from oracles import FractionSimplex, reference_greedy_trace
 
 
 def fm(*vals):
@@ -453,3 +455,236 @@ class TestInstanceIO:
         eq.write_certificate_json(cert, p1)
         eq.write_certificate_json(cert, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau, the Farkas exit and the buffered greedy loop against
+# the references in tests/oracles.py.
+# ---------------------------------------------------------------------------
+
+
+def fractions(values):
+    return [Fraction(float(v)) for v in values]
+
+
+def recording(cls):
+    """Subclass of a simplex class that logs its (row, column) pivots."""
+
+    class Recording(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pivots = []
+
+        def _pivot(self, row, col, *rest):
+            self.pivots.append((row, col))
+            super()._pivot(row, col, *rest)
+
+    return Recording
+
+
+def dyadic_lp(rng, kind):
+    """A seeded dyadic LP ``(columns, b, costs)`` of the given family."""
+    n = int(rng.integers(2, 17))
+    m = int(rng.integers(2, 17))
+    a = rng.integers(0, 16, size=(n, m)) / 2.0 ** int(rng.integers(0, 6))
+    if kind == "rank_deficient":
+        for j in range(2, m):
+            if rng.random() < 0.5:
+                a[:, j] = a[:, j - 1] + a[:, j - 2] / 2.0
+    if kind == "redundant":
+        for i in range(1, n):
+            if rng.random() < 0.4:
+                a[i] = a[int(rng.integers(0, i))]
+    if kind == "infeasible":
+        b = rng.integers(1, 17, size=n) / 16.0
+    else:
+        # A dyadic conic combination, so phase 1 reaches zero and the
+        # zero-level artificials of redundant rows must be driven out.
+        b = a @ (rng.integers(0, 5, size=m) / 4.0)
+    costs = [Fraction(int(c), 8) for c in rng.integers(0, 9, size=m)]
+    cols = [fractions(a[:, j]) for j in range(m)]
+    return cols, fractions(b), costs
+
+
+def assert_same_solve(args):
+    reference = recording(FractionSimplex)(*args)
+    integer = recording(eq._Simplex)(*args)
+    assert integer.solve() == reference.solve()
+    assert integer.pivots == reference.pivots
+    assert integer.basis == reference.basis
+    return integer
+
+
+class TestIntegerSimplex:
+    @pytest.mark.parametrize("kind", ["plain", "infeasible", "rank_deficient", "redundant"])
+    def test_matches_fraction_simplex(self, kind):
+        rng = np.random.default_rng([17, ["plain", "infeasible", "rank_deficient",
+                                          "redundant"].index(kind)])
+        negative_det = 0
+        for _ in range(60):
+            simplex = assert_same_solve(dyadic_lp(rng, kind))
+            negative_det += simplex.det < 0
+        if kind == "redundant":
+            # Pivots that drive artificials out of the basis can be negative.
+            assert negative_det > 0
+
+    def test_defect_program_matches(self):
+        rng = np.random.default_rng(23)
+        for _ in range(24):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(2, 9))
+            a = rng.integers(0, 16, size=(n, m)) / 16.0
+            if rng.random() < 0.5:
+                a[:, -1] = a[:, 0] + a[:, 1]
+            b = rng.integers(1, 17, size=n) / 16.0
+            cols = [fractions(a[:, j]) for j in range(m)]
+            assert_same_solve(eq._defect_program(fractions(b), cols))
+
+    def test_unbounded_program_raises(self):
+        cols = [[Fraction(1)], [Fraction(-1)]]  # x0 - x1 = 1, minimize -x1
+        with pytest.raises(ArithmeticError, match="unbounded"):
+            eq._Simplex(cols, [Fraction(1)], [Fraction(0), Fraction(-1)]).solve()
+
+
+def planted_non_member(rng, n):
+    """A family on which a planted sign vector is <= 0, and a target on
+    which it is positive."""
+    signs = np.ones(n)
+    signs[rng.permutation(n)[: max(1, n // 2)]] = -1.0
+    negative = np.flatnonzero(signs < 0)
+    family = []
+    for _ in range(n):
+        row = rng.integers(0, 16, size=n) / 16.0
+        excess = float(signs @ row)
+        if excess > 0.0:
+            row[rng.choice(negative)] += excess
+        family.append(eq.FiniteMeasure(row + (row.sum() == 0.0)))
+    mu0 = rng.integers(1, 17, size=n) / 16.0
+    excess = float(signs @ mu0)
+    if excess <= 0.0:
+        mu0[np.flatnonzero(signs > 0)[0]] += 1.0 / 16.0 - excess
+    return eq.FiniteMeasure(mu0), eq.MeasureFamily(members=tuple(family))
+
+
+def planted_member(rng, n):
+    """A full-rank dyadic family and a dyadic conic combination of it."""
+    while True:
+        rows = rng.integers(0, 16, size=(n, n)) / 16.0
+        if np.linalg.matrix_rank(rows) == n:
+            break
+    coeffs = rng.integers(1, 9, size=n) / 8.0
+    family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
+    return eq.FiniteMeasure(coeffs @ rows), family
+
+
+def exact_sign_conditions(f, mu0, family):
+    pairing = sum(fi * bi for fi, bi in zip(f, fractions(mu0.weights)))
+    return pairing > 0 and all(
+        sum(fi * ci for fi, ci in zip(f, fractions(m.weights))) <= 0
+        for m in family.members
+    )
+
+
+class TestFarkasExit:
+    def test_bound_implies_reference_defect_above_tol(self):
+        tol = 1e-9
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            mu0, family = planted_non_member(rng, int(rng.integers(2, 9)))
+            b = fractions(mu0.weights)
+            cols = [fractions(m.weights) for m in family.members]
+            defect, _, y = eq._Simplex(cols, b, [Fraction(0)] * len(cols)).solve()
+            assert defect > 0
+            assert sum(fi * bi for fi, bi in zip(y, b)) == defect
+            assert defect > Fraction(tol) * sum(abs(v) for v in y)
+            assert exact_sign_conditions(y, mu0, family)
+            t_min, _, _ = FractionSimplex(*eq._defect_program(b, cols)).solve()
+            assert t_min > Fraction(tol)
+            # The certificate is the Farkas functional itself.
+            cert = eq.cone_hull_membership(mu0, family, tol=tol)
+            assert cert.verdict == "non_member"
+            assert list(cert.separating_f) == [float(v) for v in y]
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solves = []
+
+        class Counting(eq._Simplex):
+            def solve(self):
+                solves.append(self.m)
+                return super().solve()
+
+        monkeypatch.setattr(eq, "_Simplex", Counting)
+        return solves
+
+    def test_near_member_reaches_defect_program(self, monkeypatch):
+        # The instance of test_tolerance_slack: within tol of the cone, so
+        # the Farkas bound is at most tol and the defect LP decides.
+        solves = self.count_solves(monkeypatch)
+        base = fm(1.0, 0.5, 0.0)
+        nudged = eq.FiniteMeasure(base.weights + np.array([1e-12, 0.0, 0.0]))
+        assert eq.cone_hull_membership(nudged, fam(base), tol=1e-9).verdict == "member"
+        assert solves == [3, 6]
+
+    def test_clear_non_member_skips_defect_program(self, monkeypatch):
+        solves = self.count_solves(monkeypatch)
+        assert eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0))).verdict == (
+            "non_member"
+        )
+        assert solves == [2]
+
+    def test_verdicts_match_reference_defect_program(self):
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            mu0, family = eq._random_instance(rng)
+            b = fractions(mu0.weights)
+            cols = [fractions(m.weights) for m in family.members]
+            t_min, _, _ = FractionSimplex(*eq._defect_program(b, cols)).solve()
+            expected = "member" if t_min <= Fraction(1e-9) else "non_member"
+            assert eq.cone_hull_membership(mu0, family).verdict == expected, trial
+
+
+class TestCapSizes:
+    def test_planted_member_at_caps(self):
+        rng = np.random.default_rng(64)
+        mu0, family = planted_member(rng, eq.MAX_GROUND_SET)
+        assert len(family.members) == eq.MAX_FAMILY
+        cert = eq.cone_hull_membership(mu0, family)
+        assert cert.verdict == "member"
+        recon = [Fraction(0)] * mu0.n
+        for j, coeff in cert.coefficients:
+            assert coeff > 0.0
+            recon = [r + Fraction(coeff) * w
+                     for r, w in zip(recon, fractions(family.members[j].weights))]
+        assert recon == fractions(mu0.weights)
+
+    def test_planted_non_member_at_32(self):
+        rng = np.random.default_rng(32)
+        mu0, family = planted_non_member(rng, 32)
+        cert = eq.cone_hull_membership(mu0, family)
+        assert cert.verdict == "non_member"
+        b = fractions(mu0.weights)
+        cols = [fractions(m.weights) for m in family.members]
+        _, _, y = eq._Simplex(cols, b, [Fraction(0)] * len(cols)).solve()
+        assert exact_sign_conditions(y, mu0, family)
+        assert list(cert.separating_f) == [float(v) for v in y]
+
+
+class TestGreedyTrace:
+    @pytest.mark.parametrize("n", [2, 6, 20, 64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equals_reference(self, n, weighted):
+        rng = np.random.default_rng([n, weighted])
+        family = rng.integers(0, 16, size=(n, n)) / 16.0 + 1.0 / 16.0
+        mu0 = (rng.integers(1, 9, size=n) / 8.0) @ family
+        target = mu0 / mu0.sum()
+        masses = family.sum(axis=1)
+        if weighted:
+            candidates = family
+        else:
+            candidates = family / masses[:, None]
+            masses = np.ones(n)
+        k_max = 3000
+        got = eq._greedy_trace(target, candidates, masses, k_max, weighted)
+        want = reference_greedy_trace(target, candidates, masses, k_max, weighted)
+        assert got == want
