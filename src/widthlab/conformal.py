@@ -37,9 +37,9 @@ from ._fsio import atomic_write_text
 from .numerics import (
     GridFunction,
     QuadratureConfig,
-    composite_simpson,
     critical_points,
     integrate_adaptive,
+    latitude_grid,
 )
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "MAX_PROFILE_NODES",
     "MAX_JACOBI_DEGREE",
     "MAX_VARIATION_EPS",
+    "POLE_REG_FACTOR",
     "AxisymProfile",
     "LatitudeSphere",
     "SpectrumReport",
@@ -83,6 +84,8 @@ MAX_JACOBI_DEGREE = 1_000
 MAX_VARIATION_EPS = 0.25
 # Cap on the nodes of a profile file; six times the finest grid in the tests.
 MAX_PROFILE_NODES = 20_001
+# Pole regularity admits |u_1 - u_0| up to this factor times max(u) * h^2.
+POLE_REG_FACTOR = 5.0
 
 
 class ProfileError(ValueError):
@@ -98,21 +101,20 @@ class AxisymProfile:
     """Positive conformal profile u on the uniform latitude grid.
 
     Smooth axisymmetric metrics require ``u'(0) = u'(pi) = 0``; discretely
-    this is enforced as ``|u_1 - u_0| <= pole_reg_factor * max(u) * h^2``
+    this is enforced as ``|u_1 - u_0| <= POLE_REG_FACTOR * max(u) * h^2``
     (and mirrored at pi), which admits pole second derivatives up to about
-    ``2 * pole_reg_factor * max(u)`` while rejecting conical profiles whose
+    ``2 * POLE_REG_FACTOR * max(u)`` while rejecting conical profiles whose
     one-sided difference decays only like h.
     """
 
     grid: GridFunction
-    pole_reg_factor: float = 5.0
 
     def __post_init__(self):
         u = self.grid.values
         if not np.all(u > 0.0):
             raise ProfileError("conformal profile must be strictly positive")
         h = self.grid.spacing
-        bound = self.pole_reg_factor * float(np.max(u)) * h * h
+        bound = POLE_REG_FACTOR * float(np.max(u)) * h * h
         defect = max(abs(u[1] - u[0]), abs(u[-1] - u[-2]))
         if defect > bound:
             raise ProfileError(
@@ -137,8 +139,8 @@ class AxisymProfile:
         return self.grid.spacing
 
     @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int, **kwargs) -> "AxisymProfile":
-        return cls(GridFunction.from_function(fn, n), **kwargs)
+    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "AxisymProfile":
+        return cls(GridFunction.from_function(fn, n))
 
     @classmethod
     def round_profile(cls, n: int, radius_factor: float = 1.0) -> "AxisymProfile":
@@ -173,9 +175,10 @@ def load_profile(path: str) -> AxisymProfile:
             f"profile file {path}: 'n' must be the integer sample count {u.size}, got {n!r}"
         )
     profile = AxisymProfile(GridFunction(u))
+    grid = latitude_grid(profile.n)
     with np.errstate(all="ignore"):
-        vol = volume(profile)
-        curvature = _scalar_curvature(profile)
+        vol = grid.volume(u)
+        curvature = grid.scalar_curvature(u)
     if not (0.0 < vol < math.inf and np.all(np.isfinite(curvature))):
         raise ProfileError(
             f"profile file {path}: volume or scalar curvature overflows or "
@@ -198,28 +201,16 @@ def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:
     The round-metric Laplacian of an axisymmetric function is
     ``lap(u) = u'' + 2 cot(theta) u'``, discretized with centered second-order
     differences in the interior.  At the poles the regular limit is
-    ``3 u''(0)``, with u'' taken from the three-point one-sided stencil.
+    ``3 u''(0)``, taken from the even-symmetry ghost node as
+    ``6 (u_1 - u_0) / h^2``.  This is the field the flow evolves by
+    (``numerics.LatitudeGrid.scalar_curvature``), bit for bit.
     """
-    return GridFunction(_scalar_curvature(profile))
-
-
-def _scalar_curvature(profile: AxisymProfile) -> np.ndarray:
-    u = profile.u
-    h = profile.grid.spacing
-    thetas = profile.thetas
-    lap = np.empty_like(u)
-    upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    up = (u[2:] - u[:-2]) / (2.0 * h)
-    lap[1:-1] = upp + 2.0 * up / np.tan(thetas[1:-1])
-    lap[0] = 3.0 * (u[0] - 2.0 * u[1] + u[2]) / (h * h)
-    lap[-1] = 3.0 * (u[-1] - 2.0 * u[-2] + u[-3]) / (h * h)
-    return (-8.0 * lap + 6.0 * u) / u**5
+    return GridFunction(latitude_grid(profile.n).scalar_curvature(profile.u))
 
 
 def volume(profile: AxisymProfile) -> float:
     """Total volume ``4 pi * integral u^6 sin^2(theta) d theta``."""
-    integrand = 4.0 * np.pi * profile.u**6 * np.sin(profile.thetas) ** 2
-    return composite_simpson(integrand, profile.grid.spacing)
+    return latitude_grid(profile.n).volume(profile.u)
 
 
 def sphere_area(profile: AxisymProfile, theta: float) -> float:
@@ -231,7 +222,7 @@ def sphere_area(profile: AxisymProfile, theta: float) -> float:
 
 def area_profile(profile: AxisymProfile) -> GridFunction:
     """Latitude-sphere areas sampled at the grid nodes."""
-    return GridFunction(4.0 * np.pi * profile.u**4 * np.sin(profile.thetas) ** 2)
+    return GridFunction(4.0 * np.pi * profile.u**4 * latitude_grid(profile.n).sin2)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
-"""Shared numerical kernels: adaptive quadrature and uniform-grid helpers.
+"""Shared numerical kernels: adaptive quadrature and the latitude grid.
 
 The module has two primitives: an adaptive Simpson integrator with
-Richardson error control, and finite-difference and Simpson utilities for
-functions sampled on the uniform grid theta_i = i * pi / (n - 1) over
-[0, pi].  The grid utilities serve the conformal volume and area functionals
-and the flow diagnostics.  The Berger width and the Jacobi term are closed
-forms and finite differences of areas, so the adaptive integrator serves only
-the quadrature reference ``conformal.second_variation_oracle`` and the tests.
+Richardson error control, and ``latitude_grid(n)``, the one discretization of
+the uniform grid theta_i = i * pi / (n - 1) over [0, pi]: nodes, composite
+Simpson weights, and the scalar-curvature stencil of conformal metrics
+``u^4 g_round``.  Volumes, areas, curvature fields and the flow all evaluate
+through it.  The Berger width and the Jacobi term are closed forms and finite
+differences of areas, so the adaptive integrator serves only the quadrature
+reference ``conformal.second_variation_oracle`` and the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,11 +22,15 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "GridFunction",
+    "LatitudeGrid",
+    "latitude_grid",
     "integrate_adaptive",
     "central_second_difference",
     "critical_points",
-    "composite_simpson",
 ]
+
+# Grids held by ``latitude_grid``; a run touches one or two sizes at a time.
+GRID_CACHE_SIZE = 8
 
 
 class QuadratureError(RuntimeError):
@@ -147,6 +153,108 @@ def central_second_difference(f: Callable[[float], float], x: float, h: float) -
     return (values[0] - 2.0 * values[1] + values[2]) / (h * h)
 
 
+class LatitudeGrid:
+    """Nodes, Simpson weights and curvature stencil of one latitude grid.
+
+    Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the interior
+    ``cot_inner``, the composite Simpson weights ``simpson`` (with a 3/8 tail
+    when the interval count is odd) and scratch buffers.  ``latitude_grid``
+    shares one instance per n, so its arrays are read-only.  The scratch
+    buffers assume one thread: they only hold intermediates, and every method
+    returns fresh arrays or floats.
+    """
+
+    def __init__(self, n: int):
+        if n < 5:
+            raise ValueError(f"grid needs at least 5 nodes, got {n}")
+        self.h = np.pi / (n - 1)
+        self.h2 = self.h * self.h
+        self.thetas = np.linspace(0.0, np.pi, n)
+        self.sin2 = np.sin(self.thetas) ** 2
+        self.cot_inner = 1.0 / np.tan(self.thetas[1:-1])
+        w = np.zeros(n)
+        m = n - 1
+        if m % 2 == 0:
+            w[0] = w[-1] = 1.0
+            w[1:-1:2] = 4.0
+            w[2:-2:2] = 2.0
+            w *= self.h / 3.0
+        else:
+            head = m - 3
+            if head > 0:
+                w[0] = 1.0
+                w[1:head:2] = 4.0
+                w[2:head:2] = 2.0
+                w[head] = 1.0
+                w[:head + 1] *= self.h / 3.0
+            w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
+        self.simpson = w
+        for shared in (self.thetas, self.sin2, self.cot_inner, self.simpson):
+            shared.flags.writeable = False
+        self._inner = np.empty(n - 2)
+        self._pow = np.empty(n)
+        self._tmp = np.empty(n)
+
+    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
+        """Scalar curvature ``(-8 lap(u) + 6 u) / u^5`` of ``u^4 g_round``.
+
+        ``lap(u) = u'' + 2 cot(theta) u'`` takes centered differences in the
+        interior and, at the poles, the even-symmetry ghost-node rows
+        ``lap(0) = 6 (u_1 - u_0) / h^2`` (and mirrored at pi): second order
+        for smooth axisymmetric profiles, and damping as flow dynamics.
+        """
+        h2, tmp = self.h2, self._tmp
+        scalar = np.empty_like(u)
+        lap, d = scalar[1:-1], self._inner
+        up, dn = u[2:], u[:-2]
+        np.multiply(2.0, u[1:-1], out=d)
+        np.subtract(up, d, out=d)
+        np.add(d, dn, out=d)
+        np.divide(d, h2, out=lap)
+        np.subtract(up, dn, out=d)
+        np.multiply(self.cot_inner, d, out=d)
+        np.divide(d, self.h, out=d)
+        np.add(lap, d, out=lap)
+        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / h2
+        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / h2
+        np.multiply(-8.0, scalar, out=scalar)
+        np.multiply(6.0, u, out=tmp)
+        np.add(scalar, tmp, out=scalar)
+        np.divide(scalar, np.power(u, 5.0, out=tmp), out=scalar)
+        return scalar
+
+    def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Scalar curvature, volume and volume-averaged curvature of u.
+
+        ``u^6`` is formed once and serves both integrals.
+        """
+        tmp = self._tmp
+        scalar = self.scalar_curvature(u)
+        u6 = np.power(u, 6.0, out=self._pow)
+        np.multiply(u6, self.sin2, out=tmp)
+        vol = 4.0 * np.pi * float(self.simpson.dot(tmp))
+        np.multiply(scalar, u6, out=tmp)
+        np.multiply(tmp, self.sin2, out=tmp)
+        r = 4.0 * np.pi * float(self.simpson.dot(tmp)) / vol
+        return scalar, vol, r
+
+    def volume(self, u: np.ndarray) -> float:
+        """Volume ``4 pi * integral u^6 sin^2(theta) d theta``."""
+        w = np.power(u, 6.0, out=self._pow)
+        np.multiply(w, self.sin2, out=w)
+        return 4.0 * np.pi * float(self.simpson.dot(w))
+
+    def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
+        """Volume average of a field, given the volume of u."""
+        return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def latitude_grid(n: int) -> LatitudeGrid:
+    """The shared ``LatitudeGrid`` with n nodes."""
+    return LatitudeGrid(n)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real samples on the uniform grid ``theta_i = i*pi/(n-1)`` over [0, pi]."""
@@ -167,16 +275,15 @@ class GridFunction:
 
     @property
     def spacing(self) -> float:
-        return np.pi / (self.n - 1)
+        return latitude_grid(self.n).h
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.n)
+        return latitude_grid(self.n).thetas
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
-        thetas = np.linspace(0.0, np.pi, n)
-        return cls(np.asarray(fn(thetas), dtype=float))
+        return cls(np.asarray(fn(latitude_grid(n).thetas), dtype=float))
 
 
 def critical_points(grid: GridFunction) -> list[tuple[int, str]]:
@@ -215,24 +322,3 @@ def critical_points(grid: GridFunction) -> list[tuple[int, str]]:
             results.append((i, "min"))
     results.sort(key=lambda pair: pair[0])
     return results
-
-
-def composite_simpson(values: Sequence[float] | np.ndarray, spacing: float) -> float:
-    """Composite Simpson rule on uniformly spaced samples.
-
-    Handles any sample count >= 2: an even interval count uses pure Simpson;
-    an odd count finishes with a Simpson 3/8 block, keeping O(h^4) accuracy.
-    """
-    y = np.asarray(values, dtype=float)
-    m = y.size - 1
-    if m < 1:
-        raise ValueError("composite Simpson needs at least two samples")
-    if m == 1:
-        return 0.5 * spacing * (y[0] + y[1])
-    if m == 2:
-        return spacing * (y[0] + 4.0 * y[1] + y[2]) / 3.0
-    if m % 2 == 0:
-        return spacing * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])) / 3.0
-    head = composite_simpson(y[: m - 2], spacing) if m > 3 else 0.0
-    tail = 3.0 * spacing * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1]) / 8.0
-    return head + tail

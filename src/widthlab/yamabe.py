@@ -7,15 +7,16 @@ Time stepping is explicit Euler followed by exact volume renormalization
 (``u *= (V_target/V)^(1/6)``), so every accepted state has the initial
 volume to machine precision.
 
-Pole handling: the time stepper evaluates the pole Laplacian with the
-even-symmetry ghost-node stencil ``lap(0) = 6 (u1 - u0) / h^2`` (second
-order for smooth axisymmetric profiles, same as the one-sided evaluator
-used for static curvature fields).  The one-sided stencil is centered at
-the node next to the pole, so as a *dynamical* update its pole row is
-anti-diffusive — a measured runaway rate of ``+6 / (h^2 u^4)`` at any step
-size — while the symmetric row damps.  Pole values carry zero quadrature
-weight (``sin^2`` vanishes there), so volume averages and the energy are
-unaffected by the choice.
+Grid: every evaluation goes through ``numerics.latitude_grid(n)``, the one
+shared discretization, so the flow and the static fields of ``conformal``
+(``scalar_curvature_field``, ``volume``) agree to the bit.
+
+Pole handling: the pole Laplacian is the even-symmetry ghost-node stencil
+``lap(0) = 6 (u1 - u0) / h^2``, second order for smooth axisymmetric
+profiles.  The three-point one-sided stencil is second order as well, but it
+is centered at the node next to the pole, so as a *dynamical* update its pole
+row is anti-diffusive — a measured runaway rate of ``+6 / (h^2 u^4)`` at any
+step size — while the symmetric row damps.
 
 Stability: the leading diffusion coefficient of the update is ``2 u^-4``,
 so a caller-facing step of size dt is executed as the minimal number of
@@ -24,7 +25,7 @@ The measured spectral stability limit of the discrete update is
 ``h^2 min(u)^4 / 6`` across grids (the symmetric pole rows are 1.5x
 stiffer than the interior); CFL_NUMBER = 0.125 keeps a 25% margin.
 
-Cost: each sub-step evaluates its state once.  ``_FlowKernel.evaluate``
+Cost: each sub-step evaluates its state once.  ``LatitudeGrid.evaluate``
 returns the curvature, the volume and the average curvature from one pass
 that forms ``u^6`` once, and the evaluation at the end of an outer step (which
 ``run`` records in its monitors) is reused by the first sub-step of the next.
@@ -56,7 +57,7 @@ from .conformal import (
     tilted_width_bound,
     width_upper_bound,
 )
-from .numerics import GridFunction
+from .numerics import GridFunction, LatitudeGrid, latitude_grid
 
 __all__ = [
     "FlowError",
@@ -89,92 +90,14 @@ class FlowError(RuntimeError):
     """Positivity loss or an unsatisfiable stability constraint."""
 
 
-class _FlowKernel:
-    """Precomputed grid data and scratch buffers for repeated flow evaluation.
-
-    ``evaluate`` returns fresh arrays; the scratch buffers only hold
-    intermediates, and the kernel lives for one call of ``run`` or ``step``.
-    """
-
-    def __init__(self, n: int):
-        self.h = np.pi / (n - 1)
-        self.h2 = self.h * self.h
-        thetas = np.linspace(0.0, np.pi, n)
-        self.sin2 = np.sin(thetas) ** 2
-        self.cot_inner = 1.0 / np.tan(thetas[1:-1])
-        # Composite Simpson weights (3/8 tail when the interval count is odd).
-        w = np.zeros(n)
-        m = n - 1
-        if m % 2 == 0:
-            w[0] = w[-1] = 1.0
-            w[1:-1:2] = 4.0
-            w[2:-2:2] = 2.0
-            w *= self.h / 3.0
-        else:
-            head = m - 3
-            if head > 0:
-                w[0] = 1.0
-                w[1:head:2] = 4.0
-                w[2:head:2] = 2.0
-                w[head] = 1.0
-                w[:head + 1] *= self.h / 3.0
-            w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
-        self.simpson = w
-        self._inner = np.empty(n - 2)
-        self._pow = np.empty(n)
-        self._tmp = np.empty(n)
-
-    def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Scalar curvature, volume and volume-averaged curvature of u.
-
-        The curvature ``(-8 lap(u) + 6 u) / u^5`` uses symmetric ghost-node
-        pole rows: stable as dynamics (see module docstring), identical
-        volume integrals to the one-sided evaluator.  ``u^6`` is formed once
-        and serves both integrals.
-        """
-        h2, tmp = self.h2, self._tmp
-        scalar = np.empty_like(u)
-        lap, d = scalar[1:-1], self._inner
-        up, dn = u[2:], u[:-2]
-        np.multiply(2.0, u[1:-1], out=d)
-        np.subtract(up, d, out=d)
-        np.add(d, dn, out=d)
-        np.divide(d, h2, out=lap)
-        np.subtract(up, dn, out=d)
-        np.multiply(self.cot_inner, d, out=d)
-        np.divide(d, self.h, out=d)
-        np.add(lap, d, out=lap)
-        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / h2
-        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / h2
-        np.multiply(-8.0, scalar, out=scalar)
-        np.multiply(6.0, u, out=tmp)
-        np.add(scalar, tmp, out=scalar)
-        np.divide(scalar, np.power(u, 5.0, out=tmp), out=scalar)
-        u6 = np.power(u, 6.0, out=self._pow)
-        np.multiply(u6, self.sin2, out=tmp)
-        vol = 4.0 * np.pi * float(self.simpson.dot(tmp))
-        np.multiply(scalar, u6, out=tmp)
-        np.multiply(tmp, self.sin2, out=tmp)
-        r = 4.0 * np.pi * float(self.simpson.dot(tmp)) / vol
-        return scalar, vol, r
-
-    def volume(self, u: np.ndarray) -> float:
-        w = np.power(u, 6.0, out=self._pow)
-        np.multiply(w, self.sin2, out=w)
-        return 4.0 * np.pi * float(self.simpson.dot(w))
-
-    def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
-        return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
-
-
 def average_scalar_curvature(profile: AxisymProfile) -> float:
     """Volume average ``(integral R dV) / V`` of the scalar curvature."""
-    return _FlowKernel(profile.n).evaluate(profile.u)[2]
+    return latitude_grid(profile.n).evaluate(profile.u)[2]
 
 
 def hilbert_einstein_energy(profile: AxisymProfile) -> float:
     """Scale-invariant curvature energy ``(integral R dV) / V^(1/3)``."""
-    _, vol, r = _FlowKernel(profile.n).evaluate(profile.u)
+    _, vol, r = latitude_grid(profile.n).evaluate(profile.u)
     return r * vol ** (2.0 / 3.0)
 
 
@@ -197,7 +120,7 @@ class FlowState:
 
 def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
     """Assemble the diagnostic snapshot for a profile."""
-    _, vol, r = _FlowKernel(profile.n).evaluate(profile.u)
+    _, vol, r = latitude_grid(profile.n).evaluate(profile.u)
     return FlowState(
         time=float(time),
         profile=profile,
@@ -210,16 +133,15 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
 
 
 def _advance(
-    kernel: _FlowKernel,
+    grid: LatitudeGrid,
     u: np.ndarray,
     dt: float,
     target_volume: float,
-    cfl: float,
     evaluation: tuple[np.ndarray, float, float],
 ) -> tuple[np.ndarray, int, tuple[np.ndarray, float, float]]:
     """Advance by dt with explicit sub-steps inside the stability region.
 
-    ``evaluation`` is ``kernel.evaluate(u)``; the evaluation of the returned
+    ``evaluation`` is ``grid.evaluate(u)``; the evaluation of the returned
     state comes back with it, so each state is evaluated once.
     """
     remaining = dt
@@ -229,7 +151,7 @@ def _advance(
     lo = float(u.min())
     while remaining > 0.0:
         scalar, _, r = evaluation
-        stable = cfl * kernel.h2 * lo**4
+        stable = CFL_NUMBER * grid.h2 * lo**4
         sub = min(remaining, stable)
         substeps += 1
         if substeps > MAX_SUBSTEPS_PER_CALL:
@@ -245,19 +167,19 @@ def _advance(
                 f"conformal factor lost positivity during an explicit sub-step "
                 f"of size {sub:.3e}"
             )
-        scale = (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
+        scale = (target_volume / grid.volume(u)) ** (1.0 / 6.0)
         u = u * scale
         lo *= scale
         remaining -= sub
-        evaluation = kernel.evaluate(u)
+        evaluation = grid.evaluate(u)
     return u, substeps, evaluation
 
 
-def step(state: FlowState, dt: float, cfl: float = CFL_NUMBER) -> FlowState:
+def step(state: FlowState, dt: float) -> FlowState:
     """One caller-facing flow step of size dt, volume held at state.volume.
 
     The step is executed as explicit Euler sub-steps obeying
-    ``dt_sub <= cfl * h^2 * min(u)^4`` (measured stability limit: the same
+    ``dt_sub <= CFL_NUMBER * h^2 * min(u)^4`` (measured stability limit: the same
     expression with coefficient 1/6), each followed by exact volume
     renormalization.
 
@@ -267,9 +189,9 @@ def step(state: FlowState, dt: float, cfl: float = CFL_NUMBER) -> FlowState:
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _FlowKernel(state.profile.n)
+    grid = latitude_grid(state.profile.n)
     u = state.profile.u
-    u, _, _ = _advance(kernel, u, dt, state.volume, cfl, kernel.evaluate(u))
+    u, _, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))
     return flow_state(AxisymProfile(GridFunction(u)), state.time + dt)
 
 
@@ -302,7 +224,6 @@ def run(
     dt: float,
     sample_every: int = 500,
     convergence_tol: float = 1e-3,
-    cfl: float = CFL_NUMBER,
 ) -> FlowTrace:
     """Run the flow from ``profile`` until ``t_end`` or convergence.
 
@@ -326,9 +247,9 @@ def run(
         )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    kernel = _FlowKernel(profile.n)
+    grid = latitude_grid(profile.n)
     u = profile.u.copy()
-    evaluation = kernel.evaluate(u)
+    evaluation = grid.evaluate(u)
     scalar0, target_volume, r0 = evaluation
     n_steps = max(int(round(t_end / dt)), 1)
 
@@ -362,7 +283,7 @@ def run(
     status = "completed"
     taken = 0
     for i in range(n_steps):
-        u, subs, evaluation = _advance(kernel, u, dt, target_volume, cfl, evaluation)
+        u, subs, evaluation = _advance(grid, u, dt, target_volume, evaluation)
         taken = i + 1
         time = taken * dt
         scalar, vol, r = evaluation
@@ -519,10 +440,10 @@ class ConformalVariation:
         factor = 1.0 + t * self.f.values
         if not np.all(factor > 0.0):
             raise ValueError(f"variation parameter t={t} leaves the metric cone")
-        kernel = _FlowKernel(self.base.n)
-        base_vol = kernel.volume(self.base.u)
+        grid = latitude_grid(self.base.n)
+        base_vol = grid.volume(self.base.u)
         u_t = self.base.u * factor**0.25
-        vol_t = kernel.volume(u_t)
+        vol_t = grid.volume(u_t)
         return AxisymProfile(GridFunction(u_t * (base_vol / vol_t) ** (1.0 / 6.0)))
 
 
@@ -544,10 +465,10 @@ def maximum_test_direction(profile: AxisymProfile, f: GridFunction) -> Variation
     """
     if f.n != profile.n:
         raise ValueError(f"direction grid ({f.n}) must match profile grid ({profile.n})")
-    kernel = _FlowKernel(profile.n)
+    grid = latitude_grid(profile.n)
     u = profile.u
-    vol = kernel.volume(u)
-    mean = kernel.average_r(f.values, u, vol)
+    vol = grid.volume(u)
+    mean = grid.average_r(f.values, u, vol)
     adjusted = GridFunction(f.values - mean)
     sphere = max_latitude_sphere(profile)
     f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted.values))

@@ -2,10 +2,10 @@
 
 Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
-quadrature of their integrands, extrema from dense-grid searches.  The
-explicit flow step is kept here in its unfused form, one numpy expression per
-quantity, as the reference the fused step in ``widthlab.yamabe`` must match
-bit for bit.  The membership LP is kept here as the dense simplex over
+quadrature of their integrands, extrema from dense-grid searches, grid
+integrals from a sample-based composite Simpson rule.  The explicit flow
+step is kept here in its unfused form, one numpy expression per quantity, as
+the reference the fused step in ``widthlab.yamabe`` must match bit for bit.  The membership LP is kept here as the dense simplex over
 ``fractions.Fraction`` that the integer tableau in ``widthlab.equidist`` must
 match pivot for pivot, and the greedy Cesaro loop as the allocating numpy
 loop whose traces the buffered one must equal.  Tests compare the package
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,6 +116,27 @@ def mc_tilted_sphere_area(
         total += np.sum(u(np.arccos(np.clip(x[:, 3], -1.0, 1.0))) ** 4)
         remaining -= m
     return 4.0 * np.pi * radius**2 * total / samples
+
+
+def composite_simpson(values: Sequence[float] | np.ndarray, spacing: float) -> float:
+    """Composite Simpson rule on uniformly spaced samples.
+
+    Handles any sample count >= 2: an even interval count uses pure Simpson;
+    an odd count finishes with a Simpson 3/8 block, keeping O(h^4) accuracy.
+    """
+    y = np.asarray(values, dtype=float)
+    m = y.size - 1
+    if m < 1:
+        raise ValueError("composite Simpson needs at least two samples")
+    if m == 1:
+        return 0.5 * spacing * (y[0] + y[1])
+    if m == 2:
+        return spacing * (y[0] + 4.0 * y[1] + y[2]) / 3.0
+    if m % 2 == 0:
+        return spacing * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])) / 3.0
+    head = composite_simpson(y[: m - 2], spacing) if m > 3 else 0.0
+    tail = 3.0 * spacing * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1]) / 8.0
+    return head + tail
 
 
 def dense_grid_argmax(fn: Callable[[np.ndarray], np.ndarray], n: int = 200_001) -> tuple[float, float]:

@@ -71,12 +71,12 @@ class TestScalarCurvatureField:
 
     def test_bump_against_analytic_solution(self):
         # u = 1 + 0.3cos(theta) has lap(u) = -0.9cos(theta) exactly, giving
-        # R = (6 + 9cos(theta))/u^5.  The pole rows carry the largest error.
+        # R = (6 + 9cos(theta))/u^5.  The ghost-node pole rows are as accurate
+        # as the interior (measured sup error 3.7e-4).
         p = bump(401)
         exact = (6.0 + 9.0 * np.cos(p.thetas)) / (1.0 + 0.3 * np.cos(p.thetas)) ** 5
         err = np.abs(cf.scalar_curvature_field(p).values - exact)
-        assert np.max(err) < 2e-3
-        assert np.max(err[1:-1]) < 5e-4
+        assert np.max(err) < 5e-4
 
     def test_second_order_convergence(self):
         sups = []

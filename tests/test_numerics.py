@@ -10,10 +10,12 @@ from widthlab.numerics import (
     QuadratureConfig,
     QuadratureError,
     central_second_difference,
-    composite_simpson,
     critical_points,
     integrate_adaptive,
+    latitude_grid,
 )
+
+from oracles import composite_simpson
 
 
 class TestIntegrateAdaptive:
@@ -145,19 +147,50 @@ class TestCriticalPoints:
         assert points[0][1] == "max"
 
 
+SIMPSON_TABLE = [(5, 1e-12), (6, 6e-3), (7, 1e-12), (101, 1e-9), (128, 1e-7)]
+
+
 class TestCompositeSimpson:
-    @pytest.mark.parametrize(
-        "n,tol", [(5, 1e-12), (6, 6e-3), (7, 1e-12), (101, 1e-9), (128, 1e-7)]
-    )
+    @pytest.mark.parametrize("n,tol", SIMPSON_TABLE)
     def test_matches_closed_form(self, n, tol):
-        x = np.linspace(0.0, np.pi, n)
-        value = composite_simpson(np.sin(x) ** 2, x[1] - x[0])
+        grid = latitude_grid(n)
+        value = grid.simpson @ np.sin(grid.thetas) ** 2
         assert value == pytest.approx(np.pi / 2.0, abs=tol)
 
+    @pytest.mark.parametrize("n", [n for n, _ in SIMPSON_TABLE])
+    def test_weights_match_sample_rule(self, n):
+        # The weight of node i is the sample-based rule applied to e_i.
+        grid = latitude_grid(n)
+        expected = np.array([composite_simpson(e, grid.h) for e in np.eye(n)])
+        np.testing.assert_allclose(grid.simpson, expected, rtol=1e-15, atol=0.0)
+
     def test_fourth_order_convergence(self):
-        x1 = np.linspace(0.0, 1.0, 33)
-        x2 = np.linspace(0.0, 1.0, 65)
-        exact = np.expm1(1.0)
-        e1 = abs(composite_simpson(np.exp(x1), x1[1] - x1[0]) - exact)
-        e2 = abs(composite_simpson(np.exp(x2), x2[1] - x2[0]) - exact)
+        exact = np.expm1(np.pi)
+        e1, e2 = (
+            abs(latitude_grid(n).simpson @ np.exp(latitude_grid(n).thetas) - exact)
+            for n in (33, 65)
+        )
         assert e1 / e2 > 12.0  # order ~4 gives ratio ~16
+
+
+class TestLatitudeGrid:
+    def test_shared_per_size(self):
+        assert latitude_grid(101) is latitude_grid(101)
+        assert GridFunction(np.ones(101)).thetas is latitude_grid(101).thetas
+
+    def test_nodes(self):
+        grid = latitude_grid(101)
+        assert np.array_equal(grid.thetas, np.linspace(0.0, np.pi, 101))
+        assert grid.h == np.pi / 100 and grid.h2 == grid.h * grid.h
+
+    def test_shared_arrays_are_read_only(self):
+        grid = latitude_grid(101)
+        for values in (grid.thetas, grid.sin2, grid.cot_inner, grid.simpson):
+            with pytest.raises(ValueError):
+                values[1] = 0.0
+
+    def test_too_few_nodes(self):
+        with pytest.raises(ValueError):
+            latitude_grid(4)
+        with pytest.raises(ValueError):
+            GridFunction.from_function(np.cos, 4)

@@ -12,10 +12,15 @@ from widthlab.conformal import (
     scalar_curvature_field,
     tilted_width_bound,
 )
-from widthlab.numerics import GridFunction, composite_simpson
-from widthlab import yamabe
+from widthlab import conformal, yamabe
+from widthlab.numerics import GridFunction, latitude_grid
 
-from oracles import ReferenceFlowKernel, explicit_flow_reference, reference_advance
+from oracles import (
+    ReferenceFlowKernel,
+    composite_simpson,
+    explicit_flow_reference,
+    reference_advance,
+)
 
 ROUND_ENERGY = 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0)
 ROUND_NORMALIZED_WIDTH = (16.0 / math.pi) ** (1.0 / 3.0)
@@ -95,12 +100,13 @@ class TestStep:
         with pytest.raises(ValueError):
             yamabe.step(state, -1e-5)
 
-    def test_unstable_override_loses_positivity(self):
+    def test_unstable_override_loses_positivity(self, monkeypatch):
         # Overriding the stability constant reproduces the explicit-Euler
         # blow-up and must surface as a flow error, not silent garbage.
         state = yamabe.flow_state(bump_profile(101))
+        monkeypatch.setattr(yamabe, "CFL_NUMBER", 50.0)
         with pytest.raises(yamabe.FlowError):
-            yamabe.step(state, 0.5, cfl=50.0)
+            yamabe.step(state, 0.5)
 
     def test_substep_budget_exhaustion(self):
         p = AxisymProfile.from_function(lambda t: 0.05 + 0.0 * t, 11)
@@ -372,3 +378,35 @@ class TestFusedStepMatchesReference:
         r = kernel.average_r(kernel.scalar_curvature(u), u, vol)
         assert yamabe.average_scalar_curvature(profile) == r
         assert yamabe.hilbert_einstein_energy(profile) == r * vol ** (2.0 / 3.0)
+
+
+def four_mode_profile(n, seed):
+    """u = 1 + sum_{k<=4} a_k cos(k theta), a_k drawn in [-0.12, 0.12]."""
+    coeffs = np.random.default_rng(seed).uniform(-0.12, 0.12, size=4)
+    return AxisymProfile.from_function(
+        lambda t: 1.0 + sum(a * np.cos(k * t) for k, a in enumerate(coeffs, 1)), n
+    )
+
+
+FIELD_PROFILES = {
+    "round": AxisymProfile.round_profile,
+    "bump": bump_profile,
+    **{f"modes{seed}": lambda n, seed=seed: four_mode_profile(n, seed) for seed in range(4)},
+}
+
+
+class TestStaticFieldsMatchFlow:
+    """``conformal`` and the flow evaluate on one grid, to the bit."""
+
+    @pytest.mark.parametrize("n", [101, 201, 401, 801])
+    @pytest.mark.parametrize("name", sorted(FIELD_PROFILES))
+    def test_volume_and_curvature_field(self, name, n):
+        profile = FIELD_PROFILES[name](n)
+        flow_field, flow_volume, flow_r = latitude_grid(n).evaluate(profile.u)
+        state = yamabe.flow_state(profile)
+        assert conformal.volume(profile) == state.volume == flow_volume
+        assert state.r_avg == flow_r
+        field = conformal.scalar_curvature_field(profile).values
+        assert np.array_equal(field, flow_field)
+        assert np.array_equal(field, ReferenceFlowKernel(n).scalar_curvature(profile.u))
+
