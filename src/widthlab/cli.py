@@ -59,7 +59,7 @@ _PARAM_DEFAULTS: dict[str, dict] = {
         "grid_n": 100,
         "tol": 1e-4,
     },
-    "conformal-analyze": {"k_max": 4, "eps": 1e-2},
+    "conformal-analyze": {"k_max": 4},
     "yamabe-run": {
         "t_end": 1.0,
         "dt": 1e-4,
@@ -216,15 +216,8 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
         raise ValueError(
             f"--k-max must be between 2 and {conformal.MAX_JACOBI_DEGREE}, got {p['k_max']}"
         )
-    if not (0.0 < p["eps"] <= conformal.MAX_VARIATION_EPS):
-        raise ValueError(
-            f"--eps must lie in (0, {conformal.MAX_VARIATION_EPS}], got {p['eps']}"
-        )
     profile = _load_profile(cfg)
-    try:
-        star = conformal.star_scan(profile, k_max=p["k_max"], eps=p["eps"])
-    except conformal.VariationEpsError as exc:
-        raise ValueError(f"--eps: {exc}") from None
+    star = conformal.star_scan(profile, k_max=p["k_max"])
     curvature = conformal.scalar_curvature_field(profile)
     iso = conformal.isoperimetric_check(profile)
     payload = {
@@ -521,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--input", dest="input_path", help="profile JSON")
     sp.add_argument("--k-max", dest="k_max", type=int)
-    sp.add_argument("--eps", dest="eps", type=float)
 
     sp = sub.add_parser("yamabe-run", help="normalized Yamabe flow from a profile")
     common(sp)

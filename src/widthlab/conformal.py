@@ -12,12 +12,12 @@ certifies its maximum.
 
 The module provides the discrete scalar curvature of g, volume and areas,
 location of the minimal (critical-area) coordinate spheres, and their
-stability by finite differences: the area of a normal graph with
-zonal-harmonic height is differenced in the graph amplitude, which measures
-the Jacobi eigenvalues ``lambda_k = k(k+1)/radius^2 - Q`` with
-``Q = Ric(N,N) + |A|^2``.  ``jacobi_spectrum`` takes Q from the k = 0 graphs,
-which are latitude spheres, so it differences latitude areas;
-``second_variation_oracle`` integrates the graph area for any k.
+stability: the Jacobi eigenvalues of a latitude sphere are
+``lambda_k = k(k+1)/radius^2 - Q`` on the zonal harmonics of degree k, with
+``Q = Ric(N,N) + |A|^2``.  ``jacobi_spectrum`` evaluates Q in closed form
+from the profile's first and second derivatives at the sphere.
+``second_variation_oracle`` instead differences the area of a normal graph
+with zonal-harmonic height in the graph amplitude, by quadrature, for any k.
 
 A separately seeded Monte Carlo check verifies the round-metric identity
 that averaging a function over uniformly random great two-spheres equals its
@@ -37,6 +37,7 @@ from ._fsio import atomic_write_text
 from .numerics import (
     GridFunction,
     QuadratureConfig,
+    central_second_difference,
     critical_points,
     integrate_adaptive,
     latitude_grid,
@@ -44,7 +45,6 @@ from .numerics import (
 
 __all__ = [
     "ProfileError",
-    "VariationEpsError",
     "MAX_PROFILE_NODES",
     "MAX_JACOBI_DEGREE",
     "MAX_VARIATION_EPS",
@@ -90,10 +90,6 @@ POLE_REG_FACTOR = 5.0
 
 class ProfileError(ValueError):
     """Raised for profiles that fail positivity or pole-regularity checks."""
-
-
-class VariationEpsError(ValueError):
-    """Raised when an eps within range is too large for one sphere's graph."""
 
 
 @dataclass(frozen=True)
@@ -576,10 +572,9 @@ def _graph_setup(
     ``P_k`` on the unperturbed sphere.
 
     Raises:
-        ValueError: for non-critical ``theta_star``, degree k < 0, or an eps
-            outside (0, MAX_VARIATION_EPS].
-        VariationEpsError: for an eps so large the graph would leave the
-            latitude band around the sphere.
+        ValueError: for non-critical ``theta_star``, degree k < 0, an eps
+            outside (0, MAX_VARIATION_EPS], or an eps so large the graph
+            would leave the latitude band around the sphere.
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"harmonic degree must be a nonnegative integer, got {k}")
@@ -592,7 +587,7 @@ def _graph_setup(
     if not (0.0 < eps <= MAX_VARIATION_EPS):
         raise ValueError(f"eps={eps} out of range: need 0 < eps <= {MAX_VARIATION_EPS}")
     if eps * c > 0.5 * margin:
-        raise VariationEpsError(
+        raise ValueError(
             f"eps={eps} too large for the sphere at theta*={theta_star:.6g}: the "
             f"graph must stay within half its distance to a pole "
             f"(eps/u(theta*)^2 <= {0.5 * margin:.3e}), so eps <= "
@@ -617,9 +612,12 @@ def second_variation_oracle(
     divided by the squared L^2 norm of the harmonic on the unperturbed
     sphere.  For an exact Jacobi field this converges to
     ``k(k+1)/radius^2 - Q`` as eps -> 0; in particular the k = 0 value is
-    ``-Q``.  ``jacobi_spectrum`` computes the k = 0 case from latitude areas
-    directly; this quadrature route is its independent reference and the only
-    route for k > 0.
+    ``-Q``.  The piecewise-linear interpolant of u bends only at nodes, so
+    this is accurate only where the offset ``eps / u(theta_star)^2`` spans
+    several cells: at eps = 1e-2 on ``1 + 0.3 cos(theta)`` the k = 0 value
+    is 11% off at n = 201 and the k = 2 value 4% off at n = 401, and at
+    n = 801 they are within 4e-5 and 2e-3 of ``jacobi_spectrum``'s closed
+    form.  It cross-checks that closed form on fine grids only.
 
     Raises:
         ValueError: for non-critical ``theta_star``, degree k < 0, or an eps
@@ -669,42 +667,45 @@ def jacobi_spectrum(
     profile: AxisymProfile,
     theta_star: float,
     k_max: int,
-    eps: float = 1e-2,
 ) -> SpectrumReport:
     """Morse index and nullity of a critical latitude sphere.
 
-    The curvature term Q is the k = 0 second variation at ``eps`` and
-    ``eps/2`` with Richardson extrapolation (the second difference carries an
-    O(eps^2) bias).  For k = 0 the normal graph of height eps is the latitude
-    sphere at ``theta_star + eps / u(theta_star)^2``, so each second
-    difference is one of ``sphere_area``: five areas in all.  This is the
-    quantity ``second_variation_oracle`` integrates for k = 0.  Eigenvalues
-    then follow from ``lambda_k = k(k+1)/radius^2 - Q`` with multiplicity
-    2k+1, and zeros are detected at tolerance 1e-6.
+    Q is taken in closed form at ``theta*``, with ``w = 2 ln u``:
+    ``Q = u^-4 [2 - 2 w'' - 2 cot(theta) w'] + 2 u^-4 (cot(theta) + w')^2``,
+    which is ``Ric(N, N) + |A|^2`` and equals ``-A'' / (u^4 A)`` where A' = 0.
+    w' and w'' are central differences at the grid step h of w through the
+    linear interpolant of u, whose values at ``theta*`` and ``theta* +- h``
+    are the node values linearly interpolated with one weight.  Within one
+    cell of a pole the interpolant clamps to the pole value, which pole
+    regularity makes a second-order stand-in for the even reflection.
+    Against the analytic Q of the round profile, ``1 + 0.3 cos(theta)``,
+    ``1 + 0.3 cos(2 theta)`` and seeded four-mode cosine series, the largest
+    error relative to ``max(1, |Q|)`` is 1.3e-3 / 9.5e-5 / 1.7e-5 at
+    n = 201 / 401 / 801; on constant profiles Q is exact.  Eigenvalues follow
+    from ``lambda_k = k(k+1)/radius^2 - Q`` with multiplicity 2k+1, and zeros
+    are detected at tolerance 1e-6.
 
     Raises:
         ValueError: if ``k_max`` is below 2 (the spectrum must at least reach
-            the translation harmonics) or above ``MAX_JACOBI_DEGREE``, and for
-            the arguments ``second_variation_oracle`` rejects.
+            the translation harmonics) or above ``MAX_JACOBI_DEGREE``, or if
+            ``theta_star`` is not an interior critical latitude.
     """
     if not (2 <= k_max <= MAX_JACOBI_DEGREE):
         raise ValueError(f"k_max must be between 2 and {MAX_JACOBI_DEGREE}, got {k_max}")
-    c, norm_sq = _graph_setup(profile, theta_star, 0, eps)
-    base = sphere_area(profile, theta_star)
+    if not (0.0 < theta_star < np.pi):
+        raise ValueError(f"theta_star must be interior, got {theta_star}")
+    _check_critical(profile, theta_star)
+    h = profile.spacing
 
-    def second_variation(step: float) -> float:
-        offset = step * c
-        second_diff = (
-            sphere_area(profile, theta_star + offset)
-            - 2.0 * base
-            + sphere_area(profile, theta_star - offset)
-        ) / (step * step)
-        return second_diff / norm_sq
+    def w(theta: float) -> float:
+        return 2.0 * math.log(profile.interp_u(theta))
 
-    d_full = second_variation(eps)
-    d_half = second_variation(0.5 * eps)
-    q = -(4.0 * d_half - d_full) / 3.0
-    radius_sq = profile.interp_u(theta_star) ** 4 * math.sin(theta_star) ** 2
+    dw = (w(theta_star + h) - w(theta_star - h)) / (2.0 * h)
+    d2w = central_second_difference(w, theta_star, h)
+    cot = 1.0 / math.tan(theta_star)
+    u4 = profile.interp_u(theta_star) ** 4
+    q = (2.0 - 2.0 * d2w - 2.0 * cot * dw) / u4 + 2.0 * (cot + dw) ** 2 / u4
+    radius_sq = u4 * math.sin(theta_star) ** 2
     eigenvalues = []
     index = 0
     nullity = 0
@@ -727,13 +728,10 @@ def jacobi_spectrum(
 
 
 def analyze_sphere(
-    profile: AxisymProfile,
-    sphere: LatitudeSphere,
-    k_max: int = 4,
-    eps: float = 1e-2,
+    profile: AxisymProfile, sphere: LatitudeSphere, k_max: int = 4
 ) -> LatitudeSphere:
     """Fill a sphere's jacobi_Q, index and nullity from its spectrum."""
-    spectrum = jacobi_spectrum(profile, sphere.theta, k_max, eps)
+    spectrum = jacobi_spectrum(profile, sphere.theta, k_max)
     return replace(
         sphere, jacobi_Q=spectrum.jacobi_Q, index=spectrum.index, nullity=spectrum.nullity
     )
@@ -754,12 +752,11 @@ class StarReport:
     star_holds_on_axisym_candidates: bool
 
 
-def star_scan(profile: AxisymProfile, k_max: int = 4, eps: float = 1e-2) -> StarReport:
+def star_scan(profile: AxisymProfile, k_max: int = 4) -> StarReport:
     """Analyze every critical latitude sphere and test the stability verdict."""
     bound = width_upper_bound(profile)
     spheres = [
-        analyze_sphere(profile, s, k_max=k_max, eps=eps)
-        for s in minimal_coordinate_spheres(profile)
+        analyze_sphere(profile, s, k_max=k_max) for s in minimal_coordinate_spheres(profile)
     ]
     violating = [
         s for s in spheres if s.index == 0 and s.nullity == 0 and s.area <= bound

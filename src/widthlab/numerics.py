@@ -5,9 +5,9 @@ Richardson error control, and ``latitude_grid(n)``, the one discretization of
 the uniform grid theta_i = i * pi / (n - 1) over [0, pi]: nodes, composite
 Simpson weights, and the scalar-curvature stencil of conformal metrics
 ``u^4 g_round``.  Volumes, areas, curvature fields and the flow all evaluate
-through it.  The Berger width and the Jacobi term are closed forms and finite
-differences of areas, so the adaptive integrator serves only the quadrature
-reference ``conformal.second_variation_oracle`` and the tests.
+through it.  The Berger width and the Jacobi term are closed forms, so the
+adaptive integrator serves only the fine-grid cross-check
+``conformal.second_variation_oracle`` and the tests.
 """
 
 from __future__ import annotations
@@ -226,13 +226,16 @@ class LatitudeGrid:
     def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Scalar curvature, volume and volume-averaged curvature of u.
 
-        ``u^6`` is formed once and serves both integrals.
+        ``u^6`` is formed once and serves both integrals.  A volume that is
+        not positive (``u^6`` underflowed) raises ``ValueError``.
         """
         tmp = self._tmp
         scalar = self.scalar_curvature(u)
         u6 = np.power(u, 6.0, out=self._pow)
         np.multiply(u6, self.sin2, out=tmp)
         vol = 4.0 * np.pi * float(self.simpson.dot(tmp))
+        if not vol > 0.0:
+            raise ValueError(f"volume {vol!r} is not positive (min(u) = {u.min():.3e})")
         np.multiply(scalar, u6, out=tmp)
         np.multiply(tmp, self.sin2, out=tmp)
         r = 4.0 * np.pi * float(self.simpson.dot(tmp)) / vol

@@ -167,7 +167,10 @@ def _advance(
                 f"conformal factor lost positivity during an explicit sub-step "
                 f"of size {sub:.3e}"
             )
-        scale = (target_volume / grid.volume(u)) ** (1.0 / 6.0)
+        vol = grid.volume(u)
+        if not vol > 0.0:
+            raise FlowError(f"volume underflowed to {vol!r} (min(u) = {lo:.3e})")
+        scale = (target_volume / vol) ** (1.0 / 6.0)
         u = u * scale
         lo *= scale
         remaining -= sub
@@ -184,8 +187,9 @@ def step(state: FlowState, dt: float) -> FlowState:
     renormalization.
 
     Raises:
-        FlowError: on positivity loss or an unsatisfiable stability bound.
-        ValueError: for a non-positive dt.
+        FlowError: on positivity loss, volume underflow or an unsatisfiable
+            stability bound.
+        ValueError: for a non-positive dt or a state of zero volume.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -235,7 +239,8 @@ def run(
     Raises:
         ValueError: for non-positive or non-finite dt/t_end, more than
             ``MAX_STEPS`` outer steps, or sample_every < 1.
-        FlowError: positivity loss or unsatisfiable stability constraint.
+        FlowError: positivity loss, volume underflow or unsatisfiable
+            stability constraint.
     """
     if not (0.0 < dt < math.inf) or not (0.0 < t_end < math.inf):
         raise ValueError(

@@ -3,7 +3,8 @@
 Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
-integrals from a sample-based composite Simpson rule.  The explicit flow
+integrals from a sample-based composite Simpson rule, the Jacobi term Q
+from exact derivatives of a cosine series.  The explicit flow
 step is kept here in its unfused form, one numpy expression per quantity, as
 the reference the fused step in ``widthlab.yamabe`` must match bit for bit.  The membership LP is kept here as the dense simplex over
 ``fractions.Fraction`` that the integer tableau in ``widthlab.equidist`` must
@@ -116,6 +117,22 @@ def mc_tilted_sphere_area(
         total += np.sum(u(np.arccos(np.clip(x[:, 3], -1.0, 1.0))) ** 4)
         remaining -= m
     return 4.0 * np.pi * radius**2 * total / samples
+
+
+def cosine_series_jacobi_q(coeffs: Sequence[float], theta: float) -> float:
+    """Analytic Jacobi Q of ``u = 1 + sum_k a_k cos(k theta)`` at ``theta``.
+
+    ``Q = u^-4 [2 - 2 w'' - 2 cot(theta) w'] + 2 u^-4 (cot(theta) + w')^2``
+    with ``w = 2 ln u``, from the exact u, u' and u'' of the series.
+    """
+    modes = list(enumerate(coeffs, start=1))
+    u = 1.0 + sum(a * math.cos(k * theta) for k, a in modes)
+    du = -sum(k * a * math.sin(k * theta) for k, a in modes)
+    d2u = -sum(k * k * a * math.cos(k * theta) for k, a in modes)
+    dw = 2.0 * du / u
+    d2w = 2.0 * (d2u / u - (du / u) ** 2)
+    cot = 1.0 / math.tan(theta)
+    return (2.0 - 2.0 * d2w - 2.0 * cot * dw + 2.0 * (cot + dw) ** 2) / u**4
 
 
 def composite_simpson(values: Sequence[float] | np.ndarray, spacing: float) -> float:

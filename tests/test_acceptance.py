@@ -109,7 +109,7 @@ def test_criterion_05_round_geometry_suite():
     vol_ok = abs(vol - 2.0 * math.pi**2) < 1e-8
     r_ok = float(np.max(np.abs(curvature - 6.0))) < 1e-8
     area_ok = abs(area - 4.0 * math.pi) < 1e-10
-    q_ok = abs(spectrum.jacobi_Q - 2.0) < 1e-3
+    q_ok = abs(spectrum.jacobi_Q - 2.0) < 1e-12
     morse_ok = spectrum.index == 1 and spectrum.nullity == 3
     ok = vol_ok and r_ok and area_ok and q_ok and morse_ok
     _report(5, "round-metric geometry suite", ok,

@@ -1,6 +1,7 @@
 """Tests for the batch command-line front end: config resolution, output
 formats, determinism, and exit codes."""
 
+import argparse
 import json
 import warnings
 
@@ -160,6 +161,19 @@ class TestArgumentHandling:
         assert json.loads(first.read_text())["config"]["tol"] == 1e-3
         assert json.loads(second.read_text())["config"]["tol"] == 1e-9
 
+    def test_param_defaults_match_parser_flags(self):
+        # Every config key is a flag of its subcommand and vice versa, so a
+        # removed flag cannot leave a dead config key behind.
+        subparsers = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        shared = {"help", "config", "output_path", "input_path"}
+        assert set(subparsers.choices) == set(cli._PARAM_DEFAULTS)
+        for command, sp in subparsers.choices.items():
+            dests = {a.dest for a in sp._actions} - shared
+            assert dests == set(cli._PARAM_DEFAULTS[command]), command
+
     def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
         out = str(tmp_path / "s.csv")
         assert cli.main(["berger-scan", "--n", "3", "--output", out]) == 0
@@ -258,11 +272,6 @@ class TestConformalAnalyze:
         [
             (["--k-max", "1"], "--k-max"),
             (["--k-max", str(cf.MAX_JACOBI_DEGREE + 1)], "--k-max"),
-            (["--eps", "0"], "--eps"),
-            (["--eps", "-0.01"], "--eps"),
-            (["--eps", str(2 * cf.MAX_VARIATION_EPS)], "--eps"),
-            (["--eps", "nan"], "--eps"),
-            (["--eps", "inf"], "--eps"),
         ],
     )
     def test_bad_spectrum_input_rejected_before_work(self, tmp_path, bump_profile_path,
@@ -277,20 +286,22 @@ class TestConformalAnalyze:
         assert_only_error_line(capsys, named)
         assert not out.exists()
 
-    def test_eps_too_large_for_one_sphere_names_the_flag(self, tmp_path, capsys):
-        # eps = 0.25 is in range, but the equator of u = 0.5 admits
-        # eps <= (pi/4) u^2 = pi/16 only.
+    def test_eps_is_not_an_option(self, tmp_path, round_profile_path, capsys):
+        assert cli.main(["conformal-analyze", "--input", round_profile_path,
+                         "--eps", "0.01"]) == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eps": 0.01}))
+        assert cli.main(["conformal-analyze", "--input", round_profile_path,
+                         "--config", str(cfg_path)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_small_constant_profile_analyzes(self, tmp_path):
+        # The equator of u = 0.5 is a round sphere of radius 1/4.
         path = write_constant_profile(tmp_path / "half.json", 0.5, 61)
         out = tmp_path / "ana.json"
-        assert cli.main(["conformal-analyze", "--input", path, "--eps", "0.25",
-                         "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --eps: ") and err.count("\n") == 1
-        assert "theta*=1.5708" in err
-        assert f"eps <= {np.pi / 16:.6g}" in err
-        assert not out.exists()
-        assert cli.main(["conformal-analyze", "--input", path, "--eps", "0.19",
-                         "--output", str(out)]) == 0
+        assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
+        spheres = json.loads(out.read_text())["minimal_spheres"]
+        assert [(s["index"], s["nullity"]) for s in spheres] == [(1, 3)]
 
     def test_degree_cap_is_accepted(self, tmp_path, bump_profile_path):
         out = str(tmp_path / "ana.json")

@@ -113,6 +113,22 @@ class TestStep:
         with pytest.raises(yamabe.FlowError):
             yamabe.step(yamabe.flow_state(p), 5.0)
 
+    def test_underflowed_volume_rejected(self):
+        # u^6 = 1e-360 underflows to 0, so the volume is 0.
+        p = AxisymProfile.round_profile(101, 1e-60)
+        for quantity in (yamabe.flow_state, yamabe.average_scalar_curvature,
+                         yamabe.hilbert_einstein_energy):
+            with pytest.raises(ValueError, match="volume"):
+                quantity(p)
+
+    def test_volume_underflow_in_substep_is_flow_error(self):
+        # The evaluation of the round profile has R = r, so the sub-step
+        # leaves u = 1e-60 as it is and its volume underflows to 0.
+        grid = latitude_grid(101)
+        evaluation = grid.evaluate(np.ones(101))
+        with pytest.raises(yamabe.FlowError, match="volume"):
+            yamabe._advance(grid, np.full(101, 1e-60), 1e-4, 1.0, evaluation)
+
 
 class TestRun:
     def test_round_converges_immediately(self):
