@@ -6,6 +6,12 @@ sidecar at ``<path>.meta.json``).  Each emitted file embeds the fully
 resolved configuration and the format version string, and repeated runs
 with identical configuration produce byte-identical files.
 
+Each subcommand is declared once, in ``_SUBCOMMANDS``: handler, help, default
+output, input flag, and per parameter its default (whose type is the flag's
+type), help and validity rule.  The parser, the defaults that ``--config`` and
+the flags override, and the range checks all derive from it; every value is
+checked before any input file is read.
+
 Exit codes: 0 on success, 1 on validation errors (bad flags, unreadable
 input, precondition violations), 2 on numerical failure (flow positivity
 loss or a failed self-test item).
@@ -19,11 +25,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import berger, conformal, equidist, yamabe
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, json_text
 
 __all__ = [
     "FORMAT_VERSION",
@@ -40,55 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-_COMMANDS = (
-    "berger-scan",
-    "berger-certify",
-    "conformal-analyze",
-    "yamabe-run",
-    "equidist-check",
-    "equidist-sequence",
-    "roundcheck",
-)
-
-_PARAM_DEFAULTS: dict[str, dict] = {
-    "berger-scan": {"rho_min": 1e-3, "rho_max": 1e4, "n": 50},
-    "berger-certify": {
-        "h": 1e-2,
-        "grid_lo": 1e-2,
-        "grid_hi": 1.99,
-        "grid_n": 100,
-        "tol": 1e-4,
-    },
-    "conformal-analyze": {"k_max": 4},
-    "yamabe-run": {
-        "t_end": 1.0,
-        "dt": 1e-4,
-        "sample_every": 500,
-        "convergence_tol": 1e-3,
-        "trace_csv": None,
-    },
-    "equidist-check": {"tol": 1e-9},
-    "equidist-sequence": {"k_max": 10_000, "weighted": False, "tol": 1e-9},
-    "roundcheck": {},
-}
-
-_DEFAULT_OUTPUT = {
-    "berger-scan": "berger_scan.csv",
-    "berger-certify": "berger_certify.json",
-    "conformal-analyze": "conformal_analyze.json",
-    "yamabe-run": "yamabe_run.json",
-    "equidist-check": "equidist_check.json",
-    "equidist-sequence": "equidist_trace.csv",
-    "roundcheck": "roundcheck.json",
-}
-
-_NEEDS_INPUT = {
-    "conformal-analyze",
-    "yamabe-run",
-    "equidist-check",
-    "equidist-sequence",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,10 +58,11 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        spec = _SUBCOMMANDS.get(self.command)
+        if spec is None:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.command in _NEEDS_INPUT and not self.input_path:
-            raise ValueError(f"{self.command} requires an input path")
+        if spec.input_flag and not self.input_path:
+            raise ValueError(f"{self.command} requires an input path ({spec.input_flag})")
 
     def as_dict(self) -> dict:
         return {
@@ -114,28 +73,9 @@ class RunConfig:
         }
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(
-        path,
-        json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default)
-        + "\n",
-    )
-
-
 def _write_sidecar(csv_path: str, cfg: RunConfig) -> None:
-    _write_json(
-        csv_path + ".meta.json", {"format": FORMAT_VERSION, "config": cfg.as_dict()}
-    )
+    payload = {"format": FORMAT_VERSION, "config": cfg.as_dict()}
+    atomic_write_text(csv_path + ".meta.json", json_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +93,9 @@ def _run_berger_scan(cfg: RunConfig) -> None:
 
 def _run_berger_certify(cfg: RunConfig) -> None:
     p = cfg.params
-    if not (1 <= p["grid_n"] <= berger.MAX_SCAN_POINTS):
+    if not p["grid_lo"] < p["grid_hi"]:
         raise ValueError(
-            f"--grid-n must be between 1 and {berger.MAX_SCAN_POINTS}, got {p['grid_n']}"
-        )
-    if not (0.0 < p["grid_lo"] < p["grid_hi"] < 2.0):
-        raise ValueError(
-            f"need 0 < --grid-lo < --grid-hi < 2, got [{p['grid_lo']}, {p['grid_hi']}]"
+            f"need --grid-lo < --grid-hi, got [{p['grid_lo']}, {p['grid_hi']}]"
         )
     certificate = berger.local_min_certificate(p["h"], first_tol=p["tol"])
     rhos = np.geomspace(p["grid_lo"], p["grid_hi"], p["grid_n"])
@@ -181,7 +117,7 @@ def _run_berger_certify(cfg: RunConfig) -> None:
             "equality_rhos": equality_rhos,
         },
     }
-    _write_json(cfg.output_path, payload)
+    atomic_write_text(cfg.output_path, json_text(payload))
     print(
         f"local min passed={certificate.passed}, "
         f"bound holds={payload['product_bound']['all_below_bound']} "
@@ -200,22 +136,16 @@ def _sphere_payload(sphere) -> dict:
     }
 
 
-_PROFILE_FLAG = {"conformal-analyze": "--input", "yamabe-run": "--profile"}
-
-
 def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
     try:
         return conformal.load_profile(cfg.input_path)
     except conformal.ProfileError as exc:
-        raise conformal.ProfileError(f"{_PROFILE_FLAG[cfg.command]}: {exc}") from None
+        flag = _SUBCOMMANDS[cfg.command].input_flag
+        raise conformal.ProfileError(f"{flag}: {exc}") from None
 
 
 def _run_conformal_analyze(cfg: RunConfig) -> None:
     p = cfg.params
-    if not (2 <= p["k_max"] <= conformal.MAX_JACOBI_DEGREE):
-        raise ValueError(
-            f"--k-max must be between 2 and {conformal.MAX_JACOBI_DEGREE}, got {p['k_max']}"
-        )
     profile = _load_profile(cfg)
     star = conformal.star_scan(profile, k_max=p["k_max"])
     curvature = conformal.scalar_curvature_field(profile)
@@ -240,7 +170,7 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
             "passed": iso.passed,
         },
     }
-    _write_json(cfg.output_path, payload)
+    atomic_write_text(cfg.output_path, json_text(payload))
     print(
         f"analyzed {cfg.input_path}: {len(star.minimal_spheres)} minimal "
         f"spheres, width bound {star.width_upper_bound:.6f}"
@@ -278,29 +208,14 @@ def _run_equidist_check(cfg: RunConfig) -> None:
     payload = {
         "format": FORMAT_VERSION,
         "config": cfg.as_dict(),
-        "verdict": certificate.verdict,
-        "coefficients": (
-            [[j, c] for j, c in certificate.coefficients]
-            if certificate.coefficients is not None
-            else None
-        ),
-        "separating_f": (
-            [float(v) for v in certificate.separating_f]
-            if certificate.separating_f is not None
-            else None
-        ),
+        **equidist.certificate_payload(certificate),
     }
-    _write_json(cfg.output_path, payload)
+    atomic_write_text(cfg.output_path, json_text(payload))
     print(f"{cfg.input_path}: {certificate.verdict}")
 
 
 def _run_equidist_sequence(cfg: RunConfig) -> None:
     p = cfg.params
-    if not (1 <= p["k_max"] <= equidist.MAX_SEQUENCE_STEPS):
-        raise ValueError(
-            f"--k-max must be between 1 and {equidist.MAX_SEQUENCE_STEPS}, "
-            f"got {p['k_max']}"
-        )
     mu0, family = equidist.load_instance(cfg.input_path)
     if p["weighted"]:
         trace = equidist.weighted_cesaro_structured(
@@ -435,21 +350,110 @@ def _run_roundcheck(cfg: RunConfig) -> int:
             for i in report.items
         ],
     }
-    _write_json(cfg.output_path, payload)
+    atomic_write_text(cfg.output_path, json_text(payload))
     if not report.passed:
         print("numerical failure: roundcheck self-test failed", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-_HANDLERS = {
-    "berger-scan": _run_berger_scan,
-    "berger-certify": _run_berger_certify,
-    "conformal-analyze": _run_conformal_analyze,
-    "yamabe-run": _run_yamabe_run,
-    "equidist-check": _run_equidist_check,
-    "equidist-sequence": _run_equidist_sequence,
-    "roundcheck": _run_roundcheck,
+# ---------------------------------------------------------------------------
+# The subcommand table, and the dispatch, parser, defaults and range checks
+# derived from it.
+# ---------------------------------------------------------------------------
+
+
+def _between(lo, hi) -> tuple:
+    return (lambda v: lo <= v <= hi), f"between {lo} and {hi}"
+
+
+def _inside(lo, hi) -> tuple:
+    return (lambda v: lo < v < hi), f"in ({lo}, {hi})"
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf), "finite and > 0"
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf), "finite and >= 0"
+_AT_LEAST_ONE = (lambda v: v >= 1), ">= 1"
+
+
+@dataclass(frozen=True)
+class _Param:
+    """Config key ``key``, flag ``--key`` with dashes.  The default's type is
+    the flag's type (a bool is an on-switch, None a path).  ``rule`` is a
+    ``(predicate, text)`` pair: a failing value is ``--flag must be <text>``."""
+
+    key: str
+    default: object
+    help: str | None = None
+    rule: tuple | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    handler: Callable[[RunConfig], int | None]
+    help: str
+    output: str
+    input_flag: str | None = None
+    input_help: str | None = None
+    params: tuple[_Param, ...] = ()
+
+
+_SUBCOMMANDS = {
+    "berger-scan": _Subcommand(
+        _run_berger_scan, "normalized width over a log grid", "berger_scan.csv",
+        params=(
+            _Param("rho_min", 1e-3, rule=_POSITIVE),
+            _Param("rho_max", 1e4, rule=_POSITIVE),
+            _Param("n", 50, "number of grid points", _between(2, berger.MAX_SCAN_POINTS)),
+        ),
+    ),
+    "berger-certify": _Subcommand(
+        _run_berger_certify, "round local minimum and product bound certificates",
+        "berger_certify.json",
+        params=(
+            _Param("h", 1e-2, "finite-difference step", _inside(0, 0.5)),
+            _Param("grid_lo", 1e-2, rule=_inside(0, 2)),
+            _Param("grid_hi", 1.99, rule=_inside(0, 2)),
+            _Param("grid_n", 100, rule=_between(1, berger.MAX_SCAN_POINTS)),
+            _Param("tol", 1e-4, rule=_POSITIVE),
+        ),
+    ),
+    "conformal-analyze": _Subcommand(
+        _run_conformal_analyze, "minimal spheres, width bound, and stability",
+        "conformal_analyze.json", "--input", "profile JSON",
+        params=(_Param("k_max", 4, rule=_between(2, conformal.MAX_JACOBI_DEGREE)),),
+    ),
+    "yamabe-run": _Subcommand(
+        _run_yamabe_run, "normalized Yamabe flow from a profile", "yamabe_run.json",
+        "--profile", "initial profile JSON",
+        params=(
+            _Param("t_end", 1.0, rule=_POSITIVE),
+            _Param("dt", 1e-4, rule=_POSITIVE),
+            _Param("sample_every", 500, rule=_AT_LEAST_ONE),
+            _Param("convergence_tol", 1e-3, rule=_NONNEGATIVE),
+            _Param("trace_csv", None, "also write the monitor CSV"),
+        ),
+    ),
+    "equidist-check": _Subcommand(
+        _run_equidist_check, "cone-hull membership certificate", "equidist_check.json",
+        "--input", "instance JSON", params=(_Param("tol", 1e-9, rule=_POSITIVE),),
+    ),
+    "equidist-sequence": _Subcommand(
+        _run_equidist_sequence, "greedy Cesaro error trace", "equidist_trace.csv",
+        "--input", "instance JSON",
+        params=(
+            _Param("k_max", 10_000, rule=_between(1, equidist.MAX_SEQUENCE_STEPS)),
+            _Param("tol", 1e-9, rule=_POSITIVE),
+            _Param("weighted", False, "use the mass-weighted structured variant"),
+        ),
+    ),
+    "roundcheck": _Subcommand(
+        _run_roundcheck, "one-shot round-metric self-test", "roundcheck.json"
+    ),
 }
 
 
@@ -459,7 +463,7 @@ def dispatch(cfg: RunConfig) -> int:
     Handlers return None on success; the self-test returns its exit code.
     """
     try:
-        code = _HANDLERS[cfg.command](cfg)
+        code = _SUBCOMMANDS[cfg.command].handler(cfg)
     except (yamabe.FlowError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -467,11 +471,6 @@ def dispatch(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if code is None else code
-
-
-# ---------------------------------------------------------------------------
-# Argument parsing and config resolution.
-# ---------------------------------------------------------------------------
 
 
 @functools.cache
@@ -487,64 +486,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "with machine-readable output.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(sp):
+    for name, spec in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--output", dest="output_path", help="output file path")
-
-    sp = sub.add_parser("berger-scan", help="normalized width over a log grid")
-    common(sp)
-    sp.add_argument("--rho-min", dest="rho_min", type=float)
-    sp.add_argument("--rho-max", dest="rho_max", type=float)
-    sp.add_argument("--n", dest="n", type=int, help="number of grid points")
-
-    sp = sub.add_parser(
-        "berger-certify", help="round local minimum and product bound certificates"
-    )
-    common(sp)
-    sp.add_argument("--h", dest="h", type=float, help="finite-difference step")
-    sp.add_argument("--grid-lo", dest="grid_lo", type=float)
-    sp.add_argument("--grid-hi", dest="grid_hi", type=float)
-    sp.add_argument("--grid-n", dest="grid_n", type=int)
-    sp.add_argument("--tol", dest="tol", type=float)
-
-    sp = sub.add_parser(
-        "conformal-analyze", help="minimal spheres, width bound, and stability"
-    )
-    common(sp)
-    sp.add_argument("--input", dest="input_path", help="profile JSON")
-    sp.add_argument("--k-max", dest="k_max", type=int)
-
-    sp = sub.add_parser("yamabe-run", help="normalized Yamabe flow from a profile")
-    common(sp)
-    sp.add_argument("--profile", dest="input_path", help="initial profile JSON")
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--dt", dest="dt", type=float)
-    sp.add_argument("--sample-every", dest="sample_every", type=int)
-    sp.add_argument("--convergence-tol", dest="convergence_tol", type=float)
-    sp.add_argument("--trace-csv", dest="trace_csv", help="also write the monitor CSV")
-
-    sp = sub.add_parser("equidist-check", help="cone-hull membership certificate")
-    common(sp)
-    sp.add_argument("--input", dest="input_path", help="instance JSON")
-    sp.add_argument("--tol", dest="tol", type=float)
-
-    sp = sub.add_parser("equidist-sequence", help="greedy Cesaro error trace")
-    common(sp)
-    sp.add_argument("--input", dest="input_path", help="instance JSON")
-    sp.add_argument("--k-max", dest="k_max", type=int)
-    sp.add_argument("--tol", dest="tol", type=float)
-    sp.add_argument(
-        "--weighted",
-        dest="weighted",
-        action="store_const",
-        const=True,
-        help="use the mass-weighted structured variant",
-    )
-
-    sp = sub.add_parser("roundcheck", help="one-shot round-metric self-test")
-    common(sp)
-
+        if spec.input_flag:
+            sp.add_argument(spec.input_flag, dest="input_path", help=spec.input_help)
+        for p in spec.params:
+            if isinstance(p.default, bool):
+                sp.add_argument(p.flag, action="store_const", const=True, help=p.help)
+            else:
+                kind = None if p.default is None else type(p.default)
+                sp.add_argument(p.flag, type=kind, help=p.help)
     return parser
 
 
@@ -569,22 +522,22 @@ def _check_config_type(key: str, value, default) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, optional JSON config file, and explicit flags."""
-    command = args.command
-    params = dict(_PARAM_DEFAULTS[command])
-    merged = {
-        "input_path": None,
-        "output_path": _DEFAULT_OUTPUT[command],
-        **params,
-    }
+    """Merge defaults, optional JSON config file, and explicit flags, then
+    check every parameter against its rule, before any input is read."""
+    spec = _SUBCOMMANDS[args.command]
+    merged = {"input_path": None, "output_path": spec.output,
+              **{p.key: p.default for p in spec.params}}
     if getattr(args, "config", None):
         with open(args.config) as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ValueError(
+                f"config file {args.config} must hold a JSON object, "
+                f"got {type(file_values).__name__}"
+            )
         unknown = set(file_values) - set(merged)
         if unknown:
-            raise ValueError(
-                f"unknown config keys for {command}: {sorted(unknown)}"
-            )
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         for key, value in file_values.items():
             _check_config_type(key, value, merged[key])
         merged.update(file_values)
@@ -592,8 +545,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for p in spec.params:
+        if p.rule is not None and not p.rule[0](merged[p.key]):
+            raise ValueError(f"{p.flag} must be {p.rule[1]}, got {merged[p.key]!r}")
     return RunConfig(
-        command=command,
+        command=args.command,
         output_path=merged.pop("output_path"),
         input_path=merged.pop("input_path"),
         params=merged,

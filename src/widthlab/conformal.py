@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, is_number_list, json_text
 from .numerics import (
     GridFunction,
     QuadratureConfig,
@@ -151,15 +151,18 @@ def load_profile(path: str) -> AxisymProfile:
     """Read a profile from JSON ``{"n": ..., "u": [...], "description": ...}``.
 
     Raises:
-        ProfileError: a malformed file, an ``n`` that is not an integer equal
-            to the number of samples, more than ``MAX_PROFILE_NODES``
-            nodes, or a profile whose volume or scalar curvature overflows
-            or underflows in floating point.
+        ProfileError: a malformed file, a ``u`` that is not a list of
+            numbers, an ``n`` that is not an integer equal to the number of
+            samples, more than ``MAX_PROFILE_NODES`` nodes, or a profile
+            whose volume or scalar curvature overflows or underflows in
+            floating point.
     """
     with open(path, "r") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "n" not in payload or "u" not in payload:
         raise ProfileError(f"profile file {path} must contain 'n' and 'u'")
+    if not is_number_list(payload["u"]):
+        raise ProfileError(f"profile file {path}: 'u' must be a list of numbers")
     u = np.asarray(payload["u"], dtype=float)
     if u.size > MAX_PROFILE_NODES:
         raise ProfileError(
@@ -188,7 +191,7 @@ def save_profile(profile: AxisymProfile, path: str, description: str | None = No
     payload: dict = {"n": profile.n, "u": [float(v) for v in profile.u]}
     if description is not None:
         payload["description"] = description
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json_text(payload))
 
 
 def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, is_number_list, json_text
 
 __all__ = [
     "FiniteMeasure",
@@ -49,6 +49,7 @@ __all__ = [
     "equivalence_harness",
     "save_instance",
     "load_instance",
+    "certificate_payload",
     "write_certificate_json",
     "write_trace_csv",
 ]
@@ -836,46 +837,61 @@ def save_instance(path: str, mu0: FiniteMeasure, family: MeasureFamily) -> None:
             "multiplicity_bound": family.structure.multiplicity_bound,
             "mass_bounds": [float(v) for v in family.structure.mass_bounds],
         }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json_text(payload))
+
+
+def _measures(rows, key: str) -> tuple[FiniteMeasure, ...]:
+    if not isinstance(rows, list) or not all(is_number_list(row) for row in rows):
+        raise ValueError(f"{key!r} must be a list of rows of numbers")
+    return tuple(FiniteMeasure(np.asarray(row, dtype=float)) for row in rows)
 
 
 def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
-    """Read an instance written by save_instance."""
+    """Read an instance written by save_instance.  A file that is not a JSON
+    object with an integer ``n`` equal to the length of ``mu0``, numeric rows
+    ``Y`` (and ``W``), an integer ``multiplicity_bound`` and a pair
+    ``mass_bounds`` raises a ``ValueError`` that names the file."""
     with open(path, "r") as handle:
         payload = json.load(handle)
-    mu0 = FiniteMeasure(np.asarray(payload["mu0"], dtype=float))
-    if mu0.n != int(payload["n"]):
-        raise ValueError(f"instance file {path}: n={payload['n']} but mu0 has {mu0.n}")
-    members = tuple(FiniteMeasure(np.asarray(row, dtype=float)) for row in payload["Y"])
-    structure = None
-    if "structure" in payload:
-        raw = payload["structure"]
-        structure = FamilyStructure(
-            base=tuple(
-                FiniteMeasure(np.asarray(row, dtype=float)) for row in raw["W"]
-            ),
-            multiplicity_bound=int(raw["multiplicity_bound"]),
-            mass_bounds=(float(raw["mass_bounds"][0]), float(raw["mass_bounds"][1])),
-        )
-    return mu0, MeasureFamily(members=members, structure=structure)
+    try:
+        if not isinstance(payload, dict) or not is_number_list(payload.get("mu0")):
+            raise ValueError("must be a JSON object with a list of numbers 'mu0'")
+        mu0 = FiniteMeasure(np.asarray(payload["mu0"], dtype=float))
+        n = payload.get("n")
+        if type(n) is not int or n != mu0.n:
+            raise ValueError(f"n={n!r} is not the integer length of mu0, {mu0.n}")
+        structure = None
+        if "structure" in payload:
+            raw = payload["structure"]
+            if not isinstance(raw, dict) or type(raw.get("multiplicity_bound")) is not int:
+                raise ValueError("'structure' must hold an integer 'multiplicity_bound'")
+            mass_bounds = raw.get("mass_bounds")
+            if not is_number_list(mass_bounds) or len(mass_bounds) != 2:
+                raise ValueError("'mass_bounds' must be a pair of numbers")
+            structure = FamilyStructure(
+                base=_measures(raw.get("W"), "W"),
+                multiplicity_bound=raw["multiplicity_bound"],
+                mass_bounds=(float(mass_bounds[0]), float(mass_bounds[1])),
+            )
+        members = _measures(payload.get("Y"), "Y")
+        return mu0, MeasureFamily(members=members, structure=structure)
+    except ValueError as exc:
+        raise ValueError(f"instance file {path}: {exc}") from None
+
+
+def certificate_payload(certificate: MembershipCertificate) -> dict:
+    """The JSON fields of a membership certificate."""
+    coeffs, f = certificate.coefficients, certificate.separating_f
+    return {
+        "verdict": certificate.verdict,
+        "coefficients": None if coeffs is None else [[j, c] for j, c in coeffs],
+        "separating_f": None if f is None else [float(v) for v in f],
+    }
 
 
 def write_certificate_json(certificate: MembershipCertificate, path: str) -> None:
     """Write a membership certificate as JSON."""
-    payload = {
-        "verdict": certificate.verdict,
-        "coefficients": (
-            [[j, c] for j, c in certificate.coefficients]
-            if certificate.coefficients is not None
-            else None
-        ),
-        "separating_f": (
-            [float(v) for v in certificate.separating_f]
-            if certificate.separating_f is not None
-            else None
-        ),
-    }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json_text(certificate_payload(certificate)))
 
 
 def write_trace_csv(trace: EquidistTrace, path: str) -> None:

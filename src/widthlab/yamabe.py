@@ -41,13 +41,12 @@ time derivative of the maximal latitude area (estimated by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, json_text
 from .conformal import (
     AxisymProfile,
     LatitudeSphere,
@@ -527,5 +526,5 @@ def write_run_summary_json(
             "latitude_passed": report.latitude_passed,
         },
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json_text(payload))
     return report

@@ -169,16 +169,92 @@ class TestArgumentHandling:
             if isinstance(a, argparse._SubParsersAction)
         )
         shared = {"help", "config", "output_path", "input_path"}
-        assert set(subparsers.choices) == set(cli._PARAM_DEFAULTS)
+        assert set(subparsers.choices) == set(cli._SUBCOMMANDS)
         for command, sp in subparsers.choices.items():
             dests = {a.dest for a in sp._actions} - shared
-            assert dests == set(cli._PARAM_DEFAULTS[command]), command
+            assert dests == {p.key for p in cli._SUBCOMMANDS[command].params}, command
+
+    @pytest.mark.parametrize("content", ["5", "[[1]]"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        assert cli.main(["berger-scan", "--config", str(cfg_path)]) == 1
+        assert_only_error_line(capsys, "JSON object")
 
     def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
         out = str(tmp_path / "s.csv")
         assert cli.main(["berger-scan", "--n", "3", "--output", out]) == 0
         config = json.loads(open(out + ".meta.json").read())["config"]
         assert "seed" not in config and "threads" not in config
+
+
+RULED = [
+    (command, param)
+    for command, spec in cli._SUBCOMMANDS.items()
+    for param in spec.params
+    if param.rule is not None
+]
+
+
+@pytest.fixture
+def inputs_unread(monkeypatch):
+    def unreachable(path):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cf, "load_profile", unreachable)
+    monkeypatch.setattr(eq, "load_instance", unreachable)
+
+
+def command_line(command, tmp_path, *flags):
+    spec = cli._SUBCOMMANDS[command]
+    argv = [command, *flags, "--output", str(tmp_path / "out")]
+    if spec.input_flag:
+        argv += [spec.input_flag, "input.json"]
+    return argv
+
+
+class TestParameterRules:
+    def test_defaults_pass_their_rules(self):
+        assert RULED
+        for command, param in RULED:
+            assert param.rule[0](param.default), (command, param.key)
+
+    @pytest.mark.parametrize(
+        "command, param", RULED, ids=[f"{c}{p.flag}" for c, p in RULED]
+    )
+    def test_bad_value_rejected_before_work(self, tmp_path, capsys, inputs_unread,
+                                            command, param):
+        bad_values = ["0", "-1"] if isinstance(param.default, int) else ["nan", "inf", "-1"]
+        for bad in bad_values:
+            assert cli.main(command_line(command, tmp_path, param.flag, bad)) == 1
+            assert_only_error_line(capsys, f"{param.flag} must be")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, values, flag",
+        [
+            ("equidist-check", {"tol": float("inf")}, "--tol"),
+            ("berger-certify", {"tol": -1}, "--tol"),
+            ("yamabe-run", {"convergence_tol": -1.0}, "--convergence-tol"),
+            ("equidist-sequence", {"k_max": 0}, "--k-max"),
+        ],
+    )
+    def test_config_file_values_follow_the_rules(self, tmp_path, capsys, inputs_unread,
+                                                 command, values, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        assert cli.main(command_line(command, tmp_path, "--config", str(cfg_path))) == 1
+        assert_only_error_line(capsys, f"{flag} must be")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_zero_convergence_tol_runs_to_t_end(self, tmp_path, round_profile_path):
+        out = tmp_path / "flow.json"
+        assert cli.main(["yamabe-run", "--profile", round_profile_path,
+                         "--t-end", "0.001", "--convergence-tol", "0",
+                         "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["status"] != "converged"
+        assert data["final"]["t"] == pytest.approx(0.001)
 
 
 class TestBergerScan:
@@ -352,6 +428,18 @@ class TestProfileInput:
         assert_only_error_line(capsys, flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("u", [{"a": 1}, "abc", [1.0] * 10 + ["1.0"], [True] * 11])
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_samples_must_be_numbers(self, tmp_path, capsys, u, command, flag):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 11, "u": u}))
+        out = tmp_path / "out.json"
+        assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, flag)
+        assert not out.exists()
+
     def test_node_cap_admits_cap(self, tmp_path):
         path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES)
         assert cf.load_profile(path).n == cf.MAX_PROFILE_NODES
@@ -471,6 +559,18 @@ class TestEquidistCommands:
                          "--k-max", str(k_max), "--output", out])
         assert code == 1
         assert_only_error_line(capsys, "--k-max")
+
+    @pytest.mark.parametrize("command", ["equidist-check", "equidist-sequence"])
+    @pytest.mark.parametrize(
+        "payload", [[1.0, 2.0], {"n": True, "mu0": [1.0], "Y": [[1.0]]}]
+    )
+    def test_malformed_instance_exits_one(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main([command, "--input", str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, str(path))
+        assert not out.exists()
 
     def test_sequence_rejects_non_member(self, tmp_path, nonmember_instance_path,
                                          capsys):

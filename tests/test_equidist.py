@@ -2,6 +2,7 @@
 Cesaro equidistribution constructions."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -418,6 +419,39 @@ class TestInstanceIO:
         path.write_text(json.dumps({"n": 3, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]]}))
         with pytest.raises(ValueError, match="n="):
             eq.load_instance(str(path))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1.0, 2.0],
+            {"n": 2.7, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]]},
+            {"n": "2", "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]]},
+            {"n": True, "mu0": [1.0], "Y": [[1.0]]},
+            {"n": 2, "mu0": [1.0, 2.0]},
+            {"n": 2, "mu0": [1.0, 2.0], "Y": 5},
+            {"n": 2, "mu0": [1.0, 2.0], "Y": [{"a": 1}]},
+            {"n": 2, "mu0": [1.0, "2"], "Y": [[1.0, 0.0]]},
+            {"n": 2, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]],
+             "structure": {"W": [[1.0, 0.0]], "multiplicity_bound": 1.5,
+                           "mass_bounds": [1.0, 1.0]}},
+            {"n": 2, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]],
+             "structure": {"W": [[1.0, 0.0]], "multiplicity_bound": 1,
+                           "mass_bounds": [2.0]}},
+            {"n": 2, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]], "structure": [1]},
+            {"n": 2, "mu0": [1.0, -2.0], "Y": [[1.0, 0.0]]},
+        ],
+    )
+    def test_malformed_file_rejected_by_name(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^instance file {re.escape(str(path))}: "):
+            eq.load_instance(str(path))
+
+    def test_certificate_payload_is_the_written_json(self, tmp_path):
+        certificate = eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0)))
+        path = tmp_path / "c.json"
+        eq.write_certificate_json(certificate, str(path))
+        assert json.loads(path.read_text()) == eq.certificate_payload(certificate)
 
     def test_certificate_json(self, tmp_path):
         member = eq.cone_hull_membership(fm(3.0, 3.0), fam(fm(1.0, 1.0)))
