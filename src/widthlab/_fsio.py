@@ -1,15 +1,21 @@
-"""File helpers shared by the modules: atomic writes, the one JSON encoding
-of reports and input files, and the numeric-list check of the loaders."""
+"""File helpers shared by the modules: atomic writes, the one report encoding
+(JSON sections under the format/config header, CSV with ``%.17g`` cells),
+the JSON-file reader and the numeric-list check of the loaders.
+
+The encoders return text; each module writes it with ``atomic_write_text``
+itself."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "json_text", "is_number_list"]
+__all__ = ["atomic_write_text", "json_text", "report_text", "csv_text", "read_json",
+           "is_number_list"]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -37,10 +43,54 @@ def _json_default(obj):
 
 
 def json_text(payload: dict) -> str:
-    """Compact JSON with sorted keys and a final newline.  Each module writes
-    it with ``atomic_write_text`` itself."""
+    """Compact JSON with sorted keys and a final newline."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=_json_default) + "\n"
+
+
+def report_text(config: dict, **sections) -> str:
+    """A JSON report: the sections under ``"format"`` (``cli.FORMAT_VERSION``)
+    and ``"config"`` (the resolved run configuration)."""
+    # Looked up per call: a caller that rebinds the public constant (the
+    # benchmark's self-test does) changes the reports written after it.
+    from .cli import FORMAT_VERSION
+
+    return json_text({"format": FORMAT_VERSION, "config": config, **sections})
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _column_cells(values):
+    """The cells of one column, formatted by the type of its first value."""
+    kind = type(values[0]) if len(values) else float
+    if kind is bool:
+        return map(_BOOL_TEXT.__getitem__, values)
+    if kind is int:
+        return map(str, values)
+    return map(format, values, repeat(".17g"))
+
+
+def csv_text(columns: dict) -> str:
+    """CSV from a mapping of column name to the column's values, a sequence
+    of one type: booleans are written ``true``/``false``, integers in full
+    and other numbers as ``%.17g`` (round-trip exact).
+
+    Columns rather than rows: the cells are formatted a column at a time,
+    and no row tuples pile up, which keeps 10,000-row traces as cheap as a
+    hand-written loop."""
+    body = zip(*map(_column_cells, columns.values()))
+    return "\n".join([",".join(columns), *map(",".join, body)]) + "\n"
+
+
+def read_json(path: str):
+    """The decoded content of the JSON file at ``path``; a file that is not
+    JSON raises a ``ValueError`` that names it."""
+    with open(path, "r") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a JSON file: {exc}") from None
 
 
 def is_number_list(value) -> bool:

@@ -17,11 +17,11 @@ width * scalar_curvature <= 24 pi with equality only at the round metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, csv_text
 from .numerics import central_second_difference
 
 __all__ = [
@@ -164,53 +164,36 @@ def scan(rho_min: float, rho_max: float, count: int) -> list[BergerReport]:
     return [report_at(r) for r in np.geomspace(rho_min, rho_max, count)]
 
 
-_CSV_HEADER = "rho,scalar_curvature,ricci_positive,volume,width,normalized_width"
+_SCAN_FIELDS = fields(BergerReport)
+_SCAN_COLUMNS = tuple(f.name for f in _SCAN_FIELDS)
 
 
 def write_scan_csv(reports: list[BergerReport], path: str) -> None:
-    """Write scan rows as CSV with ``%.17g`` floats (round-trip exact).
+    """Write scan rows as CSV, one column per ``BergerReport`` field, with
+    ``%.17g`` floats (round-trip exact).
 
     The file is written atomically: a sibling temporary file is populated and
     renamed over the target.
     """
-    lines = [_CSV_HEADER]
-    for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    format(rep.rho, ".17g"),
-                    format(rep.scalar_curvature, ".17g"),
-                    "true" if rep.ricci_positive else "false",
-                    format(rep.volume, ".17g"),
-                    format(rep.width, ".17g"),
-                    format(rep.normalized_width, ".17g"),
-                ]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = {name: [getattr(rep, name) for rep in reports] for name in _SCAN_COLUMNS}
+    atomic_write_text(path, csv_text(columns))
 
 
 def read_scan_csv(path: str) -> list[BergerReport]:
     """Read back a scan CSV, re-validating every row."""
     with open(path, "r") as handle:
         lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != _CSV_HEADER:
+    if not lines or lines[0] != ",".join(_SCAN_COLUMNS):
         raise ValueError(f"unrecognized scan CSV header in {path}")
     reports = []
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != 6:
+        if len(cells) != len(_SCAN_FIELDS):
             raise ValueError(f"malformed scan row: {line!r}")
-        reports.append(
-            BergerReport(
-                rho=float(cells[0]),
-                scalar_curvature=float(cells[1]),
-                ricci_positive={"true": True, "false": False}[cells[2]],
-                volume=float(cells[3]),
-                width=float(cells[4]),
-                normalized_width=float(cells[5]),
-            )
-        )
+        reports.append(BergerReport(**{
+            f.name: {"true": True, "false": False}[cell] if f.type == "bool" else float(cell)
+            for f, cell in zip(_SCAN_FIELDS, cells)
+        }))
     return reports
 
 

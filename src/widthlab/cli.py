@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import berger, conformal, equidist, yamabe
-from ._fsio import atomic_write_text, json_text
+from ._fsio import atomic_write_text, read_json, report_text
 
 __all__ = [
     "FORMAT_VERSION",
@@ -74,8 +73,7 @@ class RunConfig:
 
 
 def _write_sidecar(csv_path: str, cfg: RunConfig) -> None:
-    payload = {"format": FORMAT_VERSION, "config": cfg.as_dict()}
-    atomic_write_text(csv_path + ".meta.json", json_text(payload))
+    atomic_write_text(csv_path + ".meta.json", report_text(cfg.as_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +98,25 @@ def _run_berger_certify(cfg: RunConfig) -> None:
     certificate = berger.local_min_certificate(p["h"], first_tol=p["tol"])
     rhos = np.geomspace(p["grid_lo"], p["grid_hi"], p["grid_n"])
     checks = [berger.scalar_normalized_bound_check(r, tol=p["tol"]) for r in rhos]
-    equality_rhos = [c.rho for c in checks if c.equality]
-    payload = {
-        "format": FORMAT_VERSION,
-        "config": cfg.as_dict(),
-        "local_min": {
+    holds = all(c.passed for c in checks)
+    text = report_text(
+        cfg.as_dict(),
+        local_min={
             "h": certificate.h,
             "first_difference": certificate.first_difference,
             "second_difference": certificate.second_difference,
             "passed": certificate.passed,
         },
-        "product_bound": {
+        product_bound={
             "bound": berger.PRODUCT_BOUND,
             "max_product": max(c.product for c in checks),
-            "all_below_bound": all(c.passed for c in checks),
-            "equality_rhos": equality_rhos,
+            "all_below_bound": holds,
+            "equality_rhos": [c.rho for c in checks if c.equality],
         },
-    }
-    atomic_write_text(cfg.output_path, json_text(payload))
+    )
+    atomic_write_text(cfg.output_path, text)
     print(
-        f"local min passed={certificate.passed}, "
-        f"bound holds={payload['product_bound']['all_below_bound']} "
+        f"local min passed={certificate.passed}, bound holds={holds} "
         f"on {p['grid_n']} grid points"
     )
 
@@ -150,27 +146,22 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
     star = conformal.star_scan(profile, k_max=p["k_max"])
     curvature = conformal.scalar_curvature_field(profile)
     iso = conformal.isoperimetric_check(profile)
-    payload = {
-        "format": FORMAT_VERSION,
-        "config": cfg.as_dict(),
-        "n": profile.n,
-        "volume": conformal.volume(profile),
-        "scalar_curvature": {
+    volume = conformal.volume(profile)
+    text = report_text(
+        cfg.as_dict(),
+        n=profile.n,
+        volume=volume,
+        scalar_curvature={
             "min": float(np.min(curvature.values)),
             "max": float(np.max(curvature.values)),
         },
-        "width_upper_bound": star.width_upper_bound,
-        "normalized_width_bound": star.width_upper_bound
-        / conformal.volume(profile) ** (2.0 / 3.0),
-        "minimal_spheres": [_sphere_payload(s) for s in star.minimal_spheres],
-        "star_holds_on_axisym_candidates": star.star_holds_on_axisym_candidates,
-        "isoperimetric": {
-            "max_profile_area": iso.max_profile_area,
-            "round_equator_area_same_volume": iso.round_equator_area_same_volume,
-            "passed": iso.passed,
-        },
-    }
-    atomic_write_text(cfg.output_path, json_text(payload))
+        width_upper_bound=star.width_upper_bound,
+        normalized_width_bound=star.width_upper_bound / volume ** (2.0 / 3.0),
+        minimal_spheres=[_sphere_payload(s) for s in star.minimal_spheres],
+        star_holds_on_axisym_candidates=star.star_holds_on_axisym_candidates,
+        isoperimetric=asdict(iso),
+    )
+    atomic_write_text(cfg.output_path, text)
     print(
         f"analyzed {cfg.input_path}: {len(star.minimal_spheres)} minimal "
         f"spheres, width bound {star.width_upper_bound:.6f}"
@@ -205,12 +196,8 @@ def _run_yamabe_run(cfg: RunConfig) -> None:
 def _run_equidist_check(cfg: RunConfig) -> None:
     mu0, family = equidist.load_instance(cfg.input_path)
     certificate = equidist.cone_hull_membership(mu0, family, tol=cfg.params["tol"])
-    payload = {
-        "format": FORMAT_VERSION,
-        "config": cfg.as_dict(),
-        **equidist.certificate_payload(certificate),
-    }
-    atomic_write_text(cfg.output_path, json_text(payload))
+    text = report_text(cfg.as_dict(), **equidist.certificate_payload(certificate))
+    atomic_write_text(cfg.output_path, text)
     print(f"{cfg.input_path}: {certificate.verdict}")
 
 
@@ -341,16 +328,9 @@ def _run_roundcheck(cfg: RunConfig) -> int:
     report = roundcheck()
     for item in report.items:
         print(f"{'PASS' if item.passed else 'FAIL'} {item.name}: {item.detail}")
-    payload = {
-        "format": FORMAT_VERSION,
-        "config": cfg.as_dict(),
-        "passed": report.passed,
-        "items": [
-            {"name": i.name, "passed": i.passed, "detail": i.detail}
-            for i in report.items
-        ],
-    }
-    atomic_write_text(cfg.output_path, json_text(payload))
+    text = report_text(cfg.as_dict(), passed=report.passed,
+                       items=[asdict(item) for item in report.items])
+    atomic_write_text(cfg.output_path, text)
     if not report.passed:
         print("numerical failure: roundcheck self-test failed", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -467,7 +447,7 @@ def dispatch(cfg: RunConfig) -> int:
     except (yamabe.FlowError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if code is None else code
@@ -523,19 +503,23 @@ def _check_config_type(key: str, value, default) -> None:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional JSON config file, and explicit flags, then
-    check every parameter against its rule, before any input is read."""
+    check every parameter against its rule, before any input is read.
+
+    The config key ``input_path`` exists only where the subcommand has an
+    input flag; elsewhere the echoed ``input_path`` stays null.
+    """
     spec = _SUBCOMMANDS[args.command]
     merged = {"input_path": None, "output_path": spec.output,
               **{p.key: p.default for p in spec.params}}
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            file_values = json.load(handle)
+        file_values = read_json(args.config)
         if not isinstance(file_values, dict):
             raise ValueError(
                 f"config file {args.config} must hold a JSON object, "
                 f"got {type(file_values).__name__}"
             )
-        unknown = set(file_values) - set(merged)
+        keys = set(merged) if spec.input_flag else set(merged) - {"input_path"}
+        unknown = set(file_values) - keys
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         for key, value in file_values.items():
@@ -568,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         cfg = resolve_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return dispatch(cfg)

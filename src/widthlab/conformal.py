@@ -26,14 +26,13 @@ volume average.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ._fsio import atomic_write_text, is_number_list, json_text
+from ._fsio import atomic_write_text, is_number_list, json_text, read_json
 from .numerics import (
     GridFunction,
     QuadratureConfig,
@@ -153,12 +152,13 @@ def load_profile(path: str) -> AxisymProfile:
     Raises:
         ProfileError: a malformed file, a ``u`` that is not a list of
             numbers, an ``n`` that is not an integer equal to the number of
-            samples, more than ``MAX_PROFILE_NODES`` nodes, or a profile
-            whose volume or scalar curvature overflows or underflows in
-            floating point.
+            samples, more than ``MAX_PROFILE_NODES`` nodes, samples that
+            make no valid profile (fewer than 5, not finite, not positive or
+            not regular at the poles), or a profile whose volume or scalar
+            curvature overflows or underflows in floating point.
+        ValueError: a file that is not JSON.
     """
-    with open(path, "r") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     if not isinstance(payload, dict) or "n" not in payload or "u" not in payload:
         raise ProfileError(f"profile file {path} must contain 'n' and 'u'")
     if not is_number_list(payload["u"]):
@@ -173,7 +173,10 @@ def load_profile(path: str) -> AxisymProfile:
         raise ProfileError(
             f"profile file {path}: 'n' must be the integer sample count {u.size}, got {n!r}"
         )
-    profile = AxisymProfile(GridFunction(u))
+    try:
+        profile = AxisymProfile(GridFunction(u))
+    except ValueError as exc:
+        raise ProfileError(f"profile file {path}: {exc}") from None
     grid = latitude_grid(profile.n)
     with np.errstate(all="ignore"):
         vol = grid.volume(u)
@@ -219,9 +222,13 @@ def sphere_area(profile: AxisymProfile, theta: float) -> float:
     return 4.0 * np.pi * profile.interp_u(theta) ** 4 * math.sin(theta) ** 2
 
 
+def _node_areas(profile: AxisymProfile) -> np.ndarray:
+    return 4.0 * np.pi * profile.u**4 * latitude_grid(profile.n).sin2
+
+
 def area_profile(profile: AxisymProfile) -> GridFunction:
     """Latitude-sphere areas sampled at the grid nodes."""
-    return GridFunction(4.0 * np.pi * profile.u**4 * latitude_grid(profile.n).sin2)
+    return GridFunction(_node_areas(profile))
 
 
 @dataclass(frozen=True)
@@ -530,19 +537,18 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
     return best
 
 
-def _criticality_scale(profile: AxisymProfile) -> float:
-    return 0.02 * float(np.max(area_profile(profile).values))
-
-
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
+    """Raise unless the area slope at ``theta_star`` is below 2% of the
+    largest node area (per radian)."""
     h = profile.grid.spacing
     lo = max(theta_star - h, 0.0)
     hi = min(theta_star + h, np.pi)
     slope = (sphere_area(profile, hi) - sphere_area(profile, lo)) / (hi - lo)
-    if abs(slope) > _criticality_scale(profile):
+    tolerance = 0.02 * float(np.max(_node_areas(profile)))
+    if abs(slope) > tolerance:
         raise ValueError(
             f"theta={theta_star} is not a critical latitude "
-            f"(|A'| = {abs(slope):.3e} exceeds tolerance {_criticality_scale(profile):.3e})"
+            f"(|A'| = {abs(slope):.3e} exceeds tolerance {tolerance:.3e})"
         )
 
 

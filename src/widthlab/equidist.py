@@ -23,14 +23,13 @@ norm with lowest-index tie-breaking.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._fsio import atomic_write_text, is_number_list, json_text
+from ._fsio import atomic_write_text, csv_text, is_number_list, json_text, read_json
 
 __all__ = [
     "FiniteMeasure",
@@ -851,8 +850,7 @@ def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
     object with an integer ``n`` equal to the length of ``mu0``, numeric rows
     ``Y`` (and ``W``), an integer ``multiplicity_bound`` and a pair
     ``mass_bounds`` raises a ``ValueError`` that names the file."""
-    with open(path, "r") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     try:
         if not isinstance(payload, dict) or not is_number_list(payload.get("mu0")):
             raise ValueError("must be a JSON object with a list of numbers 'mu0'")
@@ -896,7 +894,5 @@ def write_certificate_json(certificate: MembershipCertificate, path: str) -> Non
 
 def write_trace_csv(trace: EquidistTrace, path: str) -> None:
     """Write the Cesaro error curve as CSV with header ``k,error``."""
-    lines = ["k,error"]
-    for k, err in enumerate(trace.cesaro_errors, start=1):
-        lines.append(f"{k},{format(err, '.17g')}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    errors = trace.cesaro_errors
+    atomic_write_text(path, csv_text({"k": range(1, len(errors) + 1), "error": errors}))

@@ -42,17 +42,17 @@ time derivative of the maximal latitude area (estimated by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from ._fsio import atomic_write_text, json_text
+from ._fsio import atomic_write_text, csv_text, report_text
 from .conformal import (
     AxisymProfile,
     LatitudeSphere,
     max_latitude_sphere,
     scalar_curvature_field,
-    sphere_area,
     tilted_width_bound,
     width_upper_bound,
 )
@@ -104,8 +104,10 @@ def hilbert_einstein_energy(profile: AxisymProfile) -> float:
 class FlowState:
     """Snapshot of the flow with its standard diagnostics.
 
-    ``width_bound`` is ``conformal.width_upper_bound``: an estimate of the
-    maximal latitude-sphere area, not a rigorous width bound.
+    ``sup_R_minus_r`` is ``max |R - r|`` over the nodes, the convergence
+    measure of ``run``.  ``width_bound`` is ``conformal.width_upper_bound``:
+    an estimate of the maximal latitude-sphere area, not a rigorous width
+    bound.
     """
 
     time: float
@@ -113,19 +115,21 @@ class FlowState:
     volume: float
     r_avg: float
     energy: float
+    sup_R_minus_r: float
     width_bound: float
     max_sphere: LatitudeSphere
 
 
 def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
     """Assemble the diagnostic snapshot for a profile."""
-    _, vol, r = latitude_grid(profile.n).evaluate(profile.u)
+    scalar, vol, r = latitude_grid(profile.n).evaluate(profile.u)
     return FlowState(
         time=float(time),
         profile=profile,
         volume=vol,
         r_avg=r,
         energy=r * vol ** (2.0 / 3.0),
+        sup_R_minus_r=float(np.max(np.abs(scalar - r))),
         width_bound=width_upper_bound(profile),
         max_sphere=max_latitude_sphere(profile),
     )
@@ -202,10 +206,11 @@ def step(state: FlowState, dt: float) -> FlowState:
 class FlowTrace:
     """Sampled states plus per-outer-step monitor arrays.
 
-    ``monitors`` maps names to arrays of length equal to the number of outer
-    steps taken: ``t``, ``volume_drift`` (|V - V0| after renormalization),
-    ``energy``, ``r_avg``, ``sup_R_minus_r`` and ``substeps``.  ``samples``
-    holds one CSV-ready record per sampled state.
+    ``states`` holds the initial state, every ``sample_every``-th state and
+    the final one; each is a row of the trace CSV.  ``monitors`` maps names
+    to arrays of length equal to the number of outer steps taken: ``t``,
+    ``volume_drift`` (|V - V0| after renormalization), ``energy``,
+    ``r_avg``, ``sup_R_minus_r`` and ``substeps``.
     """
 
     states: list[FlowState]
@@ -213,7 +218,6 @@ class FlowTrace:
     status: str
     target_volume: float
     monitors: dict[str, np.ndarray]
-    samples: list[dict]
 
     def __post_init__(self):
         times = [s.time for s in self.states]
@@ -254,7 +258,7 @@ def run(
     grid = latitude_grid(profile.n)
     u = profile.u.copy()
     evaluation = grid.evaluate(u)
-    scalar0, target_volume, r0 = evaluation
+    target_volume = evaluation[1]
     n_steps = max(int(round(t_end / dt)), 1)
 
     mon_t = np.empty(n_steps)
@@ -264,25 +268,7 @@ def run(
     mon_sup = np.empty(n_steps)
     mon_sub = np.empty(n_steps, dtype=int)
 
-    def snapshot(time: float, current: np.ndarray, sup_dev: float) -> None:
-        prof = AxisymProfile(GridFunction(current.copy()))
-        state = flow_state(prof, time)
-        states.append(state)
-        samples.append(
-            {
-                "t": time,
-                "volume": state.volume,
-                "r_avg": state.r_avg,
-                "energy": state.energy,
-                "width_bound": state.width_bound,
-                "max_theta": state.max_sphere.theta,
-                "sup_R_minus_r": sup_dev,
-            }
-        )
-
-    states: list[FlowState] = []
-    samples: list[dict] = []
-    snapshot(0.0, u, float(np.max(np.abs(scalar0 - r0))))
+    states = [flow_state(AxisymProfile(GridFunction(u.copy())), 0.0)]
 
     status = "completed"
     taken = 0
@@ -300,7 +286,7 @@ def run(
         mon_sub[i] = subs
         converged = sup_dev < convergence_tol
         if taken % sample_every == 0 or taken == n_steps or converged:
-            snapshot(time, u, sup_dev)
+            states.append(flow_state(AxisymProfile(GridFunction(u.copy())), time))
         if converged:
             status = "converged"
             break
@@ -319,32 +305,26 @@ def run(
         status=status,
         target_volume=target_volume,
         monitors=monitors,
-        samples=samples,
     )
 
 
-_TRACE_HEADER = "t,volume,r_avg,energy,width_bound,max_theta,sup_R_minus_r"
+# Column name -> value of one sampled state, for the trace CSV and the
+# summary's "final" block.
+_TRACE_COLUMNS = {
+    "t": attrgetter("time"),
+    "volume": attrgetter("volume"),
+    "r_avg": attrgetter("r_avg"),
+    "energy": attrgetter("energy"),
+    "width_bound": attrgetter("width_bound"),
+    "max_theta": attrgetter("max_sphere.theta"),
+    "sup_R_minus_r": attrgetter("sup_R_minus_r"),
+}
 
 
 def write_trace_csv(trace: FlowTrace, path: str) -> None:
-    """Write the sampled trace as CSV with %.17g floats, atomically."""
-    lines = [_TRACE_HEADER]
-    for row in trace.samples:
-        lines.append(
-            ",".join(
-                format(row[key], ".17g")
-                for key in (
-                    "t",
-                    "volume",
-                    "r_avg",
-                    "energy",
-                    "width_bound",
-                    "max_theta",
-                    "sup_R_minus_r",
-                )
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write the sampled states as CSV with %.17g floats, atomically."""
+    columns = {name: list(map(get, trace.states)) for name, get in _TRACE_COLUMNS.items()}
+    atomic_write_text(path, csv_text(columns))
 
 
 def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
@@ -494,37 +474,20 @@ def write_run_summary_json(
     final = trace.states[-1]
     report = theorem1_monitor(trace)
     monitors = trace.monitors
-    payload = {
-        "format": "widthlab-report/1",
-        "config": config or {},
-        "status": trace.status,
-        "steps": int(monitors["t"].size),
-        "target_volume": trace.target_volume,
-        "final": {
-            "t": final.time,
-            "volume": final.volume,
-            "r_avg": final.r_avg,
-            "energy": final.energy,
-            "width_bound": final.width_bound,
-            "max_theta": final.max_sphere.theta,
-            "sup_R_minus_r": float(monitors["sup_R_minus_r"][-1]),
+    text = report_text(
+        config or {},
+        status=trace.status,
+        steps=int(monitors["t"].size),
+        target_volume=trace.target_volume,
+        final={
+            **{name: get(final) for name, get in _TRACE_COLUMNS.items()},
             "normalized_width": final.width_bound / final.volume ** (2.0 / 3.0),
         },
-        "max_volume_drift": float(np.max(monitors["volume_drift"])),
-        "max_energy_increase": float(
+        max_volume_drift=float(np.max(monitors["volume_drift"])),
+        max_energy_increase=float(
             np.max(np.diff(monitors["energy"])) if monitors["energy"].size > 1 else 0.0
         ),
-        "theorem1": {
-            "tau_star": report.tau_star,
-            "product_at_max": report.product_at_max,
-            "bound": report.bound,
-            "passed": report.passed,
-            "final_normalized_width": report.final_normalized_width,
-            "error_term": report.error_term,
-            "latitude_tau_star": report.latitude_tau_star,
-            "latitude_product_at_max": report.latitude_product_at_max,
-            "latitude_passed": report.latitude_passed,
-        },
-    }
-    atomic_write_text(path, json_text(payload))
+        theorem1=asdict(report),
+    )
+    atomic_write_text(path, text)
     return report

@@ -181,6 +181,34 @@ class TestArgumentHandling:
         assert cli.main(["berger-scan", "--config", str(cfg_path)]) == 1
         assert_only_error_line(capsys, "JSON object")
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("berger-scan", "--config"), ("conformal-analyze", "--input"),
+         ("equidist-check", "--input"), ("yamabe-run", "--profile")],
+    )
+    def test_file_that_is_not_json_is_named(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "garbage.json"
+        path.write_text("garbage")
+        out = tmp_path / "out.json"
+        assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, f"{path} is not a JSON file")
+        assert not out.exists()
+
+    def test_input_path_is_a_config_key_only_with_an_input_flag(self, tmp_path, capsys,
+                                                                round_profile_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input_path": "nothing.json"}))
+        out = tmp_path / "s.csv"
+        assert cli.main(["berger-scan", "--config", str(cfg_path),
+                         "--output", str(out)]) == 1
+        assert_only_error_line(capsys, "unknown config keys")
+        assert not out.exists()
+        cfg_path.write_text(json.dumps({"input_path": round_profile_path}))
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--config", str(cfg_path),
+                         "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["input_path"] == round_profile_path
+
     def test_echoed_config_has_no_seed_or_threads(self, tmp_path):
         out = str(tmp_path / "s.csv")
         assert cli.main(["berger-scan", "--n", "3", "--output", out]) == 0
@@ -438,6 +466,20 @@ class TestProfileInput:
         out = tmp_path / "out.json"
         assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
         assert_only_error_line(capsys, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ['{"n": 3, "u": [1.0, 1.0, 1.0]}',
+                                         '{"n": 11, "u": [1.0, NaN' + ', 1.0' * 9 + ']}'])
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_invalid_grid_names_file_and_flag(self, tmp_path, capsys, content,
+                                              command, flag):
+        path = tmp_path / "p.json"
+        path.write_text(content)
+        out = tmp_path / "out.json"
+        assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, f"{flag}: profile file {path}: ")
         assert not out.exists()
 
     def test_node_cap_admits_cap(self, tmp_path):

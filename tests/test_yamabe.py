@@ -234,7 +234,7 @@ class TestTheorem1Monitor:
             yamabe.theorem1_monitor(
                 yamabe.FlowTrace(
                     states=[], step_size=1e-4, status="completed",
-                    target_volume=1.0, monitors={}, samples=[],
+                    target_volume=1.0, monitors={},
                 )
             )
 
@@ -300,10 +300,10 @@ class TestTraceOutputs:
         yamabe.write_trace_csv(trace, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,volume,r_avg,energy,width_bound,max_theta,sup_R_minus_r"
-        assert len(lines) == 1 + len(trace.samples)
+        assert len(lines) == 1 + len(trace.states)
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
-        assert first[1] == trace.samples[0]["volume"]
+        assert first[1] == trace.states[0].volume
 
     def test_json_summary(self, tmp_path, converging_trace):
         trace = converging_trace
