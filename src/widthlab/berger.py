@@ -36,7 +36,6 @@ __all__ = [
     "report_at",
     "scan",
     "write_scan_csv",
-    "read_scan_csv",
     "local_min_certificate",
     "scalar_normalized_bound_check",
 ]
@@ -164,8 +163,7 @@ def scan(rho_min: float, rho_max: float, count: int) -> list[BergerReport]:
     return [report_at(r) for r in np.geomspace(rho_min, rho_max, count)]
 
 
-_SCAN_FIELDS = fields(BergerReport)
-_SCAN_COLUMNS = tuple(f.name for f in _SCAN_FIELDS)
+_SCAN_COLUMNS = tuple(f.name for f in fields(BergerReport))
 
 
 def write_scan_csv(reports: list[BergerReport], path: str) -> None:
@@ -177,24 +175,6 @@ def write_scan_csv(reports: list[BergerReport], path: str) -> None:
     """
     columns = {name: [getattr(rep, name) for rep in reports] for name in _SCAN_COLUMNS}
     atomic_write_text(path, csv_text(columns))
-
-
-def read_scan_csv(path: str) -> list[BergerReport]:
-    """Read back a scan CSV, re-validating every row."""
-    with open(path, "r") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != ",".join(_SCAN_COLUMNS):
-        raise ValueError(f"unrecognized scan CSV header in {path}")
-    reports = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(_SCAN_FIELDS):
-            raise ValueError(f"malformed scan row: {line!r}")
-        reports.append(BergerReport(**{
-            f.name: {"true": True, "false": False}[cell] if f.type == "bool" else float(cell)
-            for f, cell in zip(_SCAN_FIELDS, cells)
-        }))
-    return reports
 
 
 @dataclass(frozen=True)

@@ -501,7 +501,7 @@ def _check_config_type(key: str, value, default) -> None:
         raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional JSON config file, and explicit flags, then
     check every parameter against its rule, before any input is read.
 
@@ -551,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = resolve_config(args)
+        cfg = _resolve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

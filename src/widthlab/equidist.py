@@ -22,7 +22,6 @@ norm with lowest-index tie-breaking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,12 +43,9 @@ __all__ = [
     "rational_approximation",
     "cesaro_sequence",
     "weighted_cesaro_structured",
-    "HarnessReport",
-    "equivalence_harness",
     "save_instance",
     "load_instance",
     "certificate_payload",
-    "write_certificate_json",
     "write_trace_csv",
 ]
 
@@ -349,15 +345,16 @@ def cone_hull_membership(
     would give.
 
     Raises:
-        ValueError: ground set above the supported size, non-positive tol,
-            mismatched dimensions, or a degenerate all-zero family.
+        ValueError: ground set above the supported size, a tol that is not
+            positive and finite, mismatched dimensions, or a degenerate
+            all-zero family.
     """
     if mu0.n > MAX_GROUND_SET:
         raise ValueError(f"ground set capped at {MAX_GROUND_SET} points")
     if mu0.n != family.n:
         raise ValueError("target and family live on different ground sets")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if all(m.total_mass == 0.0 for m in family.members):
         raise ValueError("degenerate family: every member is the zero measure")
 
@@ -620,205 +617,6 @@ def weighted_cesaro_structured(
 
 
 # ---------------------------------------------------------------------------
-# Equivalence harness.
-# ---------------------------------------------------------------------------
-
-
-def _solve_exact(columns: list[list[Fraction]], b: list[Fraction]):
-    """Unique exact solution of a full-column-rank system, or None."""
-    m = len(b)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [b[i]] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None  # rank-deficient subset; a smaller subset covers it
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        piv = aug[row][col]
-        aug[row] = [v / piv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-        if row == m:
-            break
-    x = [aug[r][-1] for r in range(len(pivots))]
-    # Consistency of the remaining rows.
-    for r in range(row, m):
-        if aug[r][-1] != 0:
-            return None
-    return x
-
-
-def _bruteforce_member(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
-    """Conic Caratheodory oracle: search all generator subsets exactly."""
-    b = _fractions(mu0.weights)
-    if all(v == 0 for v in b):
-        return True
-    cols = [_fractions(m.weights) for m in family.members]
-    indices = range(len(cols))
-    max_size = min(len(cols), mu0.n)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(indices, size):
-            x = _solve_exact([cols[j] for j in subset], b)
-            if x is not None and all(v >= 0 for v in x):
-                return True
-    return False
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    """Cross-check results over random instances of the equivalence."""
-
-    trials: int
-    member_count: int
-    non_member_count: int
-    inconsistencies: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.inconsistencies
-
-
-def _random_instance(rng: np.random.Generator):
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(1, 6))
-    members = []
-    for _ in range(m):
-        while True:
-            w = rng.integers(0, 16, size=n) / 16.0
-            if w.sum() > 0:
-                break
-        members.append(FiniteMeasure(w))
-    family = MeasureFamily(members=tuple(members))
-    if rng.random() < 0.5:
-        while True:
-            coeffs = rng.integers(0, 9, size=m) / 8.0
-            mu0 = np.zeros(n)
-            for c, mem in zip(coeffs, members):
-                mu0 = mu0 + c * mem.weights  # dyadic grid keeps this exact
-            if mu0.sum() > 0:
-                break
-    else:
-        mu0 = rng.integers(1, 17, size=n) / 16.0
-    return FiniteMeasure(mu0), family
-
-
-def equivalence_harness(
-    seed: int, trials: int, k_max: int = 10_000, cesaro_tol: float = 5e-2
-) -> HarnessReport:
-    """Cross-validate the four equivalent membership characterizations.
-
-    Each trial draws a dyadic random instance (so float arithmetic is exact)
-    and checks: the exact LP verdict against a subset-enumeration oracle;
-    exact validity of whichever certificate was produced; on non-members,
-    that the shifted functional violates condition ii); on members, that
-    randomly sampled functionals satisfy condition i) and that both greedy
-    Cesaro variants reach `cesaro_tol` by `k_max`.
-
-    Raises:
-        ValueError: trials < 1.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    inconsistencies: list[str] = []
-    member_count = 0
-    non_member_count = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        mu0, family = _random_instance(rng)
-        certificate = cone_hull_membership(mu0, family, tol=1e-9)
-        oracle = _bruteforce_member(mu0, family)
-        verdict_member = certificate.verdict == "member"
-        if verdict_member != oracle:
-            inconsistencies.append(
-                f"trial {trial}: LP says {certificate.verdict}, oracle says "
-                f"{'member' if oracle else 'non_member'}"
-            )
-            continue
-        if verdict_member:
-            member_count += 1
-            recon = np.zeros(mu0.n)
-            for j, coeff in certificate.coefficients:
-                recon = recon + coeff * family.members[j].weights
-            if np.max(np.abs(recon - mu0.weights)) > 1e-9:
-                inconsistencies.append(f"trial {trial}: member reconstruction defect")
-            for _ in range(5):
-                f = rng.standard_normal(mu0.n)
-                if float(f @ mu0.weights) > 0.0:
-                    f = -f
-                if not condition_i_predicate(mu0, family, f):
-                    inconsistencies.append(
-                        f"trial {trial}: condition i) fails on a member instance"
-                    )
-            trace = cesaro_sequence(mu0, family, k_max)
-            if trace.cesaro_errors[-1] >= cesaro_tol:
-                inconsistencies.append(
-                    f"trial {trial}: plain Cesaro error "
-                    f"{trace.cesaro_errors[-1]:.3e} at k={k_max}"
-                )
-            base = tuple(m for m in family.members if m.total_mass > 0.0)
-            masses = [m.total_mass for m in base]
-            structured = MeasureFamily(
-                members=family.members,
-                structure=FamilyStructure(
-                    base=base,
-                    multiplicity_bound=1,
-                    mass_bounds=(min(masses), max(masses)),
-                ),
-            )
-            wtrace = weighted_cesaro_structured(mu0, structured, k_max)
-            if wtrace.cesaro_errors[-1] >= cesaro_tol:
-                inconsistencies.append(
-                    f"trial {trial}: weighted Cesaro error "
-                    f"{wtrace.cesaro_errors[-1]:.3e} at k={k_max}"
-                )
-        else:
-            non_member_count += 1
-            f = certificate.separating_f
-            # The module verifies the sign conditions in exact rationals before
-            # converting f to float; here allow roundoff on pairings whose
-            # exact value is zero (boundary-touching members).
-            pairing_noise = 1e-12 * (1.0 + float(np.max(np.abs(f))))
-            if not (float(f @ mu0.weights) > 0.0) or any(
-                float(f @ m.weights) > pairing_noise * (1.0 + m.total_mass)
-                for m in family.members
-            ):
-                inconsistencies.append(f"trial {trial}: separating functional invalid")
-            f0 = condition_ii_violator(mu0, f)
-            pair0 = float(f0 @ mu0.weights)
-            scale = 1.0 + float(np.abs(f) @ mu0.weights)
-            if abs(pair0) > 1e-10 * scale:
-                inconsistencies.append(
-                    f"trial {trial}: ii)-violator does not annihilate the target"
-                )
-            for m in family.members:
-                pairing = float(f0 @ m.weights)
-                if m.total_mass > 0.0 and pairing <= 0.0:
-                    inconsistencies.append(
-                        f"trial {trial}: ii)-violator not positive on the family"
-                    )
-            try:
-                cesaro_sequence(mu0, family, 10)
-            except ValueError:
-                pass
-            else:
-                inconsistencies.append(
-                    f"trial {trial}: Cesaro accepted a non-member target"
-                )
-    return HarnessReport(
-        trials=trials,
-        member_count=member_count,
-        non_member_count=non_member_count,
-        inconsistencies=tuple(inconsistencies),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Instance and report I/O.
 # ---------------------------------------------------------------------------
 
@@ -885,11 +683,6 @@ def certificate_payload(certificate: MembershipCertificate) -> dict:
         "coefficients": None if coeffs is None else [[j, c] for j, c in coeffs],
         "separating_f": None if f is None else [float(v) for v in f],
     }
-
-
-def write_certificate_json(certificate: MembershipCertificate, path: str) -> None:
-    """Write a membership certificate as JSON."""
-    atomic_write_text(path, json_text(certificate_payload(certificate)))
 
 
 def write_trace_csv(trace: EquidistTrace, path: str) -> None:

@@ -192,10 +192,11 @@ def step(state: FlowState, dt: float) -> FlowState:
     Raises:
         FlowError: on positivity loss, volume underflow or an unsatisfiable
             stability bound.
-        ValueError: for a non-positive dt or a state of zero volume.
+        ValueError: for a dt that is not positive and finite, or a state of
+            zero volume.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = latitude_grid(state.profile.n)
     u = state.profile.u
     u, _, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))

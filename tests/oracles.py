@@ -4,24 +4,44 @@ Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
 integrals from a sample-based composite Simpson rule, the Jacobi term Q
-from exact derivatives of a cosine series.  The explicit flow
-step is kept here in its unfused form, one numpy expression per quantity, as
-the reference the fused step in ``widthlab.yamabe`` must match bit for bit.  The membership LP is kept here as the dense simplex over
-``fractions.Fraction`` that the integer tableau in ``widthlab.equidist`` must
-match pivot for pivot, and the greedy Cesaro loop as the allocating numpy
-loop whose traces the buffered one must equal.  Tests compare the package
-against these routes.
+from exact derivatives of a cosine series.  The explicit flow step is kept
+here in its unfused form, one numpy expression per quantity, as the
+reference the fused step in ``widthlab.yamabe`` must match bit for bit.  The
+membership LP is kept here as the dense simplex over ``fractions.Fraction``
+that the integer tableau in ``widthlab.equidist`` must match pivot for
+pivot, and the greedy Cesaro loop as the allocating numpy loop whose traces
+the buffered one must equal.  Tests compare the package against these
+routes.
+
+The membership equivalence harness (``equivalence_harness``) drives the
+package's membership LP, certificates, condition checks and Cesaro
+sequences on seeded random instances against ``bruteforce_member``, an
+oracle that enumerates generator subsets and solves each in exact rationals.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from widthlab.equidist import EquidistTrace
+from widthlab.berger import BergerReport
+from widthlab.equidist import (
+    EquidistTrace,
+    FamilyStructure,
+    FiniteMeasure,
+    MeasureFamily,
+    cesaro_sequence,
+    condition_i_predicate,
+    condition_ii_violator,
+    cone_hull_membership,
+    weighted_cesaro_structured,
+)
 from widthlab.numerics import QuadratureConfig, integrate_adaptive
 
 ROUND_S3_VOLUME = 2.0 * np.pi**2
@@ -84,6 +104,28 @@ def quad_berger_normalized_width(rho: float) -> float:
 
     integral = integrate_adaptive(integrand, 0.0, math.pi, QuadratureConfig(abs_tol=1e-12))
     return (2.0 / math.pi) ** (1.0 / 3.0) * integral
+
+
+def parse_scan_csv(path: str) -> list[BergerReport]:
+    """Rows of a Berger scan CSV, parsed with the ``csv`` module.
+
+    The header must be the ``BergerReport`` field list and every
+    ``ricci_positive`` cell ``true`` or ``false``; the other cells are read
+    with ``float``, so comparing the result with the written reports checks
+    each ``%.17g`` cell for exact round trip.
+    """
+    names = [f.name for f in fields(BergerReport)]
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows and rows[0] == names, f"scan CSV header {rows[:1]} is not {names}"
+    reports = []
+    for row in rows[1:]:
+        cells = dict(zip(names, row, strict=True))
+        flag = cells.pop("ricci_positive")
+        assert flag in ("true", "false"), row
+        numbers = {name: float(cell) for name, cell in cells.items()}
+        reports.append(BergerReport(ricci_positive=flag == "true", **numbers))
+    return reports
 
 
 def mc_tilted_sphere_area(
@@ -309,6 +351,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def fractions(values) -> list[Fraction]:
+    """Exact rationals of float data, one ``Fraction(float(v))`` per value."""
+    return [Fraction(float(v)) for v in values]
+
+
 class FractionSimplex:
     """Minimal dense two-phase simplex over exact rationals.
 
@@ -451,3 +498,203 @@ def reference_greedy_trace(
         running = running + candidates[pick]
         total_mass += masses[pick]
     return EquidistTrace(sequence=tuple(sequence), cesaro_errors=tuple(errors))
+
+
+# ---------------------------------------------------------------------------
+# Membership equivalence harness: the package's LP, certificates and Cesaro
+# sequences against a subset-enumeration oracle.
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(columns: list[list[Fraction]], b: list[Fraction]):
+    """Unique exact solution of a full-column-rank system, or None."""
+    m = len(b)
+    k = len(columns)
+    aug = [[columns[j][i] for j in range(k)] + [b[i]] for i in range(m)]
+    row = 0
+    pivots = []
+    for col in range(k):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None  # rank-deficient subset; a smaller subset covers it
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        piv = aug[row][col]
+        aug[row] = [v / piv for v in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[row])]
+        pivots.append(row)
+        row += 1
+        if row == m:
+            break
+    x = [aug[r][-1] for r in range(len(pivots))]
+    # Consistency of the remaining rows.
+    for r in range(row, m):
+        if aug[r][-1] != 0:
+            return None
+    return x
+
+
+def bruteforce_member(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
+    """Conic Caratheodory oracle: search all generator subsets exactly."""
+    b = fractions(mu0.weights)
+    if all(v == 0 for v in b):
+        return True
+    cols = [fractions(m.weights) for m in family.members]
+    indices = range(len(cols))
+    max_size = min(len(cols), mu0.n)
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(indices, size):
+            x = _solve_exact([cols[j] for j in subset], b)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
+@dataclass(frozen=True)
+class HarnessReport:
+    """Cross-check results over random instances of the equivalence."""
+
+    trials: int
+    member_count: int
+    non_member_count: int
+    inconsistencies: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.inconsistencies
+
+
+def random_instance(rng: np.random.Generator):
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 6))
+    members = []
+    for _ in range(m):
+        while True:
+            w = rng.integers(0, 16, size=n) / 16.0
+            if w.sum() > 0:
+                break
+        members.append(FiniteMeasure(w))
+    family = MeasureFamily(members=tuple(members))
+    if rng.random() < 0.5:
+        while True:
+            coeffs = rng.integers(0, 9, size=m) / 8.0
+            mu0 = np.zeros(n)
+            for c, mem in zip(coeffs, members):
+                mu0 = mu0 + c * mem.weights  # dyadic grid keeps this exact
+            if mu0.sum() > 0:
+                break
+    else:
+        mu0 = rng.integers(1, 17, size=n) / 16.0
+    return FiniteMeasure(mu0), family
+
+
+def equivalence_harness(
+    seed: int, trials: int, k_max: int = 10_000, cesaro_tol: float = 5e-2
+) -> HarnessReport:
+    """Cross-validate the four equivalent membership characterizations.
+
+    Each trial draws a dyadic random instance (so float arithmetic is exact)
+    and checks: the exact LP verdict against a subset-enumeration oracle;
+    exact validity of whichever certificate was produced; on non-members,
+    that the shifted functional violates condition ii); on members, that
+    randomly sampled functionals satisfy condition i) and that both greedy
+    Cesaro variants reach `cesaro_tol` by `k_max`.
+
+    Raises:
+        ValueError: trials < 1.
+    """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    inconsistencies: list[str] = []
+    member_count = 0
+    non_member_count = 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        mu0, family = random_instance(rng)
+        certificate = cone_hull_membership(mu0, family, tol=1e-9)
+        oracle = bruteforce_member(mu0, family)
+        verdict_member = certificate.verdict == "member"
+        if verdict_member != oracle:
+            inconsistencies.append(
+                f"trial {trial}: LP says {certificate.verdict}, oracle says "
+                f"{'member' if oracle else 'non_member'}"
+            )
+            continue
+        if verdict_member:
+            member_count += 1
+            recon = np.zeros(mu0.n)
+            for j, coeff in certificate.coefficients:
+                recon = recon + coeff * family.members[j].weights
+            if np.max(np.abs(recon - mu0.weights)) > 1e-9:
+                inconsistencies.append(f"trial {trial}: member reconstruction defect")
+            for _ in range(5):
+                f = rng.standard_normal(mu0.n)
+                if float(f @ mu0.weights) > 0.0:
+                    f = -f
+                if not condition_i_predicate(mu0, family, f):
+                    inconsistencies.append(
+                        f"trial {trial}: condition i) fails on a member instance"
+                    )
+            trace = cesaro_sequence(mu0, family, k_max)
+            if trace.cesaro_errors[-1] >= cesaro_tol:
+                inconsistencies.append(
+                    f"trial {trial}: plain Cesaro error "
+                    f"{trace.cesaro_errors[-1]:.3e} at k={k_max}"
+                )
+            base = tuple(m for m in family.members if m.total_mass > 0.0)
+            masses = [m.total_mass for m in base]
+            structured = MeasureFamily(
+                members=family.members,
+                structure=FamilyStructure(
+                    base=base,
+                    multiplicity_bound=1,
+                    mass_bounds=(min(masses), max(masses)),
+                ),
+            )
+            wtrace = weighted_cesaro_structured(mu0, structured, k_max)
+            if wtrace.cesaro_errors[-1] >= cesaro_tol:
+                inconsistencies.append(
+                    f"trial {trial}: weighted Cesaro error "
+                    f"{wtrace.cesaro_errors[-1]:.3e} at k={k_max}"
+                )
+        else:
+            non_member_count += 1
+            f = certificate.separating_f
+            # The package verifies the sign conditions in exact rationals before
+            # converting f to float; here allow roundoff on pairings whose
+            # exact value is zero (boundary-touching members).
+            pairing_noise = 1e-12 * (1.0 + float(np.max(np.abs(f))))
+            if not (float(f @ mu0.weights) > 0.0) or any(
+                float(f @ m.weights) > pairing_noise * (1.0 + m.total_mass)
+                for m in family.members
+            ):
+                inconsistencies.append(f"trial {trial}: separating functional invalid")
+            f0 = condition_ii_violator(mu0, f)
+            pair0 = float(f0 @ mu0.weights)
+            scale = 1.0 + float(np.abs(f) @ mu0.weights)
+            if abs(pair0) > 1e-10 * scale:
+                inconsistencies.append(
+                    f"trial {trial}: ii)-violator does not annihilate the target"
+                )
+            for m in family.members:
+                pairing = float(f0 @ m.weights)
+                if m.total_mass > 0.0 and pairing <= 0.0:
+                    inconsistencies.append(
+                        f"trial {trial}: ii)-violator not positive on the family"
+                    )
+            try:
+                cesaro_sequence(mu0, family, 10)
+            except ValueError:
+                pass
+            else:
+                inconsistencies.append(
+                    f"trial {trial}: Cesaro accepted a non-member target"
+                )
+    return HarnessReport(
+        trials=trials,
+        member_count=member_count,
+        non_member_count=non_member_count,
+        inconsistencies=tuple(inconsistencies),
+    )

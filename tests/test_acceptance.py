@@ -18,7 +18,7 @@ import widthlab.conformal as cf
 import widthlab.equidist as eq
 import widthlab.yamabe as ym
 
-from oracles import mc_berger_volume
+from oracles import equivalence_harness, mc_berger_volume
 
 ROUND_NW = (16.0 / math.pi) ** (1.0 / 3.0)
 PRODUCT_BOUND = 24.0 * math.pi
@@ -208,7 +208,7 @@ def test_criterion_09_great_sphere_averages():
 
 
 def test_criterion_10_equivalence_harness():
-    report = eq.equivalence_harness(seed=42, trials=200)
+    report = equivalence_harness(seed=42, trials=200)
     ok = report.passed and report.trials == 200
     _report(10, "membership equivalence harness (200 seeded instances)", ok,
             f"{report.member_count} members, {report.non_member_count} non-members, "

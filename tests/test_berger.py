@@ -15,7 +15,6 @@ from widthlab.berger import (
     has_positive_ricci,
     local_min_certificate,
     normalized_width,
-    read_scan_csv,
     report_at,
     scalar_curvature,
     scalar_normalized_bound_check,
@@ -25,7 +24,8 @@ from widthlab.berger import (
     write_scan_csv,
 )
 
-from oracles import mc_berger_volume, quad_berger_normalized_width
+from oracles import mc_berger_volume, parse_scan_csv, quad_berger_normalized_width
+
 
 
 class TestClosedForms:
@@ -143,7 +143,8 @@ class TestScan:
         first = tmp_path / "scan.csv"
         second = tmp_path / "scan2.csv"
         write_scan_csv(reports, str(first))
-        recovered = read_scan_csv(str(first))
+        recovered = parse_scan_csv(str(first))
+        assert recovered == reports
         write_scan_csv(recovered, str(second))
         assert first.read_bytes() == second.read_bytes()
         header = first.read_text().splitlines()[0]

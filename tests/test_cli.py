@@ -13,6 +13,8 @@ import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
 
+from oracles import parse_scan_csv
+
 
 @pytest.fixture
 def round_profile_path(tmp_path):
@@ -296,9 +298,10 @@ class TestBergerScan:
         lines = open(out).read().strip().split("\n")
         assert lines[0].startswith("rho,")
         assert len(lines) == 51
-        # Round-trip: the reader re-validates every row's internal invariants.
-        reports = berger.read_scan_csv(out)
-        assert len(reports) == 50
+        # Every cell round-trips exactly, and each row re-validates its
+        # internal invariants as a BergerReport.
+        reports = parse_scan_csv(out)
+        assert reports == berger.scan(1e-3, 1e4, 50)
         assert reports[0].rho == pytest.approx(1e-3)
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["format"] == "widthlab-report/1"

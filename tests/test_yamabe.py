@@ -99,6 +99,8 @@ class TestStep:
             yamabe.step(state, 0.0)
         with pytest.raises(ValueError):
             yamabe.step(state, -1e-5)
+        with pytest.raises(ValueError, match="finite"):
+            yamabe.step(state, np.inf)
 
     def test_unstable_override_loses_positivity(self, monkeypatch):
         # Overriding the stability constant reproduces the explicit-Euler
