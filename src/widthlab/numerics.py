@@ -3,8 +3,9 @@
 The module has two primitives: an adaptive Simpson integrator with
 Richardson error control, and ``latitude_grid(n)``, the one discretization of
 the uniform grid theta_i = i * pi / (n - 1) over [0, pi]: nodes, composite
-Simpson weights, and the scalar-curvature stencil of conformal metrics
-``u^4 g_round``.  Volumes, areas, curvature fields and the flow all evaluate
+Simpson weights, the scalar-curvature stencil of conformal metrics
+``u^4 g_round``, and the Neumann second-difference solve of the flow's
+implicit step.  Volumes, areas, curvature fields and the flow all evaluate
 through it.  The Berger width and the Jacobi term are closed forms, so the
 adaptive integrator serves only the fine-grid cross-check
 ``conformal.second_variation_oracle`` and the tests.
@@ -158,10 +159,11 @@ class LatitudeGrid:
 
     Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the interior
     ``cot_inner``, the composite Simpson weights ``simpson`` (with a 3/8 tail
-    when the interval count is odd) and scratch buffers.  ``latitude_grid``
-    shares one instance per n, so its arrays are read-only.  The scratch
-    buffers assume one thread: they only hold intermediates, and every method
-    returns fresh arrays or floats.
+    when the interval count is odd), the eigenvalues ``mu`` of the Neumann
+    second difference (see ``neumann_solve``) and scratch buffers.
+    ``latitude_grid`` shares one instance per n, so its arrays are read-only.
+    The scratch buffers assume one thread: they only hold intermediates, and
+    every method returns fresh arrays or floats.
     """
 
     def __init__(self, n: int):
@@ -189,11 +191,13 @@ class LatitudeGrid:
                 w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
-        for shared in (self.thetas, self.sin2, self.cot_inner, self.simpson):
+        self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / self.h2
+        for shared in (self.thetas, self.sin2, self.cot_inner, self.simpson, self.mu):
             shared.flags.writeable = False
         self._inner = np.empty(n - 2)
         self._pow = np.empty(n)
         self._tmp = np.empty(n)
+        self._even = np.empty(2 * m)
 
     def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
         """Scalar curvature ``(-8 lap(u) + 6 u) / u^5`` of ``u^4 g_round``.
@@ -246,6 +250,27 @@ class LatitudeGrid:
         w = np.power(u, 6.0, out=self._pow)
         np.multiply(w, self.sin2, out=w)
         return 4.0 * np.pi * float(self.simpson.dot(w))
+
+    def neumann_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(I - a D2) x = rhs`` for ``a >= 0`` by a DCT-I.
+
+        D2 is the Neumann three-point second difference:
+        ``(x[i-1] - 2 x[i] + x[i+1]) / h^2`` inside and the ghost-node rows
+        ``2 (x[1] - x[0]) / h^2`` (mirrored at pi) at the ends.  Its
+        eigenvectors are the cosines ``cos(pi j k / (n - 1))`` with
+        eigenvalues ``-mu_k``, ``mu_k = 4 sin^2(pi k / (2 (n - 1))) / h^2``,
+        so the solve divides the DCT-I of rhs by ``1 + a mu_k`` and
+        transforms back.  The DCT-I is the real FFT of the even extension
+        ``rhs[0], ..., rhs[n-1], rhs[n-2], ..., rhs[1]``.
+        """
+        even, n = self._even, rhs.size
+        even[:n] = rhs
+        even[n:] = rhs[-2:0:-1]
+        spectrum = np.fft.rfft(even)
+        divisor = np.multiply(self.mu, a, out=self._tmp)
+        np.add(divisor, 1.0, out=divisor)
+        spectrum /= divisor
+        return np.fft.irfft(spectrum, even.size)[:n]
 
     def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
         """Volume average of a field, given the volume of u."""

@@ -4,9 +4,11 @@ Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
 integrals from a sample-based composite Simpson rule, the Jacobi term Q
-from exact derivatives of a cosine series.  The explicit flow step is kept
-here in its unfused form, one numpy expression per quantity, as the
-reference the fused step in ``widthlab.yamabe`` must match bit for bit.  The
+from exact derivatives of a cosine series.  The stabilized implicit flow
+step is kept here in its unfused form, one numpy expression per quantity, as
+the reference the fused step in ``widthlab.yamabe`` must match bit for bit;
+the explicit Euler step under its CFL rule, which the package ran before,
+stays as an independent cross-check of the flow's convergence.  The
 membership LP is kept here as the dense simplex over ``fractions.Fraction``
 that the integer tableau in ``widthlab.equidist`` must match pivot for
 pivot, and the greedy Cesaro loop as the allocating numpy loop whose traces
@@ -250,6 +252,8 @@ class ReferenceFlowKernel:
                 w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
+        # Eigenvalues of minus the Neumann second difference.
+        self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / (self.h * self.h)
 
     def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
         h2 = self.h * self.h
@@ -266,6 +270,33 @@ class ReferenceFlowKernel:
 
     def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
         return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
+
+
+def reference_implicit_advance(
+    kernel: ReferenceFlowKernel,
+    u: np.ndarray,
+    dt: float,
+    target_volume: float,
+    stabilizer: float,
+) -> tuple[np.ndarray, int]:
+    """One stabilized semi-implicit Euler step, then volume renormalization.
+
+    ``u* = u + (I - dt c D2)^-1 [dt (u/4)(r - R)]`` with
+    ``c = stabilizer * 2 min(u)^-4``; the solve is a DCT-I, the real FFT of
+    the even extension.  The state is evaluated from scratch.
+    """
+    n = u.size
+    scalar = kernel.scalar_curvature(u)
+    vol = kernel.volume(u)
+    r = kernel.average_r(scalar, u, vol)
+    a = dt * (stabilizer * 2.0 / float(np.min(u)) ** 4)
+    rhs = dt * (u / 4.0) * (r - scalar)
+    even = np.concatenate([rhs, rhs[-2:0:-1]])
+    u = u + np.fft.irfft(np.fft.rfft(even) / (1.0 + a * kernel.mu), even.size)[:n]
+    if not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+        raise RuntimeError(f"positivity lost in a step of size {dt:.3e}")
+    u = u * (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
+    return u, 1
 
 
 def reference_advance(
@@ -306,14 +337,54 @@ def explicit_flow_reference(
     dt: float,
     sample_every: int,
     convergence_tol: float,
-    cfl: float,
-    max_substeps: int,
+    cfl: float = 0.125,
+    max_substeps: int = 100_000,
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """The flow run loop with explicit Euler sub-steps under the CFL rule.
+
+    ``cfl`` keeps a 25% margin below the measured stability limit
+    ``h^2 min(u)^4 / 6`` of the explicit update.
+    """
+    return flow_reference(
+        u0, t_end, dt, sample_every, convergence_tol,
+        lambda kernel, u, dt, volume: reference_advance(
+            kernel, u, dt, volume, cfl, max_substeps
+        ),
+    )
+
+
+def implicit_flow_reference(
+    u0: np.ndarray,
+    t_end: float,
+    dt: float,
+    sample_every: int,
+    convergence_tol: float,
+    stabilizer: float,
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """The flow run loop with one stabilized implicit step per outer step."""
+    return flow_reference(
+        u0, t_end, dt, sample_every, convergence_tol,
+        lambda kernel, u, dt, volume: reference_implicit_advance(
+            kernel, u, dt, volume, stabilizer
+        ),
+    )
+
+
+def flow_reference(
+    u0: np.ndarray,
+    t_end: float,
+    dt: float,
+    sample_every: int,
+    convergence_tol: float,
+    advance: Callable[[ReferenceFlowKernel, np.ndarray, float, float], tuple[np.ndarray, int]],
 ) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     """The flow run loop on the unfused kernel: sampled u and monitors.
 
-    Samples and monitors follow ``widthlab.yamabe.run``: the initial state,
-    every ``sample_every``-th outer step, the last step and a converged
-    step are sampled; the monitors hold one entry per outer step.
+    ``advance(kernel, u, dt, target_volume)`` takes one outer step and
+    returns the new u and its sub-step count.  Samples and monitors follow
+    ``widthlab.yamabe.run``: the initial state, every ``sample_every``-th
+    outer step, the last step and a converged step are sampled; the
+    monitors hold one entry per outer step.
     """
     kernel = ReferenceFlowKernel(u0.size)
     u = u0.copy()
@@ -322,7 +393,7 @@ def explicit_flow_reference(
     samples = [u.copy()]
     rows = []
     for i in range(n_steps):
-        u, subs = reference_advance(kernel, u, dt, target_volume, cfl, max_substeps)
+        u, subs = advance(kernel, u, dt, target_volume)
         taken = i + 1
         scalar = kernel.scalar_curvature(u)
         vol = kernel.volume(u)

@@ -524,16 +524,21 @@ class TestYamabeRun:
         meta = json.loads(open(trace + ".meta.json").read())
         assert meta["config"]["command"] == "yamabe-run"
 
-    def test_substep_cap_is_numerical_failure(self, tmp_path, capsys):
+    def test_nonfinite_volume_is_numerical_failure(self, tmp_path, capsys):
+        # On u ~ 1e-40 one step of 1e-3 moves u by ~1e117, so u^6 overflows.
         path = str(tmp_path / "thin.json")
         cf.save_profile(
-            cf.AxisymProfile.from_function(lambda t: 0.05 * np.ones_like(t), 11), path
+            cf.AxisymProfile.from_function(lambda t: 1e-40 * (1.0 + 0.3 * np.cos(t)), 11),
+            path,
         )
         out = str(tmp_path / "flow.json")
-        code = cli.main(["yamabe-run", "--profile", path, "--t-end", "5",
-                         "--dt", "5", "--output", out])
+        code = cli.main(["yamabe-run", "--profile", path, "--t-end", "0.01",
+                         "--dt", "1e-3", "--output", out])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "volume overflowed" in err
+        assert not (tmp_path / "flow.json").exists()
 
     @pytest.mark.parametrize(
         "flags", [["--t-end", "inf"], ["--dt", "1e-300"], ["--dt", "nan"]]

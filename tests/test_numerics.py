@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -185,7 +190,7 @@ class TestLatitudeGrid:
 
     def test_shared_arrays_are_read_only(self):
         grid = latitude_grid(101)
-        for values in (grid.thetas, grid.sin2, grid.cot_inner, grid.simpson):
+        for values in (grid.thetas, grid.sin2, grid.cot_inner, grid.simpson, grid.mu):
             with pytest.raises(ValueError):
                 values[1] = 0.0
 
@@ -194,3 +199,54 @@ class TestLatitudeGrid:
             latitude_grid(4)
         with pytest.raises(ValueError):
             GridFunction.from_function(np.cos, 4)
+
+
+def neumann_matrix(n: int, a: float) -> np.ndarray:
+    """Dense ``I - a D2`` with the ghost-node rows ``[-2, 2] / h^2`` at the ends."""
+    h2 = latitude_grid(n).h2
+    d2 = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    d2[0, 1] = d2[-1, -2] = 2.0
+    return np.eye(n) - a * d2 / h2
+
+
+class TestNeumannSolve:
+    @pytest.mark.parametrize("n", [5, 11, 401])
+    @pytest.mark.parametrize("a", [0.0, 1e-5, 1e-3, 1e-2])
+    def test_matches_dense_solve(self, n, a):
+        rhs = np.random.default_rng(n).standard_normal(n)
+        expected = np.linalg.solve(neumann_matrix(n, a), rhs)
+        solved = latitude_grid(n).neumann_solve(a, rhs)
+        assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [5, 11, 401])
+    def test_eigenvalues(self, n):
+        # mu_k are the eigenvalues of -D2, with the cosines as eigenvectors.
+        grid = latitude_grid(n)
+        d2 = np.eye(n) - neumann_matrix(n, 1.0)
+        expected = np.sort(np.linalg.eigvals(-d2).real)
+        assert np.allclose(grid.mu, expected, rtol=1e-10, atol=1e-10 * grid.mu[-1])
+        k = n // 3
+        mode = np.cos(k * grid.thetas)
+        assert np.allclose(d2 @ mode, -grid.mu[k] * mode, atol=1e-9 * grid.mu[k])
+
+    def test_input_is_not_modified(self):
+        rhs = np.linspace(0.0, 1.0, 11)
+        latitude_grid(11).neumann_solve(1e-3, rhs)
+        assert np.array_equal(rhs, np.linspace(0.0, 1.0, 11))
+
+
+def test_cli_import_does_not_load_numpy_fft():
+    # Only the flow's implicit step reaches numpy.fft, so the subcommands
+    # that do not run the flow pay no import time or memory for it.
+    src = pathlib.Path(__file__).parent.parent / "src"
+    probe = (
+        "import sys; import numpy; before = 'numpy.fft' in sys.modules; "
+        "import widthlab.cli; print(before, 'numpy.fft' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.fft with numpy itself")
+    assert out == ["False", "False"]

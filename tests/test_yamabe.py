@@ -19,7 +19,8 @@ from oracles import (
     ReferenceFlowKernel,
     composite_simpson,
     explicit_flow_reference,
-    reference_advance,
+    implicit_flow_reference,
+    reference_implicit_advance,
 )
 
 ROUND_ENERGY = 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0)
@@ -85,9 +86,9 @@ class TestStep:
         assert after.energy <= state.energy + 1e-12
         assert abs(after.volume - state.volume) < 1e-12
 
-    def test_large_dt_is_substepped_stably(self):
-        # The stability constraint is enforced internally, so a caller-facing
-        # step far above the explicit limit still produces a valid state.
+    def test_large_dt_is_stable(self):
+        # The stabilized implicit step has no CFL limit: a step about 250 times
+        # the explicit limit h^2 min(u)^4 / 6 still produces a valid state.
         state = yamabe.flow_state(bump_profile(101))
         after = yamabe.step(state, 1e-2)
         assert np.all(after.profile.u > 0.0)
@@ -103,17 +104,41 @@ class TestStep:
             yamabe.step(state, np.inf)
 
     def test_unstable_override_loses_positivity(self, monkeypatch):
-        # Overriding the stability constant reproduces the explicit-Euler
-        # blow-up and must surface as a flow error, not silent garbage.
-        state = yamabe.flow_state(bump_profile(101))
-        monkeypatch.setattr(yamabe, "CFL_NUMBER", 50.0)
-        with pytest.raises(yamabe.FlowError):
-            yamabe.step(state, 0.5)
+        # A zero stabilizer makes the step explicit Euler; far above its CFL
+        # limit it blows up, and that must surface as a flow error, not
+        # silent garbage.
+        monkeypatch.setattr(yamabe, "STABILIZER", 0.0)
+        with pytest.raises(yamabe.FlowError, match="positive finite"):
+            yamabe.run(bump_profile(101), t_end=0.1, dt=1e-3)
 
-    def test_substep_budget_exhaustion(self):
-        p = AxisymProfile.from_function(lambda t: 0.05 + 0.0 * t, 11)
-        with pytest.raises(yamabe.FlowError):
-            yamabe.step(yamabe.flow_state(p), 5.0)
+    def test_step_leaving_floating_point_is_flow_error(self):
+        # On u ~ 1e-40 the curvature is ~1e160, so dt (u/4)(r - R) ~ 1e117:
+        # the step leaves the range where u^6 is finite.
+        p = AxisymProfile.from_function(lambda t: 1e-40 * (1.0 + 0.3 * np.cos(t)), 11)
+        with pytest.raises(yamabe.FlowError, match="volume overflowed"):
+            yamabe.step(yamabe.flow_state(p), 1e-3)
+
+    @pytest.mark.parametrize("huge", ["one node", "every node"])
+    def test_volume_overflow_in_step_is_flow_error(self, huge):
+        # The evaluation of the round profile has R = r, so the step leaves
+        # u as it is and u^6 overflows; the volume check must not let inf
+        # through to a renormalization by 0.
+        grid = latitude_grid(101)
+        u = np.ones(101)
+        if huge == "one node":
+            u[50] = 1e52
+        else:
+            u[:] = 1e52
+        evaluation = grid.evaluate(np.ones(101))
+        with pytest.raises(yamabe.FlowError, match="volume overflowed"):
+            yamabe._advance(grid, u, 1e-4, 1.0, evaluation)
+
+    def test_stabilizer_overflow_is_flow_error(self):
+        grid = latitude_grid(101)
+        u = np.ones(101)
+        u[50] = 1e-80
+        with pytest.raises(yamabe.FlowError, match="stabilizer"):
+            yamabe._advance(grid, u, 1e-4, 1.0, grid.evaluate(np.ones(101)))
 
     def test_underflowed_volume_rejected(self):
         # u^6 = 1e-360 underflows to 0, so the volume is 0.
@@ -124,11 +149,11 @@ class TestStep:
                 quantity(p)
 
     def test_volume_underflow_in_substep_is_flow_error(self):
-        # The evaluation of the round profile has R = r, so the sub-step
-        # leaves u = 1e-60 as it is and its volume underflows to 0.
+        # The evaluation of the round profile has R = r, so the step leaves
+        # u = 1e-60 as it is and its volume underflows to 0.
         grid = latitude_grid(101)
         evaluation = grid.evaluate(np.ones(101))
-        with pytest.raises(yamabe.FlowError, match="volume"):
+        with pytest.raises(yamabe.FlowError, match="volume underflowed"):
             yamabe._advance(grid, np.full(101, 1e-60), 1e-4, 1.0, evaluation)
 
 
@@ -193,6 +218,59 @@ class TestWidthDerivativeMonitor:
         for record in yamabe.width_derivative_monitor(trace):
             assert abs(record["lhs"]) < 1e-9
             assert abs(record["rhs"]) < 1e-9
+
+    @pytest.mark.parametrize("amplitude", [0.3, 0.1])
+    def test_lhs_is_derivative_of_width_bound(self, amplitude):
+        # Move every node area along its flow rate, u^4 -> u^4 (1 + e (r - R)),
+        # and difference the package's own width estimate.
+        state = yamabe.flow_state(bump_profile(201, amplitude))
+        field = scalar_curvature_field(state.profile).values
+        rate = state.r_avg - field
+        areas = conformal.area_profile(state.profile).values
+
+        def width(e):
+            u = state.profile.u * (1.0 + e * rate) ** 0.25
+            return conformal.width_upper_bound(AxisymProfile(GridFunction(u)))
+
+        e = 1e-5
+        centered = (width(e) - width(-e)) / (2.0 * e)
+        chain = yamabe._width_rate(areas, areas * rate)
+        assert chain == pytest.approx(centered, rel=1e-6)
+
+    def test_rate_where_the_estimate_is_a_node_area(self):
+        rates = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        # Largest area at an end node.
+        assert yamabe._width_rate(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), rates) == 1.0
+        assert yamabe._width_rate(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), rates) == 5.0
+        # a - 2b + c rounds to 0: the estimate is the node area.
+        flat = np.array([0.0, 1.0 - 2.0**-53, 1.0, 1.0, 0.0])
+        assert flat[1] - 2.0 * flat[2] + flat[3] == 0.0
+        assert yamabe._width_rate(flat, rates) == 3.0
+        # Symmetric neighbours: the vertex is the node itself.
+        assert yamabe._width_rate(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), rates) == 3.0
+
+    def test_sampled_difference_tracks_the_chain_rule(self):
+        # At a fixed sample spacing tau = 10 dt, the centered difference of
+        # the width bound differs from the chain-rule derivative by the
+        # scheme's O(dt) time error plus O(tau^2).  Compare only windows
+        # whose three samples share the node of the largest area: across a
+        # switch of that node the estimate jumps and the gap grows like
+        # 1 / tau.
+        def gap(dt):
+            trace = yamabe.run(bump_profile(401), t_end=0.01, dt=dt, sample_every=10,
+                               convergence_tol=0.0)
+            nodes = [int(np.argmax(conformal.area_profile(s.profile).values))
+                     for s in trace.states]
+            kept = [record for i, record in enumerate(
+                        yamabe.width_derivative_monitor(trace), 1)
+                    if nodes[i - 1] == nodes[i] == nodes[i + 1]]
+            assert kept
+            return (max(abs(r["lhs_sampled"] - r["lhs"]) for r in kept)
+                    / max(abs(r["lhs"]) for r in kept))
+
+        gaps = [gap(dt) for dt in (8e-5, 4e-5, 2e-5, 1e-5, 5e-6)]
+        orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+        assert min(orders) >= 0.9, (gaps, orders)
 
     def test_residual_small_against_formula(self):
         trace = yamabe.run(bump_profile(101), t_end=2.0, dt=1e-4, sample_every=50)
@@ -352,17 +430,16 @@ class TestFusedStepMatchesReference:
     @pytest.mark.parametrize(
         "n, dt, t_end, sample_every, substeps",
         [
-            (101, 1e-3, 0.05, 7, (11, 100)),  # tens of sub-steps per outer step
-            (401, 1e-5, 2e-3, 40, (2, 10)),  # the criterion-6 grid and step
-            (101, 1e-5, 1e-3, 25, (1, 1)),  # below the CFL limit
+            (101, 1e-3, 0.05, 7, (1, 1)),  # 25 times the explicit CFL limit
+            (401, 1e-5, 2e-3, 40, (1, 1)),  # the criterion-6 grid and step
+            (101, 1e-5, 1e-3, 25, (1, 1)),  # below the explicit CFL limit
         ],
     )
     def test_run_matches_reference(self, n, dt, t_end, sample_every, substeps):
         profile = bump_profile(n)
         trace = yamabe.run(profile, t_end=t_end, dt=dt, sample_every=sample_every)
-        samples, monitors = explicit_flow_reference(
-            profile.u, t_end, dt, sample_every, 1e-3,
-            yamabe.CFL_NUMBER, yamabe.MAX_SUBSTEPS_PER_CALL,
+        samples, monitors = implicit_flow_reference(
+            profile.u, t_end, dt, sample_every, 1e-3, yamabe.STABILIZER
         )
         assert trace.monitors["t"].size == round(t_end / dt)
         assert len(trace.states) == len(samples)
@@ -378,11 +455,9 @@ class TestFusedStepMatchesReference:
         state = yamabe.flow_state(bump_profile(101))
         after = yamabe.step(state, 1e-3)
         kernel = ReferenceFlowKernel(101)
-        u, substeps = reference_advance(
-            kernel, state.profile.u.copy(), 1e-3, state.volume,
-            yamabe.CFL_NUMBER, yamabe.MAX_SUBSTEPS_PER_CALL,
+        u, _ = reference_implicit_advance(
+            kernel, state.profile.u.copy(), 1e-3, state.volume, yamabe.STABILIZER
         )
-        assert substeps > 10
         assert np.array_equal(after.profile.u, u)
         vol = kernel.volume(u)
         assert after.volume == vol
@@ -396,6 +471,21 @@ class TestFusedStepMatchesReference:
         r = kernel.average_r(kernel.scalar_curvature(u), u, vol)
         assert yamabe.average_scalar_curvature(profile) == r
         assert yamabe.hilbert_einstein_energy(profile) == r * vol ** (2.0 / 3.0)
+
+    def test_convergence_time_matches_explicit_scheme(self):
+        # The explicit Euler reference under its CFL rule is an independent
+        # route to the same flow: with criterion 6's profile and step, the
+        # two schemes converge at the same time to 1e-3 relative (measured
+        # 5.2e-4 here, 4.3e-4 at criterion 6's n = 401 and tolerance 1e-3).
+        # n = 101 and tolerance 3e-2 keep the explicit run to 52,000 steps.
+        profile = bump_profile(101)
+        trace = yamabe.run(profile, t_end=1.0, dt=1e-5, sample_every=10**6,
+                           convergence_tol=3e-2)
+        _, monitors = explicit_flow_reference(profile.u, 1.0, 1e-5, 10**6, 3e-2)
+        assert trace.status == "converged"
+        implicit, explicit = trace.monitors["t"][-1], monitors["t"][-1]
+        assert monitors["sup_R_minus_r"][-1] < 3e-2
+        assert abs(implicit - explicit) <= 1e-3 * explicit
 
 
 def four_mode_profile(n, seed):
