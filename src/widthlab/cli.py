@@ -152,8 +152,8 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
         n=profile.n,
         volume=volume,
         scalar_curvature={
-            "min": float(np.min(curvature.values)),
-            "max": float(np.max(curvature.values)),
+            "min": float(np.min(curvature)),
+            "max": float(np.max(curvature)),
         },
         width_upper_bound=star.width_upper_bound,
         normalized_width_bound=star.width_upper_bound / volume ** (2.0 / 3.0),
@@ -257,7 +257,7 @@ def _conformal_item() -> RoundcheckItem:
     profile = conformal.AxisymProfile.round_profile(201)
     vol_ok = abs(conformal.volume(profile) - 2.0 * math.pi**2) < 1e-8
     curvature = conformal.scalar_curvature_field(profile)
-    r_ok = float(np.max(np.abs(curvature.values - 6.0))) < 1e-8
+    r_ok = float(np.max(np.abs(curvature - 6.0))) < 1e-8
     width_ok = abs(conformal.width_upper_bound(profile) - 4.0 * math.pi) < 1e-8
     spectrum = conformal.jacobi_spectrum(profile, math.pi / 2.0, k_max=2)
     spec_ok = spectrum.index == 1 and spectrum.nullity == 3

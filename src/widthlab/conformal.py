@@ -34,7 +34,6 @@ import numpy as np
 
 from ._fsio import atomic_write_text, is_number_list, json_text, read_json
 from .numerics import (
-    GridFunction,
     QuadratureConfig,
     central_second_difference,
     critical_points,
@@ -95,20 +94,28 @@ class ProfileError(ValueError):
 class AxisymProfile:
     """Positive conformal profile u on the uniform latitude grid.
 
+    ``u`` holds the n node values at ``theta_i = i * pi / (n - 1)``; it must
+    be one-dimensional, finite, of at least 5 nodes and strictly positive.
     Smooth axisymmetric metrics require ``u'(0) = u'(pi) = 0``; discretely
     this is enforced as ``|u_1 - u_0| <= POLE_REG_FACTOR * max(u) * h^2``
     (and mirrored at pi), which admits pole second derivatives up to about
     ``2 * POLE_REG_FACTOR * max(u)`` while rejecting conical profiles whose
-    one-sided difference decays only like h.
+    one-sided difference decays only like h.  Violations of the first three
+    rules raise ``ValueError``, of the last two ``ProfileError``.
     """
 
-    grid: GridFunction
+    u: np.ndarray
 
     def __post_init__(self):
-        u = self.grid.values
+        u = np.asarray(self.u, dtype=float)
+        if u.ndim != 1:
+            raise ValueError(f"grid values must be one-dimensional, got shape {u.shape}")
+        h = latitude_grid(u.size).h  # raises for fewer than 5 nodes
+        if not np.all(np.isfinite(u)):
+            raise ValueError("grid values must be finite")
+        object.__setattr__(self, "u", u)
         if not np.all(u > 0.0):
             raise ProfileError("conformal profile must be strictly positive")
-        h = self.grid.spacing
         bound = POLE_REG_FACTOR * float(np.max(u)) * h * h
         defect = max(abs(u[1] - u[0]), abs(u[-1] - u[-2]))
         if defect > bound:
@@ -119,27 +126,23 @@ class AxisymProfile:
 
     @property
     def n(self) -> int:
-        return self.grid.n
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.grid.values
+        return self.u.size
 
     @property
     def thetas(self) -> np.ndarray:
-        return self.grid.thetas
+        return latitude_grid(self.n).thetas
 
     @property
     def spacing(self) -> float:
-        return self.grid.spacing
+        return latitude_grid(self.n).h
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "AxisymProfile":
-        return cls(GridFunction.from_function(fn, n))
+        return cls(fn(latitude_grid(n).thetas))
 
     @classmethod
     def round_profile(cls, n: int, radius_factor: float = 1.0) -> "AxisymProfile":
-        return cls(GridFunction(np.full(n, float(radius_factor))))
+        return cls(np.full(n, float(radius_factor)))
 
     def interp_u(self, theta: float) -> float:
         """Linear interpolation of the profile between grid nodes."""
@@ -174,7 +177,7 @@ def load_profile(path: str) -> AxisymProfile:
             f"profile file {path}: 'n' must be the integer sample count {u.size}, got {n!r}"
         )
     try:
-        profile = AxisymProfile(GridFunction(u))
+        profile = AxisymProfile(u)
     except ValueError as exc:
         raise ProfileError(f"profile file {path}: {exc}") from None
     grid = latitude_grid(profile.n)
@@ -197,7 +200,7 @@ def save_profile(profile: AxisymProfile, path: str, description: str | None = No
     atomic_write_text(path, json_text(payload))
 
 
-def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:
+def scalar_curvature_field(profile: AxisymProfile) -> np.ndarray:
     """Discrete scalar curvature ``u^-5 (-8 lap(u) + 6 u)`` node by node.
 
     The round-metric Laplacian of an axisymmetric function is
@@ -207,7 +210,7 @@ def scalar_curvature_field(profile: AxisymProfile) -> GridFunction:
     ``6 (u_1 - u_0) / h^2``.  This is the field the flow evolves by
     (``numerics.LatitudeGrid.scalar_curvature``), bit for bit.
     """
-    return GridFunction(latitude_grid(profile.n).scalar_curvature(profile.u))
+    return latitude_grid(profile.n).scalar_curvature(profile.u)
 
 
 def volume(profile: AxisymProfile) -> float:
@@ -222,13 +225,9 @@ def sphere_area(profile: AxisymProfile, theta: float) -> float:
     return 4.0 * np.pi * profile.interp_u(theta) ** 4 * math.sin(theta) ** 2
 
 
-def _node_areas(profile: AxisymProfile) -> np.ndarray:
-    return 4.0 * np.pi * profile.u**4 * latitude_grid(profile.n).sin2
-
-
-def area_profile(profile: AxisymProfile) -> GridFunction:
+def area_profile(profile: AxisymProfile) -> np.ndarray:
     """Latitude-sphere areas sampled at the grid nodes."""
-    return GridFunction(_node_areas(profile))
+    return 4.0 * np.pi * profile.u**4 * latitude_grid(profile.n).sin2
 
 
 @dataclass(frozen=True)
@@ -293,12 +292,11 @@ def minimal_coordinate_spheres(profile: AxisymProfile) -> list[LatitudeSphere]:
     ``minimality_residual`` is the centered difference |A'| at the anchoring
     node, which vanishes to grid order at a genuine critical latitude.
     """
-    areas = area_profile(profile)
-    h = areas.spacing
-    values = areas.values
-    thetas = areas.thetas
+    values = area_profile(profile)
+    h = profile.spacing
+    thetas = profile.thetas
     spheres = []
-    for i, kind in critical_points(areas):
+    for i, kind in critical_points(values):
         if kind == "saddle-flat":
             theta = thetas[i]
         else:
@@ -317,24 +315,23 @@ def width_upper_bound(profile: AxisymProfile) -> float:
     but this estimate can fall on either side of it by its interpolation
     error, so it is not a bound; ``tilted_width_bound`` is one.
     """
-    areas = area_profile(profile)
-    values = areas.values
+    values = area_profile(profile)
     i = int(np.argmax(values))
-    if i == 0 or i == areas.n - 1:
+    if i == 0 or i == profile.n - 1:
         return float(values[i])
-    _, fitted = _refine_critical_node(values, i, areas.spacing)
+    _, fitted = _refine_critical_node(values, i, profile.spacing)
     return max(fitted, float(values[i]))
 
 
 def max_latitude_sphere(profile: AxisymProfile) -> LatitudeSphere:
     """The latitude sphere realizing the sweep-out maximum."""
-    areas = area_profile(profile)
-    values = areas.values
+    values = area_profile(profile)
+    h = profile.spacing
     i = int(np.argmax(values))
-    i = min(max(i, 1), areas.n - 2)
-    offset, _ = _refine_critical_node(values, i, areas.spacing)
-    residual = abs(values[i + 1] - values[i - 1]) / (2.0 * areas.spacing)
-    return _sphere_at(profile, areas.thetas[i] + offset, residual)
+    i = min(max(i, 1), profile.n - 2)
+    offset, _ = _refine_critical_node(values, i, h)
+    residual = abs(values[i + 1] - values[i - 1]) / (2.0 * h)
+    return _sphere_at(profile, profile.thetas[i] + offset, residual)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -540,11 +537,11 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
     """Raise unless the area slope at ``theta_star`` is below 2% of the
     largest node area (per radian)."""
-    h = profile.grid.spacing
+    h = profile.spacing
     lo = max(theta_star - h, 0.0)
     hi = min(theta_star + h, np.pi)
     slope = (sphere_area(profile, hi) - sphere_area(profile, lo)) / (hi - lo)
-    tolerance = 0.02 * float(np.max(_node_areas(profile)))
+    tolerance = 0.02 * float(np.max(area_profile(profile)))
     if abs(slope) > tolerance:
         raise ValueError(
             f"theta={theta_star} is not a critical latitude "
@@ -780,7 +777,7 @@ def star_scan(profile: AxisymProfile, k_max: int = 4) -> StarReport:
 def curvature_integral_over_sphere(profile: AxisymProfile, theta_star: float) -> float:
     """``R(theta_star) * area(theta_star)``; R is constant on each latitude."""
     field = scalar_curvature_field(profile)
-    r_star = float(np.interp(theta_star, profile.thetas, field.values))
+    r_star = float(np.interp(theta_star, profile.thetas, field))
     return r_star * sphere_area(profile, theta_star)
 
 

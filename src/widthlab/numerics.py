@@ -6,15 +6,17 @@ the uniform grid theta_i = i * pi / (n - 1) over [0, pi]: nodes, composite
 Simpson weights, the scalar-curvature stencil of conformal metrics
 ``u^4 g_round``, and the Neumann second-difference solve of the flow's
 implicit step.  Volumes, areas, curvature fields and the flow all evaluate
-through it.  The Berger width and the Jacobi term are closed forms, so the
-adaptive integrator serves only the fine-grid cross-check
+through it.  A grid holds only read-only arrays, so one instance per n is
+shared; data on the grid are plain float arrays of the n node values.  The
+Berger width and the Jacobi term are closed forms, so the adaptive
+integrator serves only the fine-grid cross-check
 ``conformal.second_variation_oracle`` and the tests.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,6 @@ import numpy as np
 __all__ = [
     "QuadratureConfig",
     "QuadratureError",
-    "GridFunction",
     "LatitudeGrid",
     "latitude_grid",
     "integrate_adaptive",
@@ -159,11 +160,10 @@ class LatitudeGrid:
 
     Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the interior
     ``cot_inner``, the composite Simpson weights ``simpson`` (with a 3/8 tail
-    when the interval count is odd), the eigenvalues ``mu`` of the Neumann
-    second difference (see ``neumann_solve``) and scratch buffers.
-    ``latitude_grid`` shares one instance per n, so its arrays are read-only.
-    The scratch buffers assume one thread: they only hold intermediates, and
-    every method returns fresh arrays or floats.
+    when the interval count is odd) and the eigenvalues ``mu`` of the Neumann
+    second difference (see ``neumann_solve``).  ``latitude_grid`` shares one
+    instance per n, so its arrays are read-only; the grid has no other
+    state, and every method returns fresh arrays or floats.
     """
 
     def __init__(self, n: int):
@@ -194,10 +194,6 @@ class LatitudeGrid:
         self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / self.h2
         for shared in (self.thetas, self.sin2, self.cot_inner, self.simpson, self.mu):
             shared.flags.writeable = False
-        self._inner = np.empty(n - 2)
-        self._pow = np.empty(n)
-        self._tmp = np.empty(n)
-        self._even = np.empty(2 * m)
 
     def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
         """Scalar curvature ``(-8 lap(u) + 6 u) / u^5`` of ``u^4 g_round``.
@@ -207,24 +203,18 @@ class LatitudeGrid:
         ``lap(0) = 6 (u_1 - u_0) / h^2`` (and mirrored at pi): second order
         for smooth axisymmetric profiles, and damping as flow dynamics.
         """
-        h2, tmp = self.h2, self._tmp
-        scalar = np.empty_like(u)
-        lap, d = scalar[1:-1], self._inner
         up, dn = u[2:], u[:-2]
-        np.multiply(2.0, u[1:-1], out=d)
-        np.subtract(up, d, out=d)
-        np.add(d, dn, out=d)
-        np.divide(d, h2, out=lap)
-        np.subtract(up, dn, out=d)
-        np.multiply(self.cot_inner, d, out=d)
-        np.divide(d, self.h, out=d)
-        np.add(lap, d, out=lap)
-        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / h2
-        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / h2
-        np.multiply(-8.0, scalar, out=scalar)
-        np.multiply(6.0, u, out=tmp)
-        np.add(scalar, tmp, out=scalar)
-        np.divide(scalar, np.power(u, 5.0, out=tmp), out=scalar)
+        scalar = np.empty_like(u)
+        lap = scalar[1:-1]
+        np.subtract(up, 2.0 * u[1:-1], out=lap)
+        lap += dn
+        lap /= self.h2
+        lap += self.cot_inner * (up - dn) / self.h
+        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / self.h2
+        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / self.h2
+        scalar *= -8.0
+        scalar += 6.0 * u
+        scalar /= u**5.0
         return scalar
 
     def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -233,23 +223,17 @@ class LatitudeGrid:
         ``u^6`` is formed once and serves both integrals.  A volume that is
         not positive (``u^6`` underflowed) raises ``ValueError``.
         """
-        tmp = self._tmp
         scalar = self.scalar_curvature(u)
-        u6 = np.power(u, 6.0, out=self._pow)
-        np.multiply(u6, self.sin2, out=tmp)
-        vol = 4.0 * np.pi * float(self.simpson.dot(tmp))
+        u6 = u**6.0
+        vol = 4.0 * np.pi * float(self.simpson.dot(u6 * self.sin2))
         if not vol > 0.0:
             raise ValueError(f"volume {vol!r} is not positive (min(u) = {u.min():.3e})")
-        np.multiply(scalar, u6, out=tmp)
-        np.multiply(tmp, self.sin2, out=tmp)
-        r = 4.0 * np.pi * float(self.simpson.dot(tmp)) / vol
+        r = 4.0 * np.pi * float(self.simpson.dot(scalar * u6 * self.sin2)) / vol
         return scalar, vol, r
 
     def volume(self, u: np.ndarray) -> float:
         """Volume ``4 pi * integral u^6 sin^2(theta) d theta``."""
-        w = np.power(u, 6.0, out=self._pow)
-        np.multiply(w, self.sin2, out=w)
-        return 4.0 * np.pi * float(self.simpson.dot(w))
+        return 4.0 * np.pi * float(self.simpson.dot(u**6.0 * self.sin2))
 
     def neumann_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - a D2) x = rhs`` for ``a >= 0`` by a DCT-I.
@@ -263,14 +247,10 @@ class LatitudeGrid:
         transforms back.  The DCT-I is the real FFT of the even extension
         ``rhs[0], ..., rhs[n-1], rhs[n-2], ..., rhs[1]``.
         """
-        even, n = self._even, rhs.size
-        even[:n] = rhs
-        even[n:] = rhs[-2:0:-1]
+        even = np.concatenate((rhs, rhs[-2:0:-1]))
         spectrum = np.fft.rfft(even)
-        divisor = np.multiply(self.mu, a, out=self._tmp)
-        np.add(divisor, 1.0, out=divisor)
-        spectrum /= divisor
-        return np.fft.irfft(spectrum, even.size)[:n]
+        spectrum /= self.mu * a + 1.0
+        return np.fft.irfft(spectrum, even.size)[:rhs.size]
 
     def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
         """Volume average of a field, given the volume of u."""
@@ -283,41 +263,10 @@ def latitude_grid(n: int) -> LatitudeGrid:
     return LatitudeGrid(n)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Real samples on the uniform grid ``theta_i = i*pi/(n-1)`` over [0, pi]."""
+def critical_points(values: np.ndarray) -> list[tuple[int, str]]:
+    """Locate interior extrema of node values on the latitude grid.
 
-    values: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"grid values must be one-dimensional, got shape {values.shape}")
-        if values.size < 5:
-            raise ValueError(f"grid needs at least 5 nodes, got {values.size}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", values.size)
-
-    @property
-    def spacing(self) -> float:
-        return latitude_grid(self.n).h
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return latitude_grid(self.n).thetas
-
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
-        return cls(np.asarray(fn(latitude_grid(n).thetas), dtype=float))
-
-
-def critical_points(grid: GridFunction) -> list[tuple[int, str]]:
-    """Locate interior extrema of a gridded function.
-
-    Sign changes of the forward difference ``d_i = v[i+1] - v[i]`` mark the
+    Sign changes of the forward difference ``d = np.diff(values)`` mark the
     strict extrema; the discrete second difference ``d_i - d_{i-1}`` decides
     between ``"max"`` and ``"min"``.  Maximal runs of exactly-zero forward
     differences are reported once as ``"saddle-flat"`` at the run's middle
@@ -327,8 +276,7 @@ def critical_points(grid: GridFunction) -> list[tuple[int, str]]:
         List of ``(index, kind)`` pairs with kind in
         ``{"max", "min", "saddle-flat"}``, ordered by index.
     """
-    v = grid.values
-    d = np.diff(v)
+    d = np.diff(values)
     results: list[tuple[int, str]] = []
     i = 0
     while i < d.size:
@@ -338,7 +286,7 @@ def critical_points(grid: GridFunction) -> list[tuple[int, str]]:
                 j += 1
             # Flat run of nodes i..j; report its middle interior node.
             mid = (i + j) // 2
-            mid = min(max(mid, 1), grid.n - 2)
+            mid = min(max(mid, 1), values.size - 2)
             results.append((mid, "saddle-flat"))
             i = j
         else:

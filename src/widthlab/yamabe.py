@@ -60,13 +60,14 @@ from ._fsio import atomic_write_text, csv_text, report_text
 from .conformal import (
     AxisymProfile,
     LatitudeSphere,
+    ProfileError,
     area_profile,
     max_latitude_sphere,
     scalar_curvature_field,
     tilted_width_bound,
     width_upper_bound,
 )
-from .numerics import GridFunction, LatitudeGrid, latitude_grid
+from .numerics import LatitudeGrid, latitude_grid
 
 __all__ = [
     "FlowError",
@@ -106,7 +107,14 @@ class FlowError(RuntimeError):
     - the volume ``u^6`` overflows to inf (or nan, inf times 0 at a pole) or
       underflows to 0.  On u ~ 1e-40 the curvature is ~1e160, and one step
       of 1e-3 moves u to ~1e117;
-    - the stabilizer ``c`` overflows because min(u) is below about 1e-77.
+    - the stabilizer ``c`` overflows because min(u) is below about 1e-77;
+    - a state the flow records is no valid ``AxisymProfile`` (its poles
+      lost regularity: with the stabilizer halved, 1 + 0.3 cos(theta) at
+      n = 401 and dt = 4e-5 does so after 61 steps).
+
+    ``run`` and ``step`` silence numpy's overflow, invalid-value and
+    division warnings, because they check every result themselves, so the
+    error is the one report of a failure.
     """
 
 
@@ -195,6 +203,15 @@ def _advance(
     return u, grid.evaluate(u)
 
 
+def _flowed_state(u: np.ndarray, time: float) -> FlowState:
+    """``flow_state`` of a state the flow reached; an invalid one is a FlowError."""
+    try:
+        profile = AxisymProfile(u)
+    except ProfileError as exc:
+        raise FlowError(f"flow state at t = {time:.6g} is no valid profile: {exc}") from None
+    return flow_state(profile, time)
+
+
 def step(state: FlowState, dt: float) -> FlowState:
     """One caller-facing flow step of size dt, volume held at state.volume.
 
@@ -203,7 +220,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     refused for stability.
 
     Raises:
-        FlowError: when the step leaves floating point (see ``FlowError``).
+        FlowError: when the step leaves floating point or the valid
+            profiles (see ``FlowError``).
         ValueError: for a dt that is not positive and finite, or a state of
             zero volume.
     """
@@ -211,8 +229,9 @@ def step(state: FlowState, dt: float) -> FlowState:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = latitude_grid(state.profile.n)
     u = state.profile.u
-    u, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))
-    return flow_state(AxisymProfile(GridFunction(u)), state.time + dt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))
+        return _flowed_state(u, state.time + dt)
 
 
 @dataclass
@@ -256,7 +275,8 @@ def run(
     Raises:
         ValueError: for non-positive or non-finite dt/t_end, more than
             ``MAX_STEPS`` outer steps, or sample_every < 1.
-        FlowError: when a step leaves floating point (see ``FlowError``).
+        FlowError: when a step leaves floating point or the valid profiles
+            (see ``FlowError``).
     """
     if not (0.0 < dt < math.inf) or not (0.0 < t_end < math.inf):
         raise ValueError(
@@ -269,38 +289,37 @@ def run(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     grid = latitude_grid(profile.n)
-    u = profile.u.copy()
-    evaluation = grid.evaluate(u)
-    target_volume = evaluation[1]
+    u = profile.u
     n_steps = max(int(round(t_end / dt)), 1)
-
     mon_t = np.empty(n_steps)
     mon_drift = np.empty(n_steps)
     mon_energy = np.empty(n_steps)
     mon_r = np.empty(n_steps)
     mon_sup = np.empty(n_steps)
 
-    states = [flow_state(AxisymProfile(GridFunction(u.copy())), 0.0)]
-
     status = "completed"
     taken = 0
-    for i in range(n_steps):
-        u, evaluation = _advance(grid, u, dt, target_volume, evaluation)
-        taken = i + 1
-        time = taken * dt
-        scalar, vol, r = evaluation
-        sup_dev = float(np.max(np.abs(scalar - r)))
-        mon_t[i] = time
-        mon_drift[i] = abs(vol - target_volume)
-        mon_energy[i] = r * vol ** (2.0 / 3.0)
-        mon_r[i] = r
-        mon_sup[i] = sup_dev
-        converged = sup_dev < convergence_tol
-        if taken % sample_every == 0 or taken == n_steps or converged:
-            states.append(flow_state(AxisymProfile(GridFunction(u.copy())), time))
-        if converged:
-            status = "converged"
-            break
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        evaluation = grid.evaluate(u)
+        target_volume = evaluation[1]
+        states = [flow_state(profile, 0.0)]
+        for i in range(n_steps):
+            u, evaluation = _advance(grid, u, dt, target_volume, evaluation)
+            taken = i + 1
+            time = taken * dt
+            scalar, vol, r = evaluation
+            sup_dev = float(np.max(np.abs(scalar - r)))
+            mon_t[i] = time
+            mon_drift[i] = abs(vol - target_volume)
+            mon_energy[i] = r * vol ** (2.0 / 3.0)
+            mon_r[i] = r
+            mon_sup[i] = sup_dev
+            converged = sup_dev < convergence_tol
+            if taken % sample_every == 0 or taken == n_steps or converged:
+                states.append(_flowed_state(u, time))
+            if converged:
+                status = "converged"
+                break
 
     monitors = {
         "t": mon_t[:taken],
@@ -397,8 +416,8 @@ def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
     for i in range(1, len(states) - 1):
         before, here, after = states[i - 1], states[i], states[i + 1]
         sampled = (after.width_bound - before.width_bound) / (after.time - before.time)
-        field = scalar_curvature_field(here.profile).values
-        areas = area_profile(here.profile).values
+        field = scalar_curvature_field(here.profile)
+        areas = area_profile(here.profile)
         lhs = _width_rate(areas, areas * (here.r_avg - field))
         theta = here.max_sphere.theta
         r_at_max = float(np.interp(theta, here.profile.thetas, field))
@@ -470,20 +489,24 @@ class ConformalVariation:
 
     ``g(t) = V^(2/3) (1 + t f) g / V((1+t f) g)^(2/3)``; at t = 0 the
     variation velocity is exactly ``f g`` and the volume is constant in t.
+    ``f`` holds the n node values of the direction on the grid of ``base``.
     """
 
     base: AxisymProfile
-    f: GridFunction
+    f: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", _direction(self.f, self.base.n))
 
     def profile_at(self, t: float) -> AxisymProfile:
-        factor = 1.0 + t * self.f.values
+        factor = 1.0 + t * self.f
         if not np.all(factor > 0.0):
             raise ValueError(f"variation parameter t={t} leaves the metric cone")
         grid = latitude_grid(self.base.n)
         base_vol = grid.volume(self.base.u)
         u_t = self.base.u * factor**0.25
         vol_t = grid.volume(u_t)
-        return AxisymProfile(GridFunction(u_t * (base_vol / vol_t) ** (1.0 / 6.0)))
+        return AxisymProfile(u_t * (base_vol / vol_t) ** (1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -494,7 +517,17 @@ class VariationReport:
     trace_integral_over_max_sphere: float
 
 
-def maximum_test_direction(profile: AxisymProfile, f: GridFunction) -> VariationReport:
+def _direction(f: np.ndarray, n: int) -> np.ndarray:
+    """f as a float array, checked to hold n finite node values."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise ValueError(f"direction must hold {n} node values, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("direction values must be finite")
+    return f
+
+
+def maximum_test_direction(profile: AxisymProfile, f: np.ndarray) -> VariationReport:
     """Build the volume-preserving family for f and integrate it at the top.
 
     The direction is made mean-zero by subtracting its volume average
@@ -502,15 +535,13 @@ def maximum_test_direction(profile: AxisymProfile, f: GridFunction) -> Variation
     maximal latitude sphere: at a time where the width bound is maximal this
     integral is non-positive for admissible directions.
     """
-    if f.n != profile.n:
-        raise ValueError(f"direction grid ({f.n}) must match profile grid ({profile.n})")
+    f = _direction(f, profile.n)
     grid = latitude_grid(profile.n)
     u = profile.u
     vol = grid.volume(u)
-    mean = grid.average_r(f.values, u, vol)
-    adjusted = GridFunction(f.values - mean)
+    adjusted = f - grid.average_r(f, u, vol)
     sphere = max_latitude_sphere(profile)
-    f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted.values))
+    f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted))
     return VariationReport(
         variation=ConformalVariation(base=profile, f=adjusted),
         trace_integral_over_max_sphere=f_at_top * sphere.area,

@@ -103,7 +103,7 @@ def test_criterion_04_product_bound_on_grid_with_mc_volume():
 def test_criterion_05_round_geometry_suite():
     profile = cf.AxisymProfile.round_profile(401)
     vol = cf.volume(profile)
-    curvature = cf.scalar_curvature_field(profile).values
+    curvature = cf.scalar_curvature_field(profile)
     area = cf.sphere_area(profile, math.pi / 2.0)
     spectrum = cf.jacobi_spectrum(profile, math.pi / 2.0, k_max=4)
     vol_ok = abs(vol - 2.0 * math.pi**2) < 1e-8

@@ -12,6 +12,7 @@ import widthlab.berger as berger
 import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
+import widthlab.yamabe as yamabe
 
 from oracles import parse_scan_csv
 
@@ -532,12 +533,33 @@ class TestYamabeRun:
             path,
         )
         out = str(tmp_path / "flow.json")
-        code = cli.main(["yamabe-run", "--profile", path, "--t-end", "0.01",
-                         "--dt", "1e-3", "--output", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["yamabe-run", "--profile", path, "--t-end", "0.01",
+                             "--dt", "1e-3", "--output", out])
         assert code == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "volume overflowed" in err
+        assert not (tmp_path / "flow.json").exists()
+        # The one line is all of stderr: numpy warns of nothing before it.
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_irregular_pole_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # With the stabilizer halved the pole rows go unstable at dt = 4e-5;
+        # the flow broke the profile, so this is no input error.
+        monkeypatch.setattr(yamabe, "STABILIZER", 0.75)
+        path = str(tmp_path / "bump.json")
+        cf.save_profile(
+            cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 401), path
+        )
+        out = str(tmp_path / "flow.json")
+        code = cli.main(["yamabe-run", "--profile", path, "--t-end", "0.03",
+                         "--dt", "4e-5", "--output", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "pole regularity" in err
         assert not (tmp_path / "flow.json").exists()
 
     @pytest.mark.parametrize(

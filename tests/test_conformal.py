@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from widthlab import conformal as cf
-from widthlab.numerics import GridFunction
 
 from oracles import cosine_series_jacobi_q, mc_tilted_sphere_area
 
@@ -25,9 +24,30 @@ def double_bump(n, amplitude=0.3):
 
 
 class TestAxisymProfile:
+    def test_grid_layout(self):
+        g = cf.AxisymProfile(np.ones(9))
+        assert g.n == 9
+        assert g.thetas[0] == 0.0
+        assert g.thetas[-1] == pytest.approx(np.pi)
+        assert g.spacing == pytest.approx(np.pi / 8.0)
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            cf.AxisymProfile(np.ones(4))
+
+    def test_non_finite_rejected(self):
+        values = np.ones(6)
+        values[3] = np.nan
+        with pytest.raises(ValueError):
+            cf.AxisymProfile(values)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            cf.AxisymProfile(np.ones((9, 2)))
+
     def test_positive_required(self):
         with pytest.raises(cf.ProfileError):
-            cf.AxisymProfile(GridFunction(np.linspace(-0.1, 1.0, 101)))
+            cf.AxisymProfile(np.linspace(-0.1, 1.0, 101))
 
     def test_pole_regularity_rejects_conical_profile(self):
         with pytest.raises(cf.ProfileError):
@@ -61,13 +81,13 @@ class TestAxisymProfile:
 class TestScalarCurvatureField:
     def test_round_is_exact(self):
         field = cf.scalar_curvature_field(cf.AxisymProfile.round_profile(201))
-        assert np.max(np.abs(field.values - 6.0)) < 1e-8
+        assert np.max(np.abs(field - 6.0)) < 1e-8
 
     def test_constant_scaling(self):
         field = cf.scalar_curvature_field(
             cf.AxisymProfile.round_profile(201, radius_factor=2.0)
         )
-        assert np.max(np.abs(field.values - 6.0 / 16.0)) < 1e-8
+        assert np.max(np.abs(field - 6.0 / 16.0)) < 1e-8
 
     def test_bump_against_analytic_solution(self):
         # u = 1 + 0.3cos(theta) has lap(u) = -0.9cos(theta) exactly, giving
@@ -75,7 +95,7 @@ class TestScalarCurvatureField:
         # as the interior (measured sup error 3.7e-4).
         p = bump(401)
         exact = (6.0 + 9.0 * np.cos(p.thetas)) / (1.0 + 0.3 * np.cos(p.thetas)) ** 5
-        err = np.abs(cf.scalar_curvature_field(p).values - exact)
+        err = np.abs(cf.scalar_curvature_field(p) - exact)
         assert np.max(err) < 5e-4
 
     def test_second_order_convergence(self):
@@ -85,7 +105,7 @@ class TestScalarCurvatureField:
             exact = (6.0 + 9.0 * np.cos(p.thetas)) / (
                 1.0 + 0.3 * np.cos(p.thetas)
             ) ** 5
-            sups.append(np.max(np.abs(cf.scalar_curvature_field(p).values - exact)))
+            sups.append(np.max(np.abs(cf.scalar_curvature_field(p) - exact)))
         assert sups[0] / sups[1] > 3.5
         assert sups[1] / sups[2] > 3.5
 
@@ -144,8 +164,8 @@ class TestMinimalCoordinateSpheres:
     def test_bump_maximizer_against_dense_oracle(self):
         spheres = cf.minimal_coordinate_spheres(bump(401))
         assert len(spheres) == 1
-        dense = cf.area_profile(bump(200001))
-        theta_dense = dense.thetas[int(np.argmax(dense.values))]
+        dense = bump(200001)
+        theta_dense = dense.thetas[int(np.argmax(cf.area_profile(dense)))]
         assert abs(spheres[0].theta - theta_dense) < 1e-3
         assert spheres[0].theta == pytest.approx(1.1240721, abs=1e-4)
 
@@ -182,12 +202,12 @@ class TestWidthUpperBound:
         # discrete integral of A' telescopes to a negligible total.
         for profile in (bump(401), double_bump(401)):
             areas = cf.area_profile(profile)
-            cap = 1e-28 * np.max(areas.values)
-            assert abs(areas.values[0]) <= cap and abs(areas.values[-1]) <= cap
+            cap = 1e-28 * np.max(areas)
+            assert abs(areas[0]) <= cap and abs(areas[-1]) <= cap
             total = np.trapezoid(
-                np.gradient(areas.values, areas.spacing), dx=areas.spacing
+                np.gradient(areas, profile.spacing), dx=profile.spacing
             )
-            assert abs(total) < 1e-10 * np.max(areas.values)
+            assert abs(total) < 1e-10 * np.max(areas)
 
 
 def tilt_axis(alpha):
@@ -391,8 +411,8 @@ class TestJacobiSpectrum:
         areas = cf.area_profile(p)
         i = (p.n - 1) // 2
         second_diff = (
-            areas.values[i + 1] - 2 * areas.values[i] + areas.values[i - 1]
-        ) / areas.spacing**2
+            areas[i + 1] - 2 * areas[i] + areas[i - 1]
+        ) / p.spacing**2
         assert math.copysign(1.0, lam0) == math.copysign(1.0, second_diff)
 
     def test_analyze_sphere_fills_fields(self):
@@ -550,11 +570,11 @@ class TestConformalScalingCoherence:
         assert cf.sphere_area(scaled, 1.0) == pytest.approx(
             c**4 * cf.sphere_area(base, 1.0), rel=1e-12
         )
-        expected = cf.scalar_curvature_field(base).values / c**4
+        expected = cf.scalar_curvature_field(base) / c**4
         # The bump curvature crosses zero, so pointwise relative comparison
         # is ill-posed there; measure roundoff against the field scale.
         np.testing.assert_allclose(
-            cf.scalar_curvature_field(scaled).values,
+            cf.scalar_curvature_field(scaled),
             expected,
             rtol=1e-10,
             atol=1e-10 * float(np.max(np.abs(expected))),

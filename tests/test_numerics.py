@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from widthlab.conformal import AxisymProfile
 from widthlab.numerics import (
-    GridFunction,
     QuadratureConfig,
     QuadratureError,
     central_second_difference,
@@ -100,38 +100,24 @@ class TestCentralSecondDifference:
             central_second_difference(lambda x: np.inf, 0.0, 0.1)
 
 
-class TestGridFunction:
-    def test_grid_layout(self):
-        g = GridFunction(np.zeros(9))
-        assert g.n == 9
-        assert g.thetas[0] == 0.0
-        assert g.thetas[-1] == pytest.approx(np.pi)
-        assert g.spacing == pytest.approx(np.pi / 8.0)
-
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.zeros(4))
-
-    def test_non_finite_rejected(self):
-        values = np.zeros(6)
-        values[3] = np.nan
-        with pytest.raises(ValueError):
-            GridFunction(values)
+def sampled(fn, n):
+    """Values of fn at the nodes of the n-node latitude grid."""
+    return fn(latitude_grid(n).thetas)
 
 
 class TestCriticalPoints:
     def test_sin_squared_single_max(self):
-        g = GridFunction.from_function(lambda t: np.sin(t) ** 2, 101)
+        g = sampled(lambda t: np.sin(t) ** 2, 101)
         assert critical_points(g) == [(50, "max")]
 
     def test_constant_is_one_flat_run(self):
-        g = GridFunction(np.full(11, 2.5))
+        g = np.full(11, 2.5)
         points = critical_points(g)
         assert len(points) == 1
         assert points[0][1] == "saddle-flat"
 
     def test_double_bump(self):
-        g = GridFunction.from_function(lambda t: np.sin(2.0 * t) ** 2 + 0.1 * np.sin(t), 201)
+        g = sampled(lambda t: np.sin(2.0 * t) ** 2 + 0.1 * np.sin(t), 201)
         kinds = [kind for _, kind in critical_points(g)]
         assert kinds == ["max", "min", "max"]
 
@@ -139,14 +125,14 @@ class TestCriticalPoints:
         # Adding a constant must not change the reported critical points.
         rng = np.random.default_rng(3)
         values = np.cumsum(rng.standard_normal(41))
-        base = critical_points(GridFunction(values))
-        shifted = critical_points(GridFunction(values + 17.25))
+        base = critical_points(values)
+        shifted = critical_points(values + 17.25)
         assert base == shifted
 
     def test_flow_style_profile(self):
         # Area profile of the standard one-bump conformal factor: single max.
         u = lambda t: 1.0 + 0.3 * np.cos(t)
-        g = GridFunction.from_function(lambda t: np.sin(t) ** 2 * u(t) ** 4, 401)
+        g = sampled(lambda t: np.sin(t) ** 2 * u(t) ** 4, 401)
         points = critical_points(g)
         assert len(points) == 1
         assert points[0][1] == "max"
@@ -181,7 +167,7 @@ class TestCompositeSimpson:
 class TestLatitudeGrid:
     def test_shared_per_size(self):
         assert latitude_grid(101) is latitude_grid(101)
-        assert GridFunction(np.ones(101)).thetas is latitude_grid(101).thetas
+        assert AxisymProfile.round_profile(101).thetas is latitude_grid(101).thetas
 
     def test_nodes(self):
         grid = latitude_grid(101)
@@ -189,8 +175,12 @@ class TestLatitudeGrid:
         assert grid.h == np.pi / 100 and grid.h2 == grid.h * grid.h
 
     def test_shared_arrays_are_read_only(self):
+        # One grid per n is shared by every caller, so none of its arrays,
+        # and no scratch buffer, may be written.
         grid = latitude_grid(101)
-        for values in (grid.thetas, grid.sin2, grid.cot_inner, grid.simpson, grid.mu):
+        arrays = [value for value in vars(grid).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) >= 5
+        for values in arrays:
             with pytest.raises(ValueError):
                 values[1] = 0.0
 
@@ -198,7 +188,7 @@ class TestLatitudeGrid:
         with pytest.raises(ValueError):
             latitude_grid(4)
         with pytest.raises(ValueError):
-            GridFunction.from_function(np.cos, 4)
+            AxisymProfile.from_function(np.cos, 4)
 
 
 def neumann_matrix(n: int, a: float) -> np.ndarray:
