@@ -270,12 +270,14 @@ def _conformal_item() -> RoundcheckItem:
 
 
 def _yamabe_item() -> RoundcheckItem:
+    # The flow moves u by (u/4)(r - R), so R = r everywhere is stationarity;
+    # checking it needs no flow step.
     state = yamabe.flow_state(conformal.AxisymProfile.round_profile(101))
-    stepped = yamabe.step(state, 1e-4)
-    drift = float(np.max(np.abs(stepped.profile.u - 1.0)))
-    ok = drift < 1e-12 and abs(state.r_avg - 6.0) < 1e-8
+    ok = state.sup_R_minus_r < 1e-8 and abs(state.r_avg - 6.0) < 1e-8
     return RoundcheckItem(
-        "yamabe-round-stationary", ok, f"sup|u - 1| = {drift:.3e} after one step"
+        "yamabe-round-stationary",
+        ok,
+        f"sup|R - r| = {state.sup_R_minus_r:.3e}, r_avg = {state.r_avg:.7f}",
     )
 
 

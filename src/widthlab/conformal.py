@@ -90,6 +90,19 @@ class ProfileError(ValueError):
     """Raised for profiles that fail positivity or pole-regularity checks."""
 
 
+def _pole_irregularity(u: np.ndarray, h: float) -> str | None:
+    """Why positive node values u at spacing h fail pole regularity (see
+    ``AxisymProfile``), or None when they pass."""
+    bound = POLE_REG_FACTOR * float(u.max()) * h * h
+    defect = max(abs(u[1] - u[0]), abs(u[-1] - u[-2]))
+    if defect > bound:
+        return (
+            f"pole regularity violated: one-sided difference {defect:.3e} "
+            f"exceeds {bound:.3e}; profiles need vanishing derivative at both poles"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class AxisymProfile:
     """Positive conformal profile u on the uniform latitude grid.
@@ -116,13 +129,9 @@ class AxisymProfile:
         object.__setattr__(self, "u", u)
         if not np.all(u > 0.0):
             raise ProfileError("conformal profile must be strictly positive")
-        bound = POLE_REG_FACTOR * float(np.max(u)) * h * h
-        defect = max(abs(u[1] - u[0]), abs(u[-1] - u[-2]))
-        if defect > bound:
-            raise ProfileError(
-                f"pole regularity violated: one-sided difference {defect:.3e} "
-                f"exceeds {bound:.3e}; profiles need vanishing derivative at both poles"
-            )
+        irregularity = _pole_irregularity(u, h)
+        if irregularity:
+            raise ProfileError(irregularity)
 
     @property
     def n(self) -> int:

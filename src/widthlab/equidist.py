@@ -2,17 +2,19 @@
 
 Radon measures on X = {1..n} are nonnegative weight vectors; the weak-*
 topology is realized as the sup norm.  Membership of a target measure in
-the closed convex cone spanned by a finite family is decided by an exact
-simplex method.  Float data are dyadic rationals, so one power-of-two
-scale turns them into integers without rounding, and the dense tableau is
-pivoted fraction-free (Bareiss) on Python ints.  When the feasibility LP is
-infeasible, its phase-1 duals y are a Farkas functional, and
-``<y, mu0> / ||y||_1`` bounds the sup-norm defect of every conic
+the closed convex cone spanned by a finite family is decided by phase 1 of
+an exact simplex method.  Float data are dyadic rationals, so one
+power-of-two scale turns them into integers without rounding, and the dense
+tableau is pivoted fraction-free (Bareiss) on Python ints.  When the
+feasibility LP is infeasible, its phase-1 duals y are a Farkas functional,
+and ``<y, mu0> / ||y||_1`` bounds the sup-norm defect of every conic
 combination from below; a target whose bound exceeds the tolerance is a
-non-member with f = y, and only near-members run the LP that minimizes the
-defect.  Member certificates reconstruct the target exactly and separating
-functionals satisfy their sign conditions exactly, both checked in
-`fractions.Fraction` arithmetic, not merely to floating tolerance.
+non-member with f = y, and only near-members run a second phase 1, on the
+band of targets within the tolerance in sup norm.  Member certificates
+reconstruct the target exactly (or to within the tolerance, for
+near-members) and separating functionals satisfy their sign conditions
+exactly, both checked in `fractions.Fraction` arithmetic, not merely to
+floating tolerance.
 
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
@@ -157,7 +159,7 @@ class EquidistTrace:
 
 
 # ---------------------------------------------------------------------------
-# Exact simplex on an integer tableau (dense, Bland's rule, fraction-free).
+# Phase-1 simplex on an integer tableau (dense, Bland's rule, fraction-free).
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
@@ -176,148 +178,100 @@ def _bareiss_row(row: list[int], prow: list[int], col: int, p: int, d: int) -> l
 
 
 class _Simplex:
-    """Minimal dense two-phase simplex in exact integer arithmetic.
+    """Phase 1 of a dense simplex in exact integer arithmetic.
 
-    Solves min c.x subject to A x = b, x >= 0 where b >= 0, for rational A,
-    b and c.  Bland's rule guarantees termination; the problem sizes here are
-    desk scale, so no sparsity or revised-form machinery is needed.
+    Decides whether ``A x = b, x >= 0`` is feasible, for rational A and
+    b >= 0, by minimizing the sum of one artificial variable per row from the
+    all-artificial basis.  Bland's rule guarantees termination; the problem
+    sizes here are desk scale, so no sparsity or revised-form machinery is
+    needed.
 
     The tableau ``[L A | I | L b]`` holds Python ints, with L the lcm of the
     denominators of A and b (a power of two for float data) and the
-    artificial columns kept as the identity.  Pivoting is fraction-free
-    (Bareiss, Math. Comp. 22, 1968): the rational tableau is ``tab / det``,
-    where ``det`` is the last pivot element, and a pivot on ``p`` maps every
-    other row to ``(p * row - f * pivot_row) / det`` with exact division.  The
-    reduced costs are kept the same way, as numerators over ``det``.
-    Entering columns and ratio-test rows are chosen by sign and by
-    cross-multiplication; ``det`` is negative after some of the pivots that
-    drive artificials out of the basis, so every sign test carries its sign.
-    Scaling the rows by L multiplies every reduced cost of a column, and
-    every ratio of the ratio test, by one positive factor, so the pivot
-    sequence, x, the objective and the duals y are those of the same simplex
-    over ``fractions.Fraction``.
+    artificial columns kept as the identity; its last row holds the reduced
+    costs, with minus the objective in the rhs entry.  Pivoting is
+    fraction-free (Bareiss, Math. Comp. 22, 1968): the rational tableau is
+    ``tab / det``, where ``det`` is the last pivot element, and a pivot on
+    ``p`` maps every other row to ``(p * row - f * pivot_row) / det`` with
+    exact division.  The ratio test admits only positive pivot elements, so
+    ``det`` stays positive, and entering columns and ratio-test rows are
+    chosen by sign and by cross-multiplication.  Scaling the rows by L
+    multiplies every reduced cost of a column, and every ratio of the ratio
+    test, by one positive factor, so the pivot sequence, x, the objective and
+    the duals y are those of the same simplex over ``fractions.Fraction``.
     """
 
-    def __init__(self, columns: list[list[Fraction]], b: list[Fraction], costs: list[Fraction]):
+    def __init__(self, columns: list[list[Fraction]], b: list[Fraction]):
         self.m = len(b)
-        self.n_rows_original = self.m
         self.n_struct = len(columns)
-        scale = math.lcm(
+        self.scale = scale = math.lcm(
             *(v.denominator for col in columns for v in col), *(v.denominator for v in b)
         )
-        cost_scale = math.lcm(*(c.denominator for c in costs))
         # Tableau columns: structural variables then artificials then rhs.
-        self.tab = [
+        rows = [
             [col[i].numerator * (scale // col[i].denominator) for col in columns]
             + [int(i == k) for k in range(self.m)]
             + [b[i].numerator * (scale // b[i].denominator)]
             for i in range(self.m)
         ]
+        # Reduced costs c_j - sum_r row_r[j], with cost 1 on the artificials.
+        reduced = [-sum(column) for column in zip(*rows)]
+        reduced[self.n_struct : self.n_struct + self.m] = [0] * self.m
+        self.tab = rows + [reduced]
         self.det = 1
-        self.scale = scale
-        self.cost_scale = cost_scale
-        self.costs = [c.numerator * (cost_scale // c.denominator) for c in costs]
         self.basis = [self.n_struct + i for i in range(self.m)]
-        self.row_ids = list(range(self.m))
 
-    def _pivot(self, row: int, col: int, z: list[int] | None = None) -> None:
+    def _pivot(self, row: int, col: int) -> None:
         tab = self.tab
         prow = tab[row]
         p = prow[col]
         d = self.det
-        for r in range(self.m):
+        for r in range(self.m + 1):
             if r != row:
                 tab[r] = _bareiss_row(tab[r], prow, col, p, d)
-        if z is not None:
-            z[:] = _bareiss_row(z, prow, col, p, d)
         self.det = p
         self.basis[row] = col
 
-    def _minimize(self, cost: list[int], width: int) -> None:
-        tab = self.tab
-        basis = self.basis
-        cb = [cost[j] for j in basis]
-        # Reduced costs over det: c_j det - sum_r c_{basis r} tab[r][j]; the
-        # rhs entry (cost 0) carries minus the objective.
-        z = [
-            c_j * self.det - sum(c * row[j] for c, row in zip(cb, tab) if c)
-            for j, c_j in enumerate(cost + [0])
-        ]
+    def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+        """Run phase 1; returns (objective, x, y).
+
+        The objective is the least sum of the artificials, 0 exactly when the
+        system is feasible, and x the final basic solution.  When the
+        objective is positive, the duals y are a Farkas functional:
+        ``<y, b>`` equals the objective and ``<y, A_j> <= 0`` for every
+        column.
+        """
+        tab, basis, m = self.tab, self.basis, self.m
+        width = self.n_struct + m
         while True:
-            sign = 1 if self.det > 0 else -1
-            entering = next((j for j in range(width) if z[j] * sign < 0), None)
+            entering = next((j for j in range(width) if tab[m][j] < 0), None)
             if entering is None:
-                return
+                break
+            # The objective is bounded below by 0, so the entering column has
+            # a positive entry; the ratio test compares tab[r][-1] / coeff by
+            # cross-multiplying.
             best = None
-            for r in range(self.m):
+            for r in range(m):
                 coeff = tab[r][entering]
-                if coeff * sign > 0:
+                if coeff > 0:
                     if best is None:
                         best = r
                         continue
-                    # Both coefficients carry the sign of det, so the ratio
-                    # test compares tab[r][-1] / coeff by cross-multiplying.
                     lhs = tab[r][-1] * tab[best][entering]
                     rhs = tab[best][-1] * coeff
                     if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
                         best = r
-            if best is None:
-                raise ArithmeticError("unbounded linear program")
-            self._pivot(best, entering, z)
-
-    def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-        """Two-phase solve; returns (objective, x, y) with y the final duals."""
-        n_struct = self.n_struct
-        n_art = self.n_rows_original
-        art_cost = [0] * n_struct + [1] * n_art
-        self._minimize(art_cost, n_struct + n_art)
-        phase1 = Fraction(
-            sum(row[-1] for row, j in zip(self.tab, self.basis) if j >= n_struct),
-            self.det * self.scale,
-        )
-        if phase1 > 0:
-            # Phase-1 duals are unscaled: the row scale L cancels against the
-            # unit costs of the identity artificial columns.
-            return self._finish(art_cost, phase1, _ONE)
-        # Drive residual zero-level artificials out of the basis when possible;
-        # rows where no structural pivot exists are redundant constraints and
-        # are dropped (their dual components are reported as zero).
-        for r in range(self.m):
-            if self.basis[r] >= n_struct:
-                col = next((j for j in range(n_struct) if self.tab[r][j] != 0), None)
-                if col is not None:
-                    self._pivot(r, col)
-        keep = [r for r in range(self.m) if self.basis[r] < n_struct]
-        if len(keep) < self.m:
-            self.tab = [self.tab[r] for r in keep]
-            self.basis = [self.basis[r] for r in keep]
-            self.row_ids = [self.row_ids[r] for r in keep]
-            self.m = len(keep)
-        # Entering restricted to structural columns: artificials stay out,
-        # so their costs never matter.
-        struct_cost = self.costs + [0] * n_art
-        self._minimize(struct_cost, n_struct)
-        objective = Fraction(
-            sum(struct_cost[j] * row[-1] for row, j in zip(self.tab, self.basis)),
-            self.det * self.cost_scale,
-        )
-        return self._finish(struct_cost, objective, Fraction(self.scale, self.cost_scale))
-
-    def _finish(self, cost: list[int], objective: Fraction, dual_scale: Fraction):
-        det = self.det
+            self._pivot(best, entering)
+        det, reduced = self.det, tab[m]
         x = [_ZERO] * self.n_struct
-        for row, j in zip(self.tab, self.basis):
+        for row, j in zip(tab, basis):
             if j < self.n_struct:
                 x[j] = Fraction(row[-1], det)
-        # Duals: y_i = c_B . column of the i-th artificial in the tableau,
-        # indexed by original row (dropped redundant rows contribute zero).
-        cb = [cost[j] for j in self.basis]
-        y = [_ZERO] * self.n_rows_original
-        for row_id in self.row_ids:
-            col = self.n_struct + row_id
-            total = sum(c * row[col] for c, row in zip(cb, self.tab) if c)
-            y[row_id] = dual_scale * Fraction(total, det)
-        return objective, x, y
+        # The reduced cost of the i-th artificial is 1 - y_i.  The duals are
+        # unscaled: the row scale L cancels against the unit costs of the
+        # identity artificial columns.
+        y = [_ONE - Fraction(c, det) for c in reduced[self.n_struct : width]]
+        return Fraction(-reduced[-1], det * self.scale), x, y
 
 
 def _fractions(values) -> list[Fraction]:
@@ -330,19 +284,20 @@ def cone_hull_membership(
     """Decide whether mu0 lies in the closed cone generated by the family.
 
     The feasibility system ``A x = b, x >= 0`` (columns of A the members,
-    b = mu0) is solved in exact arithmetic on an integer tableau.  If it is
-    infeasible, phase 1 ends with a positive objective and its duals y form
-    a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0`` for every
-    member.  Since ``<y, b> <= <y, b - A x> <= ||y||_1 ||A x - b||_inf`` for
-    every x >= 0, the sup-norm defect of every conic combination is at least
-    ``<y, b> / ||y||_1``; when that bound exceeds ``tol`` the verdict is
+    b = mu0) is solved by an exact phase-1 simplex on an integer tableau.
+    If it is infeasible, phase 1 ends with a positive objective and its
+    duals y form a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0``
+    for every member.  Since ``<y, b> <= <y, b - A x> <= ||y||_1 ||A x - b||_inf``
+    for every x >= 0, the sup-norm defect of every conic combination is at
+    least ``<y, b> / ||y||_1``; when that bound exceeds ``tol`` the verdict is
     "non_member" with f = y.  Only near-members, whose bound is at most
-    ``tol``, run a second exact program that minimizes the defect
-    ``t = ||sum x_j mu_j - mu0||_inf``: the verdict is "member" when the
-    minimal defect is at most ``tol``, and otherwise its optimal duals yield
-    the separating functional.  Either functional passes exact sign checks
-    before it is issued, so the verdict is the one the defect program alone
-    would give.
+    ``tol``, run a second phase 1, on the band ``|A x - b| <= tol, x >= 0``
+    (see ``_band_program``): the verdict is "member" when the band is
+    feasible, that is when the least sup-norm defect is at most ``tol``, and
+    otherwise the first n components of its Farkas duals separate.  Every
+    certificate passes exact checks before it is issued: member coefficients
+    reconstruct the target to within 0 (first solve) or ``tol`` (band solve),
+    and a separating functional satisfies its sign conditions.
 
     Raises:
         ValueError: ground set above the supported size, a tol that is not
@@ -358,46 +313,41 @@ def cone_hull_membership(
     if all(m.total_mass == 0.0 for m in family.members):
         raise ValueError("degenerate family: every member is the zero measure")
 
-    n = mu0.n
-    members = family.members
     b = _fractions(mu0.weights)
-    cols = [_fractions(m.weights) for m in members]
+    cols = [_fractions(m.weights) for m in family.members]
 
-    defect, x, y = _Simplex(cols, b, [_ZERO] * len(cols)).solve()
+    defect, x, y = _Simplex(cols, b).solve()
     if defect == 0:
-        return _member_certificate(x, members, mu0, exact=True)
+        return _member_certificate(x, b, cols, _ZERO)
     # Phase 1 ended positive, so defect = <y, b> and y is a Farkas functional.
-    if defect > Fraction(tol) * sum(abs(v) for v in y):
+    exact_tol = Fraction(tol)
+    if defect > exact_tol * sum(abs(v) for v in y):
         return _separating_certificate(y, b, cols)
 
-    t_min, solution, y = _Simplex(*_defect_program(b, cols)).solve()
-    if t_min <= Fraction(tol):
-        return _member_certificate(solution[: len(cols)], members, mu0, exact=False)
-    return _separating_certificate([y[i] + y[n + i] for i in range(n)], b, cols)
+    excess, x, y = _Simplex(*_band_program(b, cols, exact_tol)).solve()
+    if excess == 0:
+        return _member_certificate(x[: len(cols)], b, cols, exact_tol)
+    return _separating_certificate(y[: mu0.n], b, cols)
 
 
-def _defect_program(b: list[Fraction], cols: list[list[Fraction]]):
-    """Columns, rhs and costs of the LP whose optimum is the least sup-norm
-    defect ``t = ||sum x_j col_j - b||_inf`` over x >= 0:
+def _band_program(b: list[Fraction], cols: list[list[Fraction]], tol: Fraction):
+    """Columns and rhs of a system, with slacks s, w >= 0, that is feasible
+    exactly when some x >= 0 has ``||sum x_j col_j - b||_inf <= tol``:
 
-    rows i:      (A x)_i - t + s1_i = b_i
-    rows n + i:  (A x)_i + t - s2_i = b_i
+    rows i:      (A x)_i + s_i = b_i + tol
+    rows n + i:  s_i + w_i     = 2 tol
+
+    Every rhs is positive.  A Farkas functional y of an infeasible band gives
+    ``sum_i y_i (col_j)_i <= 0`` from the x columns, ``y_i + y_{n+i} <= 0``
+    from the s columns and ``y_{n+i} <= 0`` from the w columns, so its
+    positive pairing with the rhs forces ``sum_i y_i b_i > 0``:
+    f = (y_0, ..., y_{n-1}) separates b from the cone.
     """
     n = len(b)
-    columns: list[list[Fraction]] = []
-    costs: list[Fraction] = []
-    for col in cols:
-        columns.append(col + col)
-        costs.append(_ZERO)
-    columns.append([-_ONE] * n + [_ONE] * n)  # t
-    costs.append(_ONE)
-    for i in range(n):  # s1
-        columns.append([_ONE if r == i else _ZERO for r in range(2 * n)])
-        costs.append(_ZERO)
-    for i in range(n):  # s2
-        columns.append([-_ONE if r == n + i else _ZERO for r in range(2 * n)])
-        costs.append(_ZERO)
-    return columns, b + b, costs
+    columns = [col + [_ZERO] * n for col in cols]
+    columns += [[_ONE if r in (i, n + i) else _ZERO for r in range(2 * n)] for i in range(n)]
+    columns += [[_ONE if r == n + i else _ZERO for r in range(2 * n)] for i in range(n)]
+    return columns, [bi + tol for bi in b] + [2 * tol] * n
 
 
 def _separating_certificate(f, b, cols) -> MembershipCertificate:
@@ -414,14 +364,13 @@ def _separating_certificate(f, b, cols) -> MembershipCertificate:
     )
 
 
-def _member_certificate(x, members, mu0, exact: bool) -> MembershipCertificate:
-    if exact:
-        recon = [
-            sum(Fraction(float(m.weights[i])) * xi for m, xi in zip(members, x))
-            for i in range(mu0.n)
-        ]
-        if any(r != Fraction(float(v)) for r, v in zip(recon, mu0.weights)):
-            raise ArithmeticError("member certificate failed exact reconstruction")
+def _member_certificate(x, b, cols, bound: Fraction) -> MembershipCertificate:
+    """Member certificate for x after an exact check that
+    ``||sum x_j col_j - b||_inf <= bound``."""
+    support = [(xj, col) for xj, col in zip(x, cols) if xj != 0]
+    for i, bi in enumerate(b):
+        if abs(sum(xj * col[i] for xj, col in support) - bi) > bound:
+            raise ArithmeticError("member certificate failed exact verification")
     return MembershipCertificate(
         verdict="member",
         coefficients=tuple(

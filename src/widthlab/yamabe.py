@@ -29,7 +29,7 @@ the CFL rule ``dt <= h^2 min(u)^4 / 6``.  The leading diffusion coefficient
 of the update is ``2 u^-4``, and ``c = STABILIZER * 2 min(u)^-4`` with
 STABILIZER = 1.5.  Measured margin from ``1 + 0.3 cos(theta)`` at n = 401: a
 factor of 0.75 let the energy rise by 2.2e-4 at dt = 2e-5, and at dt = 4e-5
-the pole rows went unstable (the first sampled state failed pole
+the pole rows went unstable (the state after 61 steps failed pole
 regularity).  Factor 1.5 converges with the energy non-increasing at every
 dt from 4e-5 to 1e-3, and at the criterion-6 step dt = 1e-5 its largest
 energy rise is 8.2e-12.  The stabilizer adds an O(dt) time error, the same
@@ -60,7 +60,7 @@ from ._fsio import atomic_write_text, csv_text, report_text
 from .conformal import (
     AxisymProfile,
     LatitudeSphere,
-    ProfileError,
+    _pole_irregularity,
     area_profile,
     max_latitude_sphere,
     scalar_curvature_field,
@@ -108,9 +108,10 @@ class FlowError(RuntimeError):
       underflows to 0.  On u ~ 1e-40 the curvature is ~1e160, and one step
       of 1e-3 moves u to ~1e117;
     - the stabilizer ``c`` overflows because min(u) is below about 1e-77;
-    - a state the flow records is no valid ``AxisymProfile`` (its poles
-      lost regularity: with the stabilizer halved, 1 + 0.3 cos(theta) at
-      n = 401 and dt = 4e-5 does so after 61 steps).
+    - the step leaves the poles irregular under the rule of
+      ``AxisymProfile``, which every step checks (with the stabilizer
+      halved, 1 + 0.3 cos(theta) at n = 401 and dt = 4e-5 does so at step
+      61).
 
     ``run`` and ``step`` silence numpy's overflow, invalid-value and
     division warnings, because they check every result themselves, so the
@@ -174,7 +175,9 @@ def _advance(
     """One stabilized semi-implicit step of size dt, then renormalization.
 
     ``evaluation`` is ``grid.evaluate(u)``; the evaluation of the returned
-    state comes back with it, so each state is evaluated once.
+    state comes back with it, so each state is evaluated once.  The returned
+    state is a valid ``AxisymProfile``: positive, finite and regular at the
+    poles.
     """
     scalar, _, r = evaluation
     lo = float(u.min())
@@ -200,16 +203,10 @@ def _advance(
             f"max(u) = {hi:.3e})"
         )
     u = u * (target_volume / vol) ** (1.0 / 6.0)
+    irregularity = _pole_irregularity(u, grid.h)
+    if irregularity:
+        raise FlowError(f"a step of size {dt:.3e} left no valid profile: {irregularity}")
     return u, grid.evaluate(u)
-
-
-def _flowed_state(u: np.ndarray, time: float) -> FlowState:
-    """``flow_state`` of a state the flow reached; an invalid one is a FlowError."""
-    try:
-        profile = AxisymProfile(u)
-    except ProfileError as exc:
-        raise FlowError(f"flow state at t = {time:.6g} is no valid profile: {exc}") from None
-    return flow_state(profile, time)
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -231,7 +228,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     u = state.profile.u
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))
-        return _flowed_state(u, state.time + dt)
+        return flow_state(AxisymProfile(u), state.time + dt)
 
 
 @dataclass
@@ -316,7 +313,7 @@ def run(
             mon_sup[i] = sup_dev
             converged = sup_dev < convergence_tol
             if taken % sample_every == 0 or taken == n_steps or converged:
-                states.append(_flowed_state(u, time))
+                states.append(flow_state(AxisymProfile(u), time))
             if converged:
                 status = "converged"
                 break

@@ -9,10 +9,12 @@ step is kept here in its unfused form, one numpy expression per quantity, as
 the reference the fused step in ``widthlab.yamabe`` must match bit for bit;
 the explicit Euler step under its CFL rule, which the package ran before,
 stays as an independent cross-check of the flow's convergence.  The
-membership LP is kept here as the dense simplex over ``fractions.Fraction``
-that the integer tableau in ``widthlab.equidist`` must match pivot for
-pivot, and the greedy Cesaro loop as the allocating numpy loop whose traces
-the buffered one must equal.  Tests compare the package against these
+membership LP is kept here as the dense two-phase simplex over
+``fractions.Fraction`` whose phase 1 the integer tableau in
+``widthlab.equidist`` must match pivot for pivot, with the LP that
+minimizes the sup-norm defect of a conic combination as the reference for
+near-member verdicts, and the greedy Cesaro loop as the allocating numpy
+loop whose traces the buffered one must equal.  Tests compare the package against these
 routes.
 
 The membership equivalence harness (``equivalence_harness``) drives the
@@ -543,6 +545,31 @@ class FractionSimplex:
             col = self.n_struct + row_id
             y[row_id] = sum(cb[r] * self.tab[r][col] for r in range(self.m))
         return objective, x, y
+
+
+def defect_program(b: list[Fraction], cols: list[list[Fraction]]):
+    """Columns, rhs and costs of the LP whose optimum is the least sup-norm
+    defect ``t = ||sum x_j col_j - b||_inf`` over x >= 0; the membership
+    verdict at tolerance tol is ``t <= tol``:
+
+    rows i:      (A x)_i - t + s1_i = b_i
+    rows n + i:  (A x)_i + t - s2_i = b_i
+    """
+    n = len(b)
+    columns: list[list[Fraction]] = []
+    costs: list[Fraction] = []
+    for col in cols:
+        columns.append(col + col)
+        costs.append(_ZERO)
+    columns.append([-_ONE] * n + [_ONE] * n)  # t
+    costs.append(_ONE)
+    for i in range(n):  # s1
+        columns.append([_ONE if r == i else _ZERO for r in range(2 * n)])
+        costs.append(_ZERO)
+    for i in range(n):  # s2
+        columns.append([-_ONE if r == n + i else _ZERO for r in range(2 * n)])
+        costs.append(_ZERO)
+    return columns, b + b, costs
 
 
 def reference_greedy_trace(

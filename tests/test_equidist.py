@@ -11,6 +11,7 @@ import pytest
 import widthlab.equidist as eq
 from oracles import (
     FractionSimplex,
+    defect_program,
     equivalence_harness,
     fractions,
     random_instance,
@@ -495,15 +496,31 @@ def recording(cls):
             super().__init__(*args)
             self.pivots = []
 
-        def _pivot(self, row, col, *rest):
+        def _pivot(self, row, col):
             self.pivots.append((row, col))
-            super()._pivot(row, col, *rest)
+            super()._pivot(row, col)
 
     return Recording
 
 
+class IntegerRecording(recording(eq._Simplex)):
+    def _pivot(self, row, col):
+        super()._pivot(row, col)
+        assert self.det > 0
+
+
+class ReferencePhaseOne(recording(FractionSimplex)):
+    """The reference simplex, keeping its pivots and basis at the end of
+    phase 1 (its first ``_minimize``)."""
+
+    def _minimize(self, cost_of, width):
+        super()._minimize(cost_of, width)
+        if not hasattr(self, "phase_one"):
+            self.phase_one = (list(self.pivots), list(self.basis))
+
+
 def dyadic_lp(rng, kind):
-    """A seeded dyadic LP ``(columns, b, costs)`` of the given family."""
+    """A seeded dyadic feasibility system ``(columns, b)`` of the given family."""
     n = int(rng.integers(2, 17))
     m = int(rng.integers(2, 17))
     a = rng.integers(0, 16, size=(n, m)) / 2.0 ** int(rng.integers(0, 6))
@@ -518,21 +535,25 @@ def dyadic_lp(rng, kind):
     if kind == "infeasible":
         b = rng.integers(1, 17, size=n) / 16.0
     else:
-        # A dyadic conic combination, so phase 1 reaches zero and the
-        # zero-level artificials of redundant rows must be driven out.
+        # A dyadic conic combination, so phase 1 reaches zero; on redundant
+        # rows it ends with artificials in the basis at level zero.
         b = a @ (rng.integers(0, 5, size=m) / 4.0)
-    costs = [Fraction(int(c), 8) for c in rng.integers(0, 9, size=m)]
     cols = [fractions(a[:, j]) for j in range(m)]
-    return cols, fractions(b), costs
+    return cols, fractions(b)
 
 
-def assert_same_solve(args):
-    reference = recording(FractionSimplex)(*args)
-    integer = recording(eq._Simplex)(*args)
-    assert integer.solve() == reference.solve()
-    assert integer.pivots == reference.pivots
-    assert integer.basis == reference.basis
-    return integer
+def assert_same_phase_one(columns, b):
+    """The integer tableau makes the reference's phase-1 pivots and returns
+    its x and objective, and its duals where the system is infeasible."""
+    reference = ReferencePhaseOne(columns, b, [Fraction(0)] * len(columns))
+    integer = IntegerRecording(columns, b)
+    objective, x, y = integer.solve()
+    reference_objective, reference_x, reference_y = reference.solve()
+    assert (integer.pivots, integer.basis) == reference.phase_one
+    assert (objective, x) == (reference_objective, reference_x)
+    if objective > 0:
+        assert y == reference_y
+    return objective
 
 
 class TestIntegerSimplex:
@@ -540,16 +561,12 @@ class TestIntegerSimplex:
     def test_matches_fraction_simplex(self, kind):
         rng = np.random.default_rng([17, ["plain", "infeasible", "rank_deficient",
                                           "redundant"].index(kind)])
-        negative_det = 0
         for _ in range(60):
-            simplex = assert_same_solve(dyadic_lp(rng, kind))
-            negative_det += simplex.det < 0
-        if kind == "redundant":
-            # Pivots that drive artificials out of the basis can be negative.
-            assert negative_det > 0
+            assert_same_phase_one(*dyadic_lp(rng, kind))
 
-    def test_defect_program_matches(self):
+    def test_band_program_matches(self):
         rng = np.random.default_rng(23)
+        feasible = []
         for _ in range(24):
             n = int(rng.integers(2, 9))
             m = int(rng.integers(2, 9))
@@ -558,12 +575,10 @@ class TestIntegerSimplex:
                 a[:, -1] = a[:, 0] + a[:, 1]
             b = rng.integers(1, 17, size=n) / 16.0
             cols = [fractions(a[:, j]) for j in range(m)]
-            assert_same_solve(eq._defect_program(fractions(b), cols))
-
-    def test_unbounded_program_raises(self):
-        cols = [[Fraction(1)], [Fraction(-1)]]  # x0 - x1 = 1, minimize -x1
-        with pytest.raises(ArithmeticError, match="unbounded"):
-            eq._Simplex(cols, [Fraction(1)], [Fraction(0), Fraction(-1)]).solve()
+            tol = Fraction(float(rng.choice([1e-9, 1 / 16, 1 / 4])))
+            band = eq._band_program(fractions(b), cols, tol)
+            feasible.append(assert_same_phase_one(*band) == 0)
+        assert any(feasible) and not all(feasible)
 
 
 def planted_non_member(rng, n):
@@ -597,6 +612,18 @@ def planted_member(rng, n):
     return eq.FiniteMeasure(coeffs @ rows), family
 
 
+def near_member(rng):
+    """A dyadic conic combination with its weights moved by 1e-12 .. 1e-8."""
+    n = int(rng.integers(2, 6))
+    rows = rng.integers(0, 16, size=(int(rng.integers(1, 6)), n)) / 16.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    mu0 = (rng.integers(0, 9, size=len(rows)) / 8.0) @ rows
+    shift = float(rng.choice([1e-12, 1e-10, 5e-10, 9e-10, 1.1e-9, 2e-9, 5e-9, 1e-8]))
+    mu0 = np.maximum(mu0 + shift * rng.choice([-1.0, 0.0, 1.0], size=n), 0.0)
+    family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
+    return eq.FiniteMeasure(mu0), family
+
+
 def exact_sign_conditions(f, mu0, family):
     pairing = sum(fi * bi for fi, bi in zip(f, fractions(mu0.weights)))
     return pairing > 0 and all(
@@ -613,12 +640,12 @@ class TestFarkasExit:
             mu0, family = planted_non_member(rng, int(rng.integers(2, 9)))
             b = fractions(mu0.weights)
             cols = [fractions(m.weights) for m in family.members]
-            defect, _, y = eq._Simplex(cols, b, [Fraction(0)] * len(cols)).solve()
+            defect, _, y = eq._Simplex(cols, b).solve()
             assert defect > 0
             assert sum(fi * bi for fi, bi in zip(y, b)) == defect
             assert defect > Fraction(tol) * sum(abs(v) for v in y)
             assert exact_sign_conditions(y, mu0, family)
-            t_min, _, _ = FractionSimplex(*eq._defect_program(b, cols)).solve()
+            t_min, _, _ = FractionSimplex(*defect_program(b, cols)).solve()
             assert t_min > Fraction(tol)
             # The certificate is the Farkas functional itself.
             cert = eq.cone_hull_membership(mu0, family, tol=tol)
@@ -637,21 +664,57 @@ class TestFarkasExit:
         monkeypatch.setattr(eq, "_Simplex", Counting)
         return solves
 
-    def test_near_member_reaches_defect_program(self, monkeypatch):
-        # The instance of test_tolerance_slack: within tol of the cone, so
-        # the Farkas bound is at most tol and the defect LP decides.
-        solves = self.count_solves(monkeypatch)
+    @staticmethod
+    def nudged():
+        """The instance of test_tolerance_slack: within tol of the cone, so
+        the Farkas bound is at most tol and the band solve decides."""
         base = fm(1.0, 0.5, 0.0)
-        nudged = eq.FiniteMeasure(base.weights + np.array([1e-12, 0.0, 0.0]))
-        assert eq.cone_hull_membership(nudged, fam(base), tol=1e-9).verdict == "member"
+        return eq.FiniteMeasure(base.weights + np.array([1e-12, 0.0, 0.0])), fam(base)
+
+    def test_near_member_reaches_band_program(self, monkeypatch):
+        solves = self.count_solves(monkeypatch)
+        assert eq.cone_hull_membership(*self.nudged(), tol=1e-9).verdict == "member"
         assert solves == [3, 6]
 
-    def test_clear_non_member_skips_defect_program(self, monkeypatch):
+    def test_clear_non_member_skips_band_program(self, monkeypatch):
         solves = self.count_solves(monkeypatch)
         assert eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0))).verdict == (
             "non_member"
         )
         assert solves == [2]
+
+    def test_forged_band_coefficients_are_refused(self, monkeypatch):
+        # Coefficients from the band solve are checked exactly against the
+        # band before a member certificate is issued.
+        class Forging(eq._Simplex):
+            def solve(self):
+                objective, x, y = super().solve()
+                if self.m == 6:
+                    x[0] += Fraction(1, 2**20)
+                return objective, x, y
+
+        monkeypatch.setattr(eq, "_Simplex", Forging)
+        with pytest.raises(ArithmeticError, match="member certificate"):
+            eq.cone_hull_membership(*self.nudged(), tol=1e-9)
+
+    def test_near_member_verdicts_match_reference_defect_program(self, monkeypatch):
+        # Dyadic members nudged by 1e-12 .. 1e-8 on either side of tol; the
+        # exact-dyadic random_instance draws almost never reach the band.
+        solves = self.count_solves(monkeypatch)
+        rng = np.random.default_rng(41)
+        band_verdicts = set()
+        for trial in range(60):
+            mu0, family = near_member(rng)
+            b = fractions(mu0.weights)
+            cols = [fractions(m.weights) for m in family.members]
+            t_min, _, _ = FractionSimplex(*defect_program(b, cols)).solve()
+            expected = "member" if t_min <= Fraction(1e-9) else "non_member"
+            solves.clear()
+            verdict = eq.cone_hull_membership(mu0, family).verdict
+            assert verdict == expected, trial
+            if len(solves) == 2:
+                band_verdicts.add(verdict)
+        assert band_verdicts == {"member", "non_member"}
 
     def test_verdicts_match_reference_defect_program(self):
         rng = np.random.default_rng(37)
@@ -659,7 +722,7 @@ class TestFarkasExit:
             mu0, family = random_instance(rng)
             b = fractions(mu0.weights)
             cols = [fractions(m.weights) for m in family.members]
-            t_min, _, _ = FractionSimplex(*eq._defect_program(b, cols)).solve()
+            t_min, _, _ = FractionSimplex(*defect_program(b, cols)).solve()
             expected = "member" if t_min <= Fraction(1e-9) else "non_member"
             assert eq.cone_hull_membership(mu0, family).verdict == expected, trial
 
@@ -685,7 +748,7 @@ class TestCapSizes:
         assert cert.verdict == "non_member"
         b = fractions(mu0.weights)
         cols = [fractions(m.weights) for m in family.members]
-        _, _, y = eq._Simplex(cols, b, [Fraction(0)] * len(cols)).solve()
+        _, _, y = eq._Simplex(cols, b).solve()
         assert exact_sign_conditions(y, mu0, family)
         assert list(cert.separating_f) == [float(v) for v in y]
 

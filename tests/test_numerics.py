@@ -225,18 +225,22 @@ class TestNeumannSolve:
         assert np.array_equal(rhs, np.linspace(0.0, 1.0, 11))
 
 
-def test_cli_import_does_not_load_numpy_fft():
+def test_cli_import_does_not_load_numpy_fft(tmp_path):
     # Only the flow's implicit step reaches numpy.fft, so the subcommands
-    # that do not run the flow pay no import time or memory for it.
+    # that do not run the flow, roundcheck among them, pay no import time or
+    # memory for it.
     src = pathlib.Path(__file__).parent.parent / "src"
     probe = (
         "import sys; import numpy; before = 'numpy.fft' in sys.modules; "
-        "import widthlab.cli; print(before, 'numpy.fft' in sys.modules)"
+        "import widthlab.cli; imported = 'numpy.fft' in sys.modules; "
+        "widthlab.cli.main(['roundcheck', '--output', sys.argv[1]]); "
+        "print(before, imported, 'numpy.fft' in sys.modules)"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe, str(tmp_path / "roundcheck.json")],
+        capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout.split()
+    ).stdout.splitlines()[-1].split()
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.fft with numpy itself")
-    assert out == ["False", "False"]
+    assert out == ["False", "False", "False"]

@@ -112,9 +112,10 @@ class TestStep:
     def test_unstable_override_loses_positivity(self, monkeypatch):
         # A zero stabilizer makes the step explicit Euler; far above its CFL
         # limit it blows up, and that must surface as a flow error, not
-        # silent garbage.
+        # silent garbage.  The pole rows go first: the step check stops the
+        # run there, before u loses positivity.
         monkeypatch.setattr(yamabe, "STABILIZER", 0.0)
-        with pytest.raises(yamabe.FlowError, match="positive finite"):
+        with pytest.raises(yamabe.FlowError, match="pole regularity"):
             yamabe.run(bump_profile(101), t_end=0.1, dt=1e-3)
 
     def test_irregular_pole_is_flow_error(self, monkeypatch):
@@ -128,6 +129,24 @@ class TestStep:
         with pytest.raises(yamabe.FlowError, match="pole regularity"):
             for _ in range(100):
                 state = yamabe.step(state, 4e-5)
+
+    def test_irregular_pole_stops_run_at_the_step_that_breaks_it(self, monkeypatch):
+        # Every step is checked, not only the sampled states: with the
+        # default sampling the run fails at step 61 (t = 0.00244), not at
+        # its first sample (step 500).
+        monkeypatch.setattr(yamabe, "STABILIZER", 0.75)
+        advance_step = yamabe._advance
+        steps = []
+
+        def counting(*args):
+            steps.append(args[2])
+            return advance_step(*args)
+
+        monkeypatch.setattr(yamabe, "_advance", counting)
+        with pytest.raises(yamabe.FlowError, match="pole regularity"):
+            yamabe.run(bump_profile(401), t_end=0.03, dt=4e-5)
+        assert len(steps) == 61
+        assert math.isclose(sum(steps), 0.00244)
 
     def test_step_leaving_floating_point_is_flow_error(self):
         # On u ~ 1e-40 the curvature is ~1e160, so dt (u/4)(r - R) ~ 1e117:
