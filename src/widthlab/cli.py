@@ -141,9 +141,8 @@ def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
 
 
 def _run_conformal_analyze(cfg: RunConfig) -> None:
-    p = cfg.params
     profile = _load_profile(cfg)
-    star = conformal.star_scan(profile, k_max=p["k_max"])
+    star = conformal.star_scan(profile)
     curvature = conformal.scalar_curvature_field(profile)
     iso = conformal.isoperimetric_check(profile)
     volume = conformal.volume(profile)
@@ -259,7 +258,7 @@ def _conformal_item() -> RoundcheckItem:
     curvature = conformal.scalar_curvature_field(profile)
     r_ok = float(np.max(np.abs(curvature - 6.0))) < 1e-8
     width_ok = abs(conformal.width_upper_bound(profile) - 4.0 * math.pi) < 1e-8
-    spectrum = conformal.jacobi_spectrum(profile, math.pi / 2.0, k_max=2)
+    spectrum = conformal.jacobi_spectrum(profile, math.pi / 2.0)
     spec_ok = spectrum.index == 1 and spectrum.nullity == 3
     return RoundcheckItem(
         "conformal-round-geometry",
@@ -407,7 +406,6 @@ _SUBCOMMANDS = {
     "conformal-analyze": _Subcommand(
         _run_conformal_analyze, "minimal spheres, width bound, and stability",
         "conformal_analyze.json", "--input", "profile JSON",
-        params=(_Param("k_max", 4, rule=_between(2, conformal.MAX_JACOBI_DEGREE)),),
     ),
     "yamabe-run": _Subcommand(
         _run_yamabe_run, "normalized Yamabe flow from a profile", "yamabe_run.json",

@@ -15,7 +15,8 @@ location of the minimal (critical-area) coordinate spheres, and their
 stability: the Jacobi eigenvalues of a latitude sphere are
 ``lambda_k = k(k+1)/radius^2 - Q`` on the zonal harmonics of degree k, with
 ``Q = Ric(N,N) + |A|^2``.  ``jacobi_spectrum`` evaluates Q in closed form
-from the profile's first and second derivatives at the sphere.
+from the profile's first and second derivatives at the sphere, and counts
+index and nullity exactly, up to the first positive eigenvalue.
 ``second_variation_oracle`` instead differences the area of a normal graph
 with zonal-harmonic height in the graph amplitude, by quadrature, for any k.
 
@@ -26,6 +27,7 @@ volume average.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -44,7 +46,6 @@ from .numerics import (
 __all__ = [
     "ProfileError",
     "MAX_PROFILE_NODES",
-    "MAX_JACOBI_DEGREE",
     "MAX_VARIATION_EPS",
     "POLE_REG_FACTOR",
     "AxisymProfile",
@@ -76,8 +77,6 @@ __all__ = [
 ]
 
 ZERO_EIGENVALUE_TOL = 1e-6
-# Largest harmonic degree of a Jacobi spectrum, 250 times the CLI default.
-MAX_JACOBI_DEGREE = 1_000
 # Largest graph amplitude of a second variation.
 MAX_VARIATION_EPS = 0.25
 # Cap on the nodes of a profile file; six times the finest grid in the tests.
@@ -267,52 +266,63 @@ class LatitudeSphere:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def _sphere_at(profile: AxisymProfile, theta: float, residual: float) -> LatitudeSphere:
+def _sphere_at(
+    profile: AxisymProfile, areas: np.ndarray, i: int, offset: float
+) -> LatitudeSphere:
+    """The sphere at ``offset`` from node i (moved off a pole node), with the
+    centered difference |A'| of ``areas`` at i as its residual."""
+    i = min(max(i, 1), profile.n - 2)
+    theta = float(profile.thetas[i] + offset)
     radius_sq = profile.interp_u(theta) ** 4 * math.sin(theta) ** 2
     return LatitudeSphere(
-        theta=float(theta),
+        theta=theta,
         area=4.0 * np.pi * radius_sq,
-        minimality_residual=float(residual),
+        minimality_residual=float(abs(areas[i + 1] - areas[i - 1]) / (2.0 * profile.spacing)),
         induced_radius_sq=radius_sq,
     )
 
 
-def _refine_critical_node(values: np.ndarray, i: int, h: float) -> tuple[float, float]:
-    """Vertex of the parabola through nodes i-1, i, i+1.
+def _vertex(areas: np.ndarray, h: float) -> tuple[int, float, float, np.ndarray]:
+    """The node i of the largest area b, and the parabola through b and the
+    areas a, c at nodes i -+ 1: its vertex's offset from node i, its vertex
+    value W (the width estimate) and the gradient of W in the node areas.
 
-    Returns the offset from node i and the fitted extremal value; node values
-    are exact samples, so the vertex value gains two orders of accuracy over
-    the raw grid maximum.
+    Node values are exact samples, so W gains two orders of accuracy over b.
+    As b is largest, ``a - 2b + c <= 0`` in floating point too, so the offset
+    is at most h / 2 and W >= b.  At an end node, or where ``a - 2b + c``
+    rounds to 0 (a within an ulp of b), W is b.
     """
-    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
-    if denom == 0.0:
-        return 0.0, float(values[i])
-    offset = 0.5 * h * (values[i - 1] - values[i + 1]) / denom
-    offset = float(np.clip(offset, -h, h))
-    fitted = values[i] - 0.125 * (values[i + 1] - values[i - 1]) ** 2 / denom
-    return offset, float(fitted)
+    i = int(np.argmax(areas))
+    gradient = np.zeros(areas.size)
+    b = float(areas[i])
+    if 0 < i < areas.size - 1:
+        a, c = float(areas[i - 1]), float(areas[i + 1])
+        denom = a - 2.0 * b + c
+        if denom != 0.0:
+            slope = c - a
+            ratio = slope / (4.0 * denom)
+            curve = slope * slope / (8.0 * denom * denom)
+            gradient[i - 1:i + 2] = (ratio + curve, 1.0 - 2.0 * curve, curve - ratio)
+            return i, 0.5 * h * (a - c) / denom, b - 0.125 * slope**2 / denom, gradient
+    gradient[i] = 1.0
+    return i, 0.0, b, gradient
 
 
 def minimal_coordinate_spheres(profile: AxisymProfile) -> list[LatitudeSphere]:
     """Latitude spheres at the interior critical points of the area profile.
 
-    Strict extrema are refined off-node by local quadratic interpolation;
-    saddle-flat runs are reported at their middle node.  The
-    ``minimality_residual`` is the centered difference |A'| at the anchoring
-    node, which vanishes to grid order at a genuine critical latitude.
+    Strict extrema are refined off-node by ``_vertex`` on the three areas
+    around them (negated at a minimum); saddle-flat runs are reported at
+    their middle node.  The ``minimality_residual`` is the centered
+    difference |A'| at the anchoring node, which vanishes to grid order at a
+    genuine critical latitude.
     """
     values = area_profile(profile)
-    h = profile.spacing
-    thetas = profile.thetas
     spheres = []
     for i, kind in critical_points(values):
-        if kind == "saddle-flat":
-            theta = thetas[i]
-        else:
-            offset, _ = _refine_critical_node(values, i, h)
-            theta = thetas[i] + offset
-        residual = abs(values[i + 1] - values[i - 1]) / (2.0 * h)
-        spheres.append(_sphere_at(profile, theta, residual))
+        sign = {"max": 1.0, "min": -1.0}.get(kind)
+        offset = _vertex(sign * values[i - 1:i + 2], profile.spacing)[1] if sign else 0.0
+        spheres.append(_sphere_at(profile, values, i, offset))
     return spheres
 
 
@@ -324,23 +334,14 @@ def width_upper_bound(profile: AxisymProfile) -> float:
     but this estimate can fall on either side of it by its interpolation
     error, so it is not a bound; ``tilted_width_bound`` is one.
     """
-    values = area_profile(profile)
-    i = int(np.argmax(values))
-    if i == 0 or i == profile.n - 1:
-        return float(values[i])
-    _, fitted = _refine_critical_node(values, i, profile.spacing)
-    return max(fitted, float(values[i]))
+    return _vertex(area_profile(profile), profile.spacing)[2]
 
 
 def max_latitude_sphere(profile: AxisymProfile) -> LatitudeSphere:
     """The latitude sphere realizing the sweep-out maximum."""
-    values = area_profile(profile)
-    h = profile.spacing
-    i = int(np.argmax(values))
-    i = min(max(i, 1), profile.n - 2)
-    offset, _ = _refine_critical_node(values, i, h)
-    residual = abs(values[i + 1] - values[i - 1]) / (2.0 * h)
-    return _sphere_at(profile, profile.thetas[i] + offset, residual)
+    areas = area_profile(profile)
+    i, offset, _, _ = _vertex(areas, profile.spacing)
+    return _sphere_at(profile, areas, i, offset)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -544,17 +545,20 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
 
 
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
-    """Raise unless the area slope at ``theta_star`` is below 2% of the
-    largest node area (per radian)."""
+    """Raise unless the parabola through the areas at ``theta_star`` and
+    ``theta_star +- h`` has its vertex within one cell: |A'| <= |A''| h, a
+    scale-free rule.  Past a pole u clamps, as in ``jacobi_spectrum``."""
     h = profile.spacing
-    lo = max(theta_star - h, 0.0)
-    hi = min(theta_star + h, np.pi)
-    slope = (sphere_area(profile, hi) - sphere_area(profile, lo)) / (hi - lo)
-    tolerance = 0.02 * float(np.max(area_profile(profile)))
-    if abs(slope) > tolerance:
+    lo, mid, hi = (
+        profile.interp_u(t) ** 4 * math.sin(t) ** 2
+        for t in (theta_star - h, theta_star, theta_star + h)
+    )
+    slope = 4.0 * np.pi * abs(hi - lo) / (2.0 * h)
+    bend = 4.0 * np.pi * abs(hi - 2.0 * mid + lo) / h
+    if slope > bend:
         raise ValueError(
             f"theta={theta_star} is not a critical latitude "
-            f"(|A'| = {abs(slope):.3e} exceeds tolerance {tolerance:.3e})"
+            f"(|A'| = {slope:.3e} exceeds |A''| h = {bend:.3e})"
         )
 
 
@@ -678,11 +682,7 @@ class SpectrumReport:
     nullity: int
 
 
-def jacobi_spectrum(
-    profile: AxisymProfile,
-    theta_star: float,
-    k_max: int,
-) -> SpectrumReport:
+def jacobi_spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport:
     """Morse index and nullity of a critical latitude sphere.
 
     Q is taken in closed form at ``theta*``, with ``w = 2 ln u``:
@@ -696,17 +696,18 @@ def jacobi_spectrum(
     Against the analytic Q of the round profile, ``1 + 0.3 cos(theta)``,
     ``1 + 0.3 cos(2 theta)`` and seeded four-mode cosine series, the largest
     error relative to ``max(1, |Q|)`` is 1.3e-3 / 9.5e-5 / 1.7e-5 at
-    n = 201 / 401 / 801; on constant profiles Q is exact.  Eigenvalues follow
-    from ``lambda_k = k(k+1)/radius^2 - Q`` with multiplicity 2k+1, and zeros
-    are detected at tolerance 1e-6.
+    n = 201 / 401 / 801; on constant profiles Q is exact.  The eigenvalues
+    ``lambda_k = k(k+1)/radius^2 - Q`` (multiplicity 2k+1) are listed from
+    k = 0 to the first positive one, about ``sqrt(Q radius^2)`` of them; all
+    later ones are larger, so index and nullity are exact.  Zeros are
+    detected at ``ZERO_EIGENVALUE_TOL`` on the scale-free ``lambda_k
+    radius^2 = k(k+1) - Q radius^2``.
 
     Raises:
-        ValueError: if ``k_max`` is below 2 (the spectrum must at least reach
-            the translation harmonics) or above ``MAX_JACOBI_DEGREE``, or if
-            ``theta_star`` is not an interior critical latitude.
+        ValueError: if ``theta_star`` is not an interior critical latitude.
+        ArithmeticError: if ``Q radius^2`` is not finite, where the count
+            would not end.
     """
-    if not (2 <= k_max <= MAX_JACOBI_DEGREE):
-        raise ValueError(f"k_max must be between 2 and {MAX_JACOBI_DEGREE}, got {k_max}")
     if not (0.0 < theta_star < np.pi):
         raise ValueError(f"theta_star must be interior, got {theta_star}")
     _check_critical(profile, theta_star)
@@ -721,17 +722,20 @@ def jacobi_spectrum(
     u4 = profile.interp_u(theta_star) ** 4
     q = (2.0 - 2.0 * d2w - 2.0 * cot * dw) / u4 + 2.0 * (cot + dw) ** 2 / u4
     radius_sq = u4 * math.sin(theta_star) ** 2
+    q_scaled = q * radius_sq
+    if not math.isfinite(q_scaled):
+        raise ArithmeticError(f"Q * radius^2 = {q_scaled} at theta={theta_star}")
     eigenvalues = []
-    index = 0
-    nullity = 0
-    for k in range(k_max + 1):
-        lam = k * (k + 1) / radius_sq - q
-        mult = 2 * k + 1
-        eigenvalues.append((k, lam, mult))
-        if lam < -ZERO_EIGENVALUE_TOL:
-            index += mult
-        elif abs(lam) <= ZERO_EIGENVALUE_TOL:
-            nullity += mult
+    index = nullity = 0
+    for k in itertools.count():
+        scaled = k * (k + 1) - q_scaled
+        eigenvalues.append((k, k * (k + 1) / radius_sq - q, 2 * k + 1))
+        if scaled > ZERO_EIGENVALUE_TOL:
+            break
+        if scaled < -ZERO_EIGENVALUE_TOL:
+            index += 2 * k + 1
+        else:
+            nullity += 2 * k + 1
     return SpectrumReport(
         theta=float(theta_star),
         jacobi_Q=q,
@@ -742,11 +746,9 @@ def jacobi_spectrum(
     )
 
 
-def analyze_sphere(
-    profile: AxisymProfile, sphere: LatitudeSphere, k_max: int = 4
-) -> LatitudeSphere:
+def analyze_sphere(profile: AxisymProfile, sphere: LatitudeSphere) -> LatitudeSphere:
     """Fill a sphere's jacobi_Q, index and nullity from its spectrum."""
-    spectrum = jacobi_spectrum(profile, sphere.theta, k_max)
+    spectrum = jacobi_spectrum(profile, sphere.theta)
     return replace(
         sphere, jacobi_Q=spectrum.jacobi_Q, index=spectrum.index, nullity=spectrum.nullity
     )
@@ -767,12 +769,10 @@ class StarReport:
     star_holds_on_axisym_candidates: bool
 
 
-def star_scan(profile: AxisymProfile, k_max: int = 4) -> StarReport:
+def star_scan(profile: AxisymProfile) -> StarReport:
     """Analyze every critical latitude sphere and test the stability verdict."""
     bound = width_upper_bound(profile)
-    spheres = [
-        analyze_sphere(profile, s, k_max=k_max) for s in minimal_coordinate_spheres(profile)
-    ]
+    spheres = [analyze_sphere(profile, s) for s in minimal_coordinate_spheres(profile)]
     violating = [
         s for s in spheres if s.index == 0 and s.nullity == 0 and s.area <= bound
     ]

@@ -10,11 +10,11 @@ feasibility LP is infeasible, its phase-1 duals y are a Farkas functional,
 and ``<y, mu0> / ||y||_1`` bounds the sup-norm defect of every conic
 combination from below; a target whose bound exceeds the tolerance is a
 non-member with f = y, and only near-members run a second phase 1, on the
-band of targets within the tolerance in sup norm.  Member certificates
-reconstruct the target exactly (or to within the tolerance, for
-near-members) and separating functionals satisfy their sign conditions
-exactly, both checked in `fractions.Fraction` arithmetic, not merely to
-floating tolerance.
+band of targets within the tolerance in sup norm.  Member coefficients
+that reconstruct the target exactly (or to within the tolerance, for
+near-members) and separating functionals that satisfy their sign
+conditions are checked as `fractions.Fraction`s, then issued as their
+nearest doubles, exact where the rationals are dyadic.
 
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
@@ -127,8 +127,9 @@ class MembershipCertificate:
 
     Member certificates carry conic coefficients indexed into the family;
     non-member certificates carry a separating functional f with
-    ``<f, mu0> > 0`` and ``<f, mu> <= 0`` for every family member, both
-    verified in exact rational arithmetic before the certificate is issued.
+    ``<f, mu0> > 0`` and ``<f, mu> <= 0`` for every family member.  Both
+    are verified on exact rationals and issued as their nearest doubles,
+    which are exact only where the rationals are dyadic.
     """
 
     verdict: str
@@ -294,10 +295,10 @@ def cone_hull_membership(
     ``tol``, run a second phase 1, on the band ``|A x - b| <= tol, x >= 0``
     (see ``_band_program``): the verdict is "member" when the band is
     feasible, that is when the least sup-norm defect is at most ``tol``, and
-    otherwise the first n components of its Farkas duals separate.  Every
-    certificate passes exact checks before it is issued: member coefficients
-    reconstruct the target to within 0 (first solve) or ``tol`` (band solve),
-    and a separating functional satisfies its sign conditions.
+    otherwise the first n components of its Farkas duals separate.  Exact
+    checks pass before a certificate is issued in nearest doubles: member
+    coefficients reconstruct the target to within 0 (first solve) or ``tol``
+    (band solve), and a separating functional satisfies its sign conditions.
 
     Raises:
         ValueError: ground set above the supported size, a tol that is not

@@ -61,11 +61,12 @@ from .conformal import (
     AxisymProfile,
     LatitudeSphere,
     _pole_irregularity,
+    _sphere_at,
+    _vertex,
     area_profile,
     max_latitude_sphere,
     scalar_curvature_field,
     tilted_width_bound,
-    width_upper_bound,
 )
 from .numerics import LatitudeGrid, latitude_grid
 
@@ -153,6 +154,8 @@ class FlowState:
 def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
     """Assemble the diagnostic snapshot for a profile."""
     scalar, vol, r = latitude_grid(profile.n).evaluate(profile.u)
+    areas = area_profile(profile)
+    i, offset, width, _ = _vertex(areas, profile.spacing)
     return FlowState(
         time=float(time),
         profile=profile,
@@ -160,8 +163,8 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
         r_avg=r,
         energy=r * vol ** (2.0 / 3.0),
         sup_R_minus_r=float(np.max(np.abs(scalar - r))),
-        width_bound=width_upper_bound(profile),
-        max_sphere=max_latitude_sphere(profile),
+        width_bound=width,
+        max_sphere=_sphere_at(profile, areas, i, offset),
     )
 
 
@@ -354,40 +357,13 @@ def write_trace_csv(trace: FlowTrace, path: str) -> None:
     atomic_write_text(path, csv_text(columns))
 
 
-def _width_rate(areas: np.ndarray, rates: np.ndarray) -> float:
-    """Time derivative of ``conformal.width_upper_bound`` by the chain rule.
-
-    ``areas`` are the node areas and ``rates`` their time derivatives.  The
-    estimate is the vertex value ``W = b - (c - a)^2 / (8 (a - 2b + c))`` of
-    the areas a, b, c around the largest, or the largest area itself where
-    it sits at an end node, the parabola is flat, or the clamp
-    ``max(fitted, values[i])`` binds; there dW/dt is that node's rate.
-    """
-    i = int(np.argmax(areas))
-    if i == 0 or i == areas.size - 1:
-        return float(rates[i])
-    a, b, c = (float(x) for x in areas[i - 1:i + 2])
-    da, db, dc = (float(x) for x in rates[i - 1:i + 2])
-    denom = a - 2.0 * b + c
-    if denom >= 0.0:
-        # A flat parabola (denom rounds to 0 when a is within an ulp of b),
-        # or one opening upwards, where the clamp would bind.
-        return db
-    slope = c - a
-    return (
-        db
-        - slope * (dc - da) / (4.0 * denom)
-        + slope * slope * (da - 2.0 * db + dc) / (8.0 * denom * denom)
-    )
-
-
 def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
     """Compare the width estimate's time derivative with its first variation.
 
     For each interior sampled state, ``lhs`` is dW/dt at that state, where W
     is ``conformal.width_upper_bound`` (the ``width_bound`` column): the
-    chain rule on its vertex formula (see ``_width_rate``), with every node
-    area moving at its flow rate ``dA_j/dt = A_j (r - R_j)``.  ``rhs = (r -
+    gradient of its vertex value in the node areas (``conformal._vertex``)
+    dotted with their flow rates ``dA_j/dt = A_j (r - R_j)``.  ``rhs = (r -
     R(theta*)) * area(theta*)`` is the first variation of the area of the
     maximal latitude sphere.  Both sides are taken at the same state and no
     time step enters either, so ``residual = lhs - rhs`` is the spatial
@@ -415,7 +391,7 @@ def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
         sampled = (after.width_bound - before.width_bound) / (after.time - before.time)
         field = scalar_curvature_field(here.profile)
         areas = area_profile(here.profile)
-        lhs = _width_rate(areas, areas * (here.r_avg - field))
+        lhs = float(_vertex(areas, here.profile.spacing)[3] @ (areas * (here.r_avg - field)))
         theta = here.max_sphere.theta
         r_at_max = float(np.interp(theta, here.profile.thetas, field))
         rhs = (here.r_avg - r_at_max) * here.max_sphere.area

@@ -105,7 +105,7 @@ def test_criterion_05_round_geometry_suite():
     vol = cf.volume(profile)
     curvature = cf.scalar_curvature_field(profile)
     area = cf.sphere_area(profile, math.pi / 2.0)
-    spectrum = cf.jacobi_spectrum(profile, math.pi / 2.0, k_max=4)
+    spectrum = cf.jacobi_spectrum(profile, math.pi / 2.0)
     vol_ok = abs(vol - 2.0 * math.pi**2) < 1e-8
     r_ok = float(np.max(np.abs(curvature - 6.0))) < 1e-8
     area_ok = abs(area - 4.0 * math.pi) < 1e-10
@@ -241,7 +241,7 @@ def test_criterion_12_scale_invariance_suite():
     base_nw = cf.width_upper_bound(base) / cf.volume(base) ** (2.0 / 3.0)
     base_energy = ym.hilbert_einstein_energy(base)
     theta_star = cf.minimal_coordinate_spheres(base)[0].theta
-    base_spectrum = cf.jacobi_spectrum(base, theta_star, k_max=2)
+    base_spectrum = cf.jacobi_spectrum(base, theta_star)
     ok = True
     details = []
     for c in (0.5, 2.0, 10.0):
@@ -251,7 +251,7 @@ def test_criterion_12_scale_invariance_suite():
         nw = cf.width_upper_bound(scaled) / cf.volume(scaled) ** (2.0 / 3.0)
         energy = ym.hilbert_einstein_energy(scaled)
         spectrum = cf.jacobi_spectrum(
-            scaled, cf.minimal_coordinate_spheres(scaled)[0].theta, k_max=2
+            scaled, cf.minimal_coordinate_spheres(scaled)[0].theta
         )
         nw_ok = abs(nw - base_nw) < 1e-10 * base_nw
         energy_ok = abs(energy - base_energy) < 1e-6 * abs(base_energy)

@@ -15,6 +15,7 @@ import widthlab.equidist as eq
 import widthlab.yamabe as yamabe
 
 from oracles import parse_scan_csv
+from test_reports import write_reports
 
 
 @pytest.fixture
@@ -244,7 +245,39 @@ def command_line(command, tmp_path, *flags):
     return argv
 
 
+class _ReadRecorder(dict):
+    """Config parameters that remember which keys a handler looked up; the
+    config echo copies the dict without lookups."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 class TestParameterRules:
+    def test_every_declared_param_is_read(self, tmp_path, monkeypatch):
+        # Each subcommand runs once on the small inputs of the frozen
+        # reports; a declared key its handler never reads is a knob that
+        # does nothing.
+        recorded = {}
+        resolve = cli._resolve_config
+
+        def recording_resolve(args):
+            cfg = resolve(args)
+            params = recorded[cfg.command] = _ReadRecorder(cfg.params)
+            return cli.RunConfig(cfg.command, cfg.output_path, cfg.input_path, params)
+
+        monkeypatch.setattr(cli, "_resolve_config", recording_resolve)
+        write_reports(tmp_path)
+        assert set(recorded) == set(cli._SUBCOMMANDS)
+        for command, params in recorded.items():
+            declared = {p.key for p in cli._SUBCOMMANDS[command].params}
+            assert params.read == declared, command
+
     def test_defaults_pass_their_rules(self):
         assert RULED
         for command, param in RULED:
@@ -375,25 +408,6 @@ class TestConformalAnalyze:
         assert data["star_holds_on_axisym_candidates"] is True
         assert data["isoperimetric"]["passed"] is False
 
-    @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (["--k-max", "1"], "--k-max"),
-            (["--k-max", str(cf.MAX_JACOBI_DEGREE + 1)], "--k-max"),
-        ],
-    )
-    def test_bad_spectrum_input_rejected_before_work(self, tmp_path, bump_profile_path,
-                                                     monkeypatch, capsys, flags, named):
-        def unreachable(path):
-            raise AssertionError("profile loaded before the flags were checked")
-
-        monkeypatch.setattr(cf, "load_profile", unreachable)
-        out = tmp_path / "ana.json"
-        assert cli.main(["conformal-analyze", "--input", bump_profile_path, *flags,
-                         "--output", str(out)]) == 1
-        assert_only_error_line(capsys, named)
-        assert not out.exists()
-
     def test_eps_is_not_an_option(self, tmp_path, round_profile_path, capsys):
         assert cli.main(["conformal-analyze", "--input", round_profile_path,
                          "--eps", "0.01"]) == 1
@@ -411,11 +425,38 @@ class TestConformalAnalyze:
         spheres = json.loads(out.read_text())["minimal_spheres"]
         assert [(s["index"], s["nullity"]) for s in spheres] == [(1, 3)]
 
-    def test_degree_cap_is_accepted(self, tmp_path, bump_profile_path):
-        out = str(tmp_path / "ana.json")
-        assert cli.main(["conformal-analyze", "--input", bump_profile_path,
-                         "--k-max", str(cf.MAX_JACOBI_DEGREE), "--output", out]) == 0
-        assert json.loads(open(out).read())["minimal_spheres"][0]["index"] == 4
+    def test_k_max_is_not_an_option(self, tmp_path, round_profile_path, capsys):
+        # The Morse data are counted to the first positive eigenvalue, so
+        # there is no degree cap to set.
+        assert cli.main(["conformal-analyze", "--input", round_profile_path,
+                         "--k-max", "4"]) == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k_max": 4}))
+        assert cli.main(["conformal-analyze", "--input", round_profile_path,
+                         "--config", str(cfg_path)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_index_beyond_degree_four(self, tmp_path):
+        # The equator of this bump has Q r^2 = 31.6: degrees 0..5 are
+        # negative, index 1 + 3 + ... + 11 = 36.  A count capped at degree
+        # 4 reported 25.
+        path = str(tmp_path / "wide.json")
+        cf.save_profile(cf.AxisymProfile.from_function(
+            lambda t: 1.0 + 0.5 * np.exp(-(((t - np.pi / 2) / 0.3) ** 2)), 801), path)
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
+        spheres = json.loads(out.read_text())["minimal_spheres"]
+        assert [(s["index"], s["nullity"]) for s in spheres] == [(36, 0)]
+
+    def test_narrow_bump_spheres_are_critical(self, tmp_path):
+        # A bump 6.4 cells wide bends the area sharply: the spheres that
+        # minimal_coordinate_spheres finds pass the criticality check.
+        path = str(tmp_path / "narrow.json")
+        cf.save_profile(cf.AxisymProfile.from_function(
+            lambda t: 1.0 + 0.3 * np.exp(-(((t - 0.8) / 0.1) ** 2)), 201), path)
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["minimal_spheres"]) == 3
 
 
 def write_constant_profile(path, value, n):

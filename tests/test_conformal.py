@@ -335,7 +335,7 @@ class TestSecondVariationOracle:
         # n = 401 the oracle gives 2.49125 against 2.59763.
         p = bump(801)
         theta = cf.max_latitude_sphere(p).theta
-        spectrum = cf.jacobi_spectrum(p, theta, 2)
+        spectrum = cf.jacobi_spectrum(p, theta)
         lam2 = dict((k, lam) for k, lam, _ in spectrum.eigenvalues)[2]
         direct = cf.second_variation_oracle(p, theta, 2, 1e-2)
         assert abs(direct - lam2) < 0.01
@@ -343,37 +343,63 @@ class TestSecondVariationOracle:
 
 class TestJacobiSpectrum:
     def test_round_equator(self):
-        spectrum = cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201), PI / 2, 4)
+        spectrum = cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201), PI / 2)
         assert spectrum.jacobi_Q == pytest.approx(2.0, abs=1e-12)
         assert spectrum.index == 1
         assert spectrum.nullity == 3
-        expected = {0: -2.0, 1: 0.0, 2: 4.0, 3: 10.0, 4: 18.0}
+        expected = {0: -2.0, 1: 0.0, 2: 4.0}
+        assert [k for k, _, _ in spectrum.eigenvalues] == [0, 1, 2]
         for k, lam, mult in spectrum.eigenvalues:
             assert lam == pytest.approx(expected[k], abs=1e-12)
             assert mult == 2 * k + 1
 
-    def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201), PI / 2, 1)
-        with pytest.raises(ValueError, match="k_max"):
-            cf.jacobi_spectrum(
-                cf.AxisymProfile.round_profile(201), PI / 2, cf.MAX_JACOBI_DEGREE + 1
-            )
-        spectrum = cf.jacobi_spectrum(
-            cf.AxisymProfile.round_profile(201), PI / 2, cf.MAX_JACOBI_DEGREE
+    def test_spectrum_ends_at_first_positive_eigenvalue(self):
+        # A bump 0.3 wide: its largest sphere has Q r^2 = 31.6, beyond the
+        # degree 4 that once capped the count.  The index is the sum of
+        # 2k + 1 over k(k+1) < Q r^2, which is K^2 for the K such degrees.
+        p = cf.AxisymProfile.from_function(
+            lambda t: 1.0 + 0.5 * np.exp(-(((t - PI / 2) / 0.3) ** 2)), 801
         )
-        assert len(spectrum.eigenvalues) == cf.MAX_JACOBI_DEGREE + 1
+        spectrum = cf.jacobi_spectrum(p, cf.max_latitude_sphere(p).theta)
+        q_r2 = spectrum.jacobi_Q * spectrum.induced_radius_sq
+        assert q_r2 > 20.0
+        lams = [lam * spectrum.induced_radius_sq for _, lam, _ in spectrum.eigenvalues]
+        assert lams[-1] > cf.ZERO_EIGENVALUE_TOL
+        assert all(lam < -cf.ZERO_EIGENVALUE_TOL for lam in lams[:-1])
+        negative = math.ceil((math.sqrt(1.0 + 4.0 * q_r2) - 1.0) / 2.0)
+        assert len(lams) == negative + 1
+        assert (spectrum.index, spectrum.nullity) == (negative**2, 0) == (36, 0)
+
+    def test_non_finite_q_r2_raises(self):
+        # u^4 = 1e-320 is subnormal, so Q = 2 / u^4 overflows and Q r^2 is
+        # inf; the count of negative eigenvalues would not end.
+        with pytest.raises(ArithmeticError, match="Q \\* radius\\^2 = inf"):
+            cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201, 1e-80), PI / 2)
+
+    def test_morse_data_unchanged_by_scaling(self):
+        # The zero test acts on lambda r^2, which does not change under
+        # u -> c u; on lambda itself (which scales like c^-4) the spheres of
+        # the c = 40 profile read index 1, nullity 3.
+        for c in (1.0, 40.0):
+            p = cf.AxisymProfile.from_function(
+                lambda t, c=c: c * (1.0 + 0.3 * np.cos(2 * t)), 401
+            )
+            spheres = [cf.analyze_sphere(p, s) for s in cf.minimal_coordinate_spheres(p)]
+            thetas = [s.theta for s in spheres if s.index]
+            assert thetas == pytest.approx([0.7185, 2.4231], abs=1e-4)
+            assert [(s.index, s.nullity) for s in spheres if s.index] == [(4, 0), (4, 0)]
 
     @pytest.mark.parametrize("c", [1.0, 0.5, 2.0])
     def test_constant_profile_exact(self, c):
-        spectrum = cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201, c), PI / 2, 4)
+        spectrum = cf.jacobi_spectrum(cf.AxisymProfile.round_profile(201, c), PI / 2)
         assert spectrum.jacobi_Q * c**4 == 2.0
         assert (spectrum.index, spectrum.nullity) == (1, 3)
 
     @pytest.mark.parametrize("n", [201, 401, 801])
     def test_matches_analytic_q(self, n):
         # Q against the analytic Q of the cosine series at the reported
-        # latitude, with index and nullity recounted from the analytic Q.
+        # latitude, with index and nullity recounted from the analytic Q
+        # (zeros tested on lambda r^2, over every degree up to sqrt(Q r^2) + 1).
         rtol = {201: 2e-3, 401: 2e-4, 801: 4e-5}[n]
         rng = np.random.default_rng(20261018 + n)
         series = [[0.0], [0.3], [0.0, 0.3]]
@@ -384,11 +410,12 @@ class TestJacobiSpectrum:
                 lambda t, a=a: 1.0 + sum(ak * np.cos(k * t) for k, ak in enumerate(a, 1)), n
             )
             for sphere in cf.minimal_coordinate_spheres(p):
-                spectrum = cf.jacobi_spectrum(p, sphere.theta, 4)
+                spectrum = cf.jacobi_spectrum(p, sphere.theta)
                 q = cosine_series_jacobi_q(a, sphere.theta)
                 assert abs(spectrum.jacobi_Q - q) <= rtol * max(1.0, abs(q))
-                lams = [(k * (k + 1) / spectrum.induced_radius_sq - q, 2 * k + 1)
-                        for k in range(5)]
+                q_r2 = q * spectrum.induced_radius_sq
+                lams = [(k * (k + 1) - q_r2, 2 * k + 1)
+                        for k in range(int(math.sqrt(max(q_r2, 0.0))) + 2)]
                 index = sum(m for lam, m in lams if lam < -cf.ZERO_EIGENVALUE_TOL)
                 nullity = sum(m for lam, m in lams if abs(lam) <= cf.ZERO_EIGENVALUE_TOL)
                 assert (spectrum.index, spectrum.nullity) == (index, nullity)
@@ -397,14 +424,14 @@ class TestJacobiSpectrum:
 
     def test_bump_maximizer_unstable(self):
         p = bump(401)
-        spectrum = cf.jacobi_spectrum(p, cf.max_latitude_sphere(p).theta, 4)
+        spectrum = cf.jacobi_spectrum(p, cf.max_latitude_sphere(p).theta)
         assert spectrum.index == 4
         assert spectrum.nullity == 0
         assert spectrum.jacobi_Q == pytest.approx(1.93303, abs=1e-5)
 
     def test_double_bump_neck_stable_with_area_second_difference_sign(self):
         p = double_bump(401)
-        spectrum = cf.jacobi_spectrum(p, PI / 2, 4)
+        spectrum = cf.jacobi_spectrum(p, PI / 2)
         assert spectrum.index == 0
         assert spectrum.nullity == 0
         lam0 = spectrum.eigenvalues[0][1]
@@ -602,6 +629,6 @@ class TestConformalScalingCoherence:
         assert cf.curvature_integral_over_sphere(
             scaled, theta_s
         ) == pytest.approx(cf.curvature_integral_over_sphere(base, theta_b), rel=1e-10)
-        spec_b = cf.jacobi_spectrum(base, theta_b, 2)
-        spec_s = cf.jacobi_spectrum(scaled, theta_s, 2)
+        spec_b = cf.jacobi_spectrum(base, theta_b)
+        spec_s = cf.jacobi_spectrum(scaled, theta_s)
         assert (spec_s.index, spec_s.nullity) == (spec_b.index, spec_b.nullity)

@@ -101,6 +101,16 @@ class TestConeHullMembership:
             recon += coeff * (m1, m2)[j].weights
         assert np.max(np.abs(recon - mu0.weights)) == 0.0
 
+    def test_issued_coefficients_are_nearest_doubles(self):
+        # The exact check holds for x = (1/3, 1/3); the issued floats are
+        # their nearest doubles, which reconstruct the target only to a
+        # rounding error because 1/3 is not dyadic.
+        cert = eq.cone_hull_membership(fm(1.0, 1.0), fam(fm(3.0, 0.0), fm(0.0, 3.0)))
+        assert cert.verdict == "member"
+        third = float(Fraction(1, 3))
+        assert cert.coefficients == ((0, third), (1, third))
+        assert 3 * Fraction(third) - 1 == Fraction(-1, 2**54)
+
     def test_middle_spike_non_member(self):
         # The end constraints force x = (1, 1), which overshoots the middle.
         cert = eq.cone_hull_membership(

@@ -279,20 +279,24 @@ class TestWidthDerivativeMonitor:
 
         e = 1e-5
         centered = (width(e) - width(-e)) / (2.0 * e)
-        chain = yamabe._width_rate(areas, areas * rate)
+        chain = conformal._vertex(areas, state.profile.spacing)[3] @ (areas * rate)
         assert chain == pytest.approx(centered, rel=1e-6)
 
     def test_rate_where_the_estimate_is_a_node_area(self):
         rates = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+        def rate(areas):
+            return conformal._vertex(areas, 0.1)[3] @ rates
+
         # Largest area at an end node.
-        assert yamabe._width_rate(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), rates) == 1.0
-        assert yamabe._width_rate(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), rates) == 5.0
+        assert rate(np.array([5.0, 4.0, 3.0, 2.0, 1.0])) == 1.0
+        assert rate(np.array([1.0, 2.0, 3.0, 4.0, 5.0])) == 5.0
         # a - 2b + c rounds to 0: the estimate is the node area.
         flat = np.array([0.0, 1.0 - 2.0**-53, 1.0, 1.0, 0.0])
         assert flat[1] - 2.0 * flat[2] + flat[3] == 0.0
-        assert yamabe._width_rate(flat, rates) == 3.0
+        assert rate(flat) == 3.0
         # Symmetric neighbours: the vertex is the node itself.
-        assert yamabe._width_rate(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), rates) == 3.0
+        assert rate(np.array([0.0, 1.0, 2.0, 1.0, 0.0])) == 3.0
 
     def test_sampled_difference_tracks_the_chain_rule(self):
         # At a fixed sample spacing tau = 10 dt, the centered difference of
