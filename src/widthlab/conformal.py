@@ -301,9 +301,9 @@ def _vertex(areas: np.ndarray, h: float) -> tuple[int, float, float, np.ndarray]
         if denom != 0.0:
             slope = c - a
             ratio = slope / (4.0 * denom)
-            curve = slope * slope / (8.0 * denom * denom)
+            curve = 2.0 * ratio * ratio
             gradient[i - 1:i + 2] = (ratio + curve, 1.0 - 2.0 * curve, curve - ratio)
-            return i, 0.5 * h * (a - c) / denom, b - 0.125 * slope**2 / denom, gradient
+            return i, 0.5 * h * (a - c) / denom, b - 0.5 * slope * ratio, gradient
     gradient[i] = 1.0
     return i, 0.0, b, gradient
 
@@ -545,20 +545,17 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
 
 
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
-    """Raise unless the parabola through the areas at ``theta_star`` and
-    ``theta_star +- h`` has its vertex within one cell: |A'| <= |A''| h, a
-    scale-free rule.  Past a pole u clamps, as in ``jacobi_spectrum``."""
-    h = profile.spacing
-    lo, mid, hi = (
-        profile.interp_u(t) ** 4 * math.sin(t) ** 2
-        for t in (theta_star - h, theta_star, theta_star + h)
+    """Raise unless ``minimal_coordinate_spheres`` finds a sphere within one
+    cell h of ``theta_star``.  The sphere finder is the one definition of a
+    critical latitude, so every sphere it returns passes."""
+    cells = min(
+        (abs(s.theta - theta_star) / profile.spacing for s in minimal_coordinate_spheres(profile)),
+        default=math.inf,
     )
-    slope = 4.0 * np.pi * abs(hi - lo) / (2.0 * h)
-    bend = 4.0 * np.pi * abs(hi - 2.0 * mid + lo) / h
-    if slope > bend:
+    if not cells <= 1.0:
         raise ValueError(
             f"theta={theta_star} is not a critical latitude "
-            f"(|A'| = {slope:.3e} exceeds |A''| h = {bend:.3e})"
+            f"(the nearest sphere found is {cells:.3g} cells away)"
         )
 
 
@@ -704,7 +701,9 @@ def jacobi_spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport
     radius^2 = k(k+1) - Q radius^2``.
 
     Raises:
-        ValueError: if ``theta_star`` is not an interior critical latitude.
+        ValueError: if ``theta_star`` is not interior, or not within one
+            cell of a sphere that ``minimal_coordinate_spheres`` finds (so
+            each of those spheres passes).
         ArithmeticError: if ``Q radius^2`` is not finite, where the count
             would not end.
     """

@@ -266,35 +266,27 @@ def latitude_grid(n: int) -> LatitudeGrid:
 def critical_points(values: np.ndarray) -> list[tuple[int, str]]:
     """Locate interior extrema of node values on the latitude grid.
 
-    Sign changes of the forward difference ``d = np.diff(values)`` mark the
-    strict extrema; the discrete second difference ``d_i - d_{i-1}`` decides
-    between ``"max"`` and ``"min"``.  Maximal runs of exactly-zero forward
-    differences are reported once as ``"saddle-flat"`` at the run's middle
-    interior node.
+    With ``d = np.diff(values)``, a jump of ``np.sign(d)`` from +1 to -1 at
+    node i marks a strict ``"max"`` and from -1 to +1 a strict ``"min"``.
+    Each maximal run of exactly-zero differences, found from the edges of
+    the mask ``d == 0``, is reported once as ``"saddle-flat"`` at the run's
+    middle node, clamped to the interior nodes 1..n-2.  A flat middle node
+    is never a strict extremum, so the indices are distinct and one sort by
+    index merges the two.
 
     Returns:
         List of ``(index, kind)`` pairs with kind in
         ``{"max", "min", "saddle-flat"}``, ordered by index.
     """
     d = np.diff(values)
-    results: list[tuple[int, str]] = []
-    i = 0
-    while i < d.size:
-        if d[i] == 0.0:
-            j = i
-            while j < d.size and d[j] == 0.0:
-                j += 1
-            # Flat run of nodes i..j; report its middle interior node.
-            mid = (i + j) // 2
-            mid = min(max(mid, 1), values.size - 2)
-            results.append((mid, "saddle-flat"))
-            i = j
-        else:
-            i += 1
-    for i in range(1, d.size):
-        if d[i - 1] > 0.0 and d[i] < 0.0:
-            results.append((i, "max"))
-        elif d[i - 1] < 0.0 and d[i] > 0.0:
-            results.append((i, "min"))
-    results.sort(key=lambda pair: pair[0])
-    return results
+    zero = np.concatenate(([False], d == 0.0, [False]))
+    runs = np.flatnonzero(zero[1:] != zero[:-1]).reshape(-1, 2)  # (start, stop) in d
+    flat = np.minimum(np.maximum(runs.sum(axis=1) // 2, 1), values.size - 2)
+    turns = np.diff(np.sign(d))
+    strict = np.flatnonzero(np.abs(turns) == 2.0)
+    index = np.concatenate((flat, strict + 1))
+    kind = np.concatenate((
+        np.full(flat.size, "saddle-flat"), np.where(turns[strict] < 0.0, "max", "min")
+    ))
+    order = np.argsort(index, kind="stable")
+    return list(zip(index[order].tolist(), kind[order].tolist()))

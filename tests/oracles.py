@@ -4,7 +4,8 @@ Nothing in here imports the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
 integrals from a sample-based composite Simpson rule, the Jacobi term Q
-from exact derivatives of a cosine series.  The stabilized implicit flow
+from exact derivatives of a cosine series, the critical points of node
+values from a walk over the nodes.  The stabilized implicit flow
 step is kept here in its unfused form, one numpy expression per quantity, as
 the reference the fused step in ``widthlab.yamabe`` must match bit for bit;
 the explicit Euler step under its CFL rule, which the package ran before,
@@ -224,6 +225,36 @@ def dense_grid_extrema(
         elif d[i - 1] < 0.0 and d[i] > 0.0:
             out.append((float(t[i]), "min"))
     return out
+
+
+def reference_critical_points(values: np.ndarray) -> list[tuple[int, str]]:
+    """The node walk ``widthlab.numerics.critical_points`` must match.
+
+    Flat runs of exactly-zero forward differences first, each at its middle
+    node clamped to the interior, then strict extrema from the signs of the
+    differences either side of each node, all sorted stably by index.
+    """
+    d = np.diff(values)
+    results: list[tuple[int, str]] = []
+    i = 0
+    while i < d.size:
+        if d[i] == 0.0:
+            j = i
+            while j < d.size and d[j] == 0.0:
+                j += 1
+            mid = (i + j) // 2
+            mid = min(max(mid, 1), values.size - 2)
+            results.append((mid, "saddle-flat"))
+            i = j
+        else:
+            i += 1
+    for i in range(1, d.size):
+        if d[i - 1] > 0.0 and d[i] < 0.0:
+            results.append((i, "max"))
+        elif d[i - 1] < 0.0 and d[i] > 0.0:
+            results.append((i, "min"))
+    results.sort(key=lambda pair: pair[0])
+    return results
 
 
 class ReferenceFlowKernel:

@@ -448,15 +448,35 @@ class TestConformalAnalyze:
         spheres = json.loads(out.read_text())["minimal_spheres"]
         assert [(s["index"], s["nullity"]) for s in spheres] == [(36, 0)]
 
-    def test_narrow_bump_spheres_are_critical(self, tmp_path):
-        # A bump 6.4 cells wide bends the area sharply: the spheres that
-        # minimal_coordinate_spheres finds pass the criticality check.
+    @pytest.mark.parametrize("height, center, width, n", [
+        pytest.param(0.3, 0.8, 0.1, 201, id="h0.3-c0.8-w0.1-n201"),
+        pytest.param(1.0, 1.4, 0.05, 201, id="h1-c1.4-w0.05-n201"),
+        pytest.param(0.3, 1.4, 0.05, 101, id="h0.3-c1.4-w0.05-n101"),
+    ])
+    def test_narrow_bump_spheres_are_critical(self, tmp_path, height, center, width, n):
+        # Narrow bumps bend the area sharply, and the last two put a sphere
+        # 0.0012 rad from a neighbour near pi/2: every sphere that
+        # minimal_coordinate_spheres finds is critical.
         path = str(tmp_path / "narrow.json")
         cf.save_profile(cf.AxisymProfile.from_function(
-            lambda t: 1.0 + 0.3 * np.exp(-(((t - 0.8) / 0.1) ** 2)), 201), path)
+            lambda t: 1.0 + height * np.exp(-(((t - center) / width) ** 2)), n), path)
         out = tmp_path / "ana.json"
         assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["minimal_spheres"]) == 3
+
+    def test_tiny_constant_profile_is_round(self, tmp_path):
+        # u = 1e-45 gives areas near 1e-179: the vertex of the area parabola
+        # must not square its curvature, which underflows to 0.
+        reports = {}
+        for value in (1e-45, 1.0):
+            path = write_constant_profile(tmp_path / f"{value}.json", value, 41)
+            out = tmp_path / f"{value}-ana.json"
+            assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
+            reports[value] = json.loads(out.read_text())
+        tiny = reports[1e-45]
+        assert [(s["index"], s["nullity"]) for s in tiny["minimal_spheres"]] == [(1, 3)]
+        assert tiny["normalized_width_bound"] == pytest.approx(
+            reports[1.0]["normalized_width_bound"], rel=1e-12, abs=0.0)
 
 
 def write_constant_profile(path, value, n):

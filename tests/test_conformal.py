@@ -1,5 +1,6 @@
 """Tests for axisymmetric conformal geometry on the three-sphere."""
 
+import itertools
 import json
 import math
 
@@ -186,6 +187,14 @@ class TestWidthUpperBound:
         p = cf.AxisymProfile.round_profile(201, radius_factor=1.7)
         assert abs(cf.width_upper_bound(p) - 4 * PI * 1.7**4) < 1e-6
 
+    def test_tiny_areas(self):
+        # Areas near 1e-279: the parabola's curvature term squared would
+        # underflow to 0, so the vertex is taken through slope / curvature.
+        p = cf.AxisymProfile.round_profile(201, radius_factor=1e-70)
+        assert cf.width_upper_bound(p) == pytest.approx(4 * PI * 1e-280, rel=1e-12)
+        spheres = cf.star_scan(p).minimal_spheres
+        assert [(s.index, s.nullity) for s in spheres] == [(1, 3)]
+
     def test_bump_against_dense_oracle(self):
         coarse = cf.width_upper_bound(bump(401))
         dense = cf.width_upper_bound(bump(200001))
@@ -314,8 +323,14 @@ class TestSecondVariationOracle:
         assert value == pytest.approx(4.0, abs=1e-3)
 
     def test_non_critical_latitude_rejected(self):
+        # The only sphere of the round profile is the equator; pi/2 - 0.02 is
+        # 1.27 cells of pi/200 from it.
+        p = cf.AxisymProfile.round_profile(201)
         with pytest.raises(ValueError):
-            cf.second_variation_oracle(cf.AxisymProfile.round_profile(201), PI / 4, 0, 1e-2)
+            cf.second_variation_oracle(p, PI / 4, 0, 1e-2)
+        for theta in (PI / 4, PI / 2 - 0.02):
+            with pytest.raises(ValueError, match="not a critical latitude .* cells away"):
+                cf.jacobi_spectrum(p, theta)
 
     def test_argument_validation(self):
         p = cf.AxisymProfile.round_profile(201)
@@ -369,6 +384,27 @@ class TestJacobiSpectrum:
         negative = math.ceil((math.sqrt(1.0 + 4.0 * q_r2) - 1.0) / 2.0)
         assert len(lams) == negative + 1
         assert (spectrum.index, spectrum.nullity) == (negative**2, 0) == (36, 0)
+
+    def test_bump_sweep_spheres_are_critical(self):
+        # Gaussian bumps 1 + a exp(-((theta - c) / w)^2) over n, w, a and c:
+        # 171 of the 180 are valid profiles, and jacobi_spectrum accepts
+        # every sphere that minimal_coordinate_spheres finds on them.
+        valid = 0
+        for n, w, a, c in itertools.product(
+            (41, 101, 201, 401, 801), (0.05, 0.1, 0.2, 0.4), (0.3, 1.0, 3.0), (0.8, 1.4, 2.0)
+        ):
+            try:
+                p = cf.AxisymProfile.from_function(
+                    lambda t: 1.0 + a * np.exp(-(((t - c) / w) ** 2)), n
+                )
+            except cf.ProfileError:
+                continue
+            valid += 1
+            scanned = cf.star_scan(p).minimal_spheres
+            for sphere, found in zip(scanned, cf.minimal_coordinate_spheres(p), strict=True):
+                spectrum = cf.jacobi_spectrum(p, found.theta)
+                assert (spectrum.index, spectrum.nullity) == (sphere.index, sphere.nullity)
+        assert valid == 171
 
     def test_non_finite_q_r2_raises(self):
         # u^4 = 1e-320 is subnormal, so Q = 2 / u^4 overflows and Q r^2 is

@@ -20,7 +20,7 @@ from widthlab.numerics import (
     latitude_grid,
 )
 
-from oracles import composite_simpson
+from oracles import composite_simpson, reference_critical_points
 
 
 class TestIntegrateAdaptive:
@@ -136,6 +136,18 @@ class TestCriticalPoints:
         points = critical_points(g)
         assert len(points) == 1
         assert points[0][1] == "max"
+
+    def test_matches_node_walk(self):
+        # Against the node-by-node walk on seeded arrays; the integer-valued
+        # half has ties and plateaus, at the ends too.
+        rng = np.random.default_rng(20261018)
+        for trial in range(2000):
+            n = int(rng.integers(5, 40))
+            if trial % 2:
+                values = rng.integers(0, 4, size=n).astype(float)
+            else:
+                values = rng.standard_normal(n)
+            assert critical_points(values) == reference_critical_points(values)
 
 
 SIMPSON_TABLE = [(5, 1e-12), (6, 6e-3), (7, 1e-12), (101, 1e-9), (128, 1e-7)]
