@@ -144,8 +144,8 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
     profile = _load_profile(cfg)
     star = conformal.star_scan(profile)
     curvature = conformal.scalar_curvature_field(profile)
-    iso = conformal.isoperimetric_check(profile)
     volume = conformal.volume(profile)
+    iso = conformal._isoperimetric_verdict(star.width_upper_bound, volume)
     text = report_text(
         cfg.as_dict(),
         n=profile.n,

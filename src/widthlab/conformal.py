@@ -37,7 +37,6 @@ import numpy as np
 from ._fsio import atomic_write_text, is_number_list, json_text, read_json
 from .numerics import (
     QuadratureConfig,
-    central_second_difference,
     critical_points,
     integrate_adaptive,
     latitude_grid,
@@ -547,7 +546,8 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
     """Raise unless ``minimal_coordinate_spheres`` finds a sphere within one
     cell h of ``theta_star``.  The sphere finder is the one definition of a
-    critical latitude, so every sphere it returns passes."""
+    critical latitude, so every sphere it returns passes and ``star_scan``
+    skips this check (and the finder's re-run) for its own spheres."""
     cells = min(
         (abs(s.theta - theta_star) / profile.spacing for s in minimal_coordinate_spheres(profile)),
         default=math.inf,
@@ -702,23 +702,27 @@ def jacobi_spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport
 
     Raises:
         ValueError: if ``theta_star`` is not interior, or not within one
-            cell of a sphere that ``minimal_coordinate_spheres`` finds (so
-            each of those spheres passes).
+            cell of a sphere that ``minimal_coordinate_spheres`` finds (each
+            of those passes, so ``star_scan`` skips this check for them).
         ArithmeticError: if ``Q radius^2`` is not finite, where the count
             would not end.
     """
     if not (0.0 < theta_star < np.pi):
         raise ValueError(f"theta_star must be interior, got {theta_star}")
     _check_critical(profile, theta_star)
+    return _spectrum(profile, theta_star)
+
+
+def _spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport:
+    """``jacobi_spectrum`` at a latitude known to be critical."""
     h = profile.spacing
-
-    def w(theta: float) -> float:
-        return 2.0 * math.log(profile.interp_u(theta))
-
-    dw = (w(theta_star + h) - w(theta_star - h)) / (2.0 * h)
-    d2w = central_second_difference(w, theta_star, h)
+    # np.interp works point by point: the bits of three scalar calls.
+    stencil = np.interp(theta_star + np.array([-h, 0.0, h]), profile.thetas, profile.u)
+    w_lo, w_mid, w_hi = (2.0 * math.log(float(v)) for v in stencil)
+    dw = (w_hi - w_lo) / (2.0 * h)
+    d2w = (w_lo - 2.0 * w_mid + w_hi) / (h * h)
     cot = 1.0 / math.tan(theta_star)
-    u4 = profile.interp_u(theta_star) ** 4
+    u4 = float(stencil[1]) ** 4
     q = (2.0 - 2.0 * d2w - 2.0 * cot * dw) / u4 + 2.0 * (cot + dw) ** 2 / u4
     radius_sq = u4 * math.sin(theta_star) ** 2
     q_scaled = q * radius_sq
@@ -745,12 +749,15 @@ def jacobi_spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport
     )
 
 
-def analyze_sphere(profile: AxisymProfile, sphere: LatitudeSphere) -> LatitudeSphere:
-    """Fill a sphere's jacobi_Q, index and nullity from its spectrum."""
-    spectrum = jacobi_spectrum(profile, sphere.theta)
+def _with_spectrum(sphere: LatitudeSphere, spectrum: SpectrumReport) -> LatitudeSphere:
     return replace(
         sphere, jacobi_Q=spectrum.jacobi_Q, index=spectrum.index, nullity=spectrum.nullity
     )
+
+
+def analyze_sphere(profile: AxisymProfile, sphere: LatitudeSphere) -> LatitudeSphere:
+    """Fill a sphere's jacobi_Q, index and nullity from ``jacobi_spectrum``."""
+    return _with_spectrum(sphere, jacobi_spectrum(profile, sphere.theta))
 
 
 @dataclass(frozen=True)
@@ -769,9 +776,10 @@ class StarReport:
 
 
 def star_scan(profile: AxisymProfile) -> StarReport:
-    """Analyze every critical latitude sphere and test the stability verdict."""
+    """Analyze every critical latitude sphere, found once, and test the stability verdict."""
     bound = width_upper_bound(profile)
-    spheres = [analyze_sphere(profile, s) for s in minimal_coordinate_spheres(profile)]
+    found = minimal_coordinate_spheres(profile)
+    spheres = [_with_spectrum(s, _spectrum(profile, s.theta)) for s in found]
     violating = [
         s for s in spheres if s.index == 0 and s.nullity == 0 and s.area <= bound
     ]
@@ -806,9 +814,15 @@ class IsoperimetricCheck:
 
 
 def isoperimetric_check(profile: AxisymProfile, tol: float = 1e-3) -> IsoperimetricCheck:
-    vol = volume(profile)
+    """Judge ``width_upper_bound``; raise ValueError unless ``tol`` is finite and >= 0."""
+    return _isoperimetric_verdict(width_upper_bound(profile), volume(profile), tol)
+
+
+def _isoperimetric_verdict(max_area: float, vol: float, tol: float = 1e-3) -> IsoperimetricCheck:
+    """``isoperimetric_check`` from a width estimate and volume already at hand."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"isoperimetric tolerance must be finite and >= 0, got {tol}")
     round_area = 4.0 * np.pi * (vol / (2.0 * np.pi**2)) ** (2.0 / 3.0)
-    max_area = width_upper_bound(profile)
     return IsoperimetricCheck(
         max_profile_area=max_area,
         round_equator_area_same_volume=round_area,

@@ -5,7 +5,9 @@ Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
 integrals from a sample-based composite Simpson rule, the Jacobi term Q
 from exact derivatives of a cosine series, the critical points of node
-values from a walk over the nodes.  The stabilized implicit flow
+values from a walk over the nodes, and the stability survey of a profile from
+the package's public per-sphere calls, each checked against the sphere
+finder again.  The stabilized implicit flow
 step is kept here in its unfused form, one numpy expression per quantity, as
 the reference the fused step in ``widthlab.yamabe`` must match bit for bit;
 the explicit Euler step under its CFL rule, which the package ran before,
@@ -36,6 +38,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from widthlab.berger import BergerReport
+from widthlab.conformal import (
+    AxisymProfile,
+    StarReport,
+    analyze_sphere,
+    minimal_coordinate_spheres,
+    width_upper_bound,
+)
 from widthlab.equidist import (
     EquidistTrace,
     FamilyStructure,
@@ -255,6 +264,21 @@ def reference_critical_points(values: np.ndarray) -> list[tuple[int, str]]:
             results.append((i, "min"))
     results.sort(key=lambda pair: pair[0])
     return results
+
+
+def reference_star_scan(profile: AxisymProfile) -> StarReport:
+    """The stability survey ``widthlab.conformal.star_scan`` must equal field
+    for field: the width estimate, then ``analyze_sphere`` on every sphere
+    the finder returns (each call runs the finder again to check that its
+    latitude is critical), then the verdict on strictly stable spheres."""
+    bound = width_upper_bound(profile)
+    spheres = [analyze_sphere(profile, s) for s in minimal_coordinate_spheres(profile)]
+    violating = [s for s in spheres if s.index == 0 and s.nullity == 0 and s.area <= bound]
+    return StarReport(
+        width_upper_bound=bound,
+        minimal_spheres=spheres,
+        star_holds_on_axisym_candidates=not violating,
+    )
 
 
 class ReferenceFlowKernel:

@@ -9,7 +9,7 @@ import pytest
 
 from widthlab import conformal as cf
 
-from oracles import cosine_series_jacobi_q, mc_tilted_sphere_area
+from oracles import cosine_series_jacobi_q, mc_tilted_sphere_area, reference_star_scan
 
 PI = math.pi
 ROUND_VOLUME = 2.0 * PI**2
@@ -388,7 +388,8 @@ class TestJacobiSpectrum:
     def test_bump_sweep_spheres_are_critical(self):
         # Gaussian bumps 1 + a exp(-((theta - c) / w)^2) over n, w, a and c:
         # 171 of the 180 are valid profiles, and jacobi_spectrum accepts
-        # every sphere that minimal_coordinate_spheres finds on them.
+        # every sphere that minimal_coordinate_spheres finds on them;
+        # star_scan equals the reference composition bit for bit.
         valid = 0
         for n, w, a, c in itertools.product(
             (41, 101, 201, 401, 801), (0.05, 0.1, 0.2, 0.4), (0.3, 1.0, 3.0), (0.8, 1.4, 2.0)
@@ -400,7 +401,9 @@ class TestJacobiSpectrum:
             except cf.ProfileError:
                 continue
             valid += 1
-            scanned = cf.star_scan(p).minimal_spheres
+            report = cf.star_scan(p)
+            assert report == reference_star_scan(p)
+            scanned = report.minimal_spheres
             for sphere, found in zip(scanned, cf.minimal_coordinate_spheres(p), strict=True):
                 spectrum = cf.jacobi_spectrum(p, found.theta)
                 assert (spectrum.index, spectrum.nullity) == (sphere.index, sphere.nullity)
@@ -532,6 +535,36 @@ class TestStarScan:
         assert neck.area == pytest.approx(3.017186, abs=1e-4)
         assert report.width_upper_bound == pytest.approx(6.370383, abs=1e-4)
 
+    def test_finder_runs_once(self, monkeypatch):
+        critical_points = cf.critical_points
+        calls = []
+
+        def counted(values):
+            calls.append(values.size)
+            return critical_points(values)
+
+        monkeypatch.setattr(cf, "critical_points", counted)
+        report = cf.star_scan(double_bump(401))
+        assert len(report.minimal_spheres) == 3
+        assert calls == [401]
+
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    def test_matches_reference_composition(self, n):
+        # Seeded four-mode cosine series, three with one critical latitude
+        # and three with three; every field must be equal, not close.
+        rng = np.random.default_rng(17 + n)
+        wanted = {1: 3, 3: 3}
+        while any(wanted.values()):
+            a = rng.uniform(-0.12, 0.12, size=4)
+            p = cf.AxisymProfile.from_function(
+                lambda t, a=a: 1.0 + sum(ak * np.cos(k * t) for k, ak in enumerate(a, 1)), n
+            )
+            report = cf.star_scan(p)
+            count = len(report.minimal_spheres)
+            if wanted.get(count, 0) > 0:
+                wanted[count] -= 1
+                assert report == reference_star_scan(p)
+
 
 class TestCurvatureIntegral:
     def test_round_equality(self):
@@ -583,6 +616,17 @@ class TestIsoperimetricCheck:
         assert not check.passed
         excess = check.max_profile_area - check.round_equator_area_same_volume
         assert excess == pytest.approx(0.046535, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf, -math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            cf.isoperimetric_check(cf.AxisymProfile.round_profile(201), tol)
+
+    def test_zero_tolerance_accepted(self):
+        p = cf.AxisymProfile.round_profile(201)
+        strict, default = cf.isoperimetric_check(p, 0.0), cf.isoperimetric_check(p)
+        assert strict.max_profile_area == default.max_profile_area
+        assert strict.round_equator_area_same_volume == default.round_equator_area_same_volume
 
 
 class TestGreatSphereAverage:

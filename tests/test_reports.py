@@ -25,6 +25,7 @@ COMMANDS = [
      "--output", "scan.csv"],
     ["berger-certify", "--h", "0.01", "--grid-n", "3", "--output", "certify.json"],
     ["conformal-analyze", "--input", "bump.json", "--output", "analyze.json"],
+    ["conformal-analyze", "--input", "double_bump.json", "--output", "analyze_three.json"],
     ["yamabe-run", "--profile", "bump.json", "--t-end", "0.002", "--dt", "1e-4",
      "--sample-every", "5", "--trace-csv", "trace.csv", "--output", "run.json"],
     ["equidist-check", "--input", "member.json", "--output", "member_check.json"],
@@ -33,7 +34,7 @@ COMMANDS = [
      "--output", "sequence.csv"],
     ["roundcheck", "--output", "roundcheck.json"],
 ]
-INPUTS = {"bump.json", "member.json", "nonmember.json"}
+INPUTS = {"bump.json", "double_bump.json", "member.json", "nonmember.json"}
 
 
 def write_reports(directory) -> None:
@@ -44,6 +45,11 @@ def write_reports(directory) -> None:
         cf.save_profile(
             cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 41),
             "bump.json",
+        )
+        # Three spheres: at 0.72, pi/2 (index 0) and 2.42.
+        cf.save_profile(
+            cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(2 * t), 41),
+            "double_bump.json",
         )
         unit = (eq.FiniteMeasure(np.array([1.0, 0.0])),
                 eq.FiniteMeasure(np.array([0.0, 1.0])))
