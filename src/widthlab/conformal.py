@@ -241,15 +241,13 @@ def area_profile(profile: AxisymProfile) -> np.ndarray:
 class LatitudeSphere:
     """One latitude two-sphere, with stability data once analyzed.
 
-    ``jacobi_Q``, ``index`` and ``nullity`` are None until a spectrum
-    computation fills them in.  ``area`` always equals
-    ``4 pi * induced_radius_sq`` by construction.
+    ``area`` is ``4 pi u(theta)^4 sin^2(theta)``.  ``jacobi_Q``, ``index``
+    and ``nullity`` are None until a spectrum computation fills them in.
     """
 
     theta: float
     area: float
     minimality_residual: float
-    induced_radius_sq: float
     jacobi_Q: float | None = None
     index: int | None = None
     nullity: int | None = None
@@ -257,8 +255,6 @@ class LatitudeSphere:
     def __post_init__(self):
         if not (0.0 < self.theta < np.pi):
             raise ValueError(f"latitude sphere must be interior, got theta={self.theta}")
-        if abs(self.area - 4.0 * np.pi * self.induced_radius_sq) > 1e-12 * max(1.0, self.area):
-            raise ValueError("area inconsistent with induced radius")
         for name in ("index", "nullity"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 0):
@@ -272,12 +268,10 @@ def _sphere_at(
     centered difference |A'| of ``areas`` at i as its residual."""
     i = min(max(i, 1), profile.n - 2)
     theta = float(profile.thetas[i] + offset)
-    radius_sq = profile.interp_u(theta) ** 4 * math.sin(theta) ** 2
     return LatitudeSphere(
         theta=theta,
-        area=4.0 * np.pi * radius_sq,
+        area=4.0 * np.pi * (profile.interp_u(theta) ** 4 * math.sin(theta) ** 2),
         minimality_residual=float(abs(areas[i + 1] - areas[i - 1]) / (2.0 * profile.spacing)),
-        induced_radius_sq=radius_sq,
     )
 
 

@@ -59,7 +59,8 @@ MAX_SEQUENCE_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Nonnegative weight vector over the ground set {1..n}."""
+    """Nonnegative weight vector over the ground set {1..n}, of finite total
+    mass."""
 
     weights: np.ndarray
 
@@ -69,6 +70,9 @@ class FiniteMeasure:
             raise ValueError("measure weights must form a non-empty 1-D array")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("measure weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(w)):
+                raise ValueError("measure weights must have a finite total mass")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -82,17 +86,14 @@ class FiniteMeasure:
 
 @dataclass(frozen=True)
 class FamilyStructure:
-    """Generating set W with multiplicity bound and mass bounds (c, C)."""
+    """Generating set W with the mass bounds (c, C) of its measures."""
 
     base: tuple[FiniteMeasure, ...]
-    multiplicity_bound: int
     mass_bounds: tuple[float, float]
 
     def __post_init__(self):
         if not self.base:
             raise ValueError("structured family needs a non-empty base set")
-        if self.multiplicity_bound < 1:
-            raise ValueError("multiplicity bound must be a positive integer")
         c, big_c = self.mass_bounds
         if not (0.0 < c <= big_c):
             raise ValueError(f"mass bounds must satisfy 0 < c <= C, got ({c}, {big_c})")
@@ -581,7 +582,6 @@ def save_instance(path: str, mu0: FiniteMeasure, family: MeasureFamily) -> None:
     if family.structure is not None:
         payload["structure"] = {
             "W": [[float(v) for v in m.weights] for m in family.structure.base],
-            "multiplicity_bound": family.structure.multiplicity_bound,
             "mass_bounds": [float(v) for v in family.structure.mass_bounds],
         }
     atomic_write_text(path, json_text(payload))
@@ -596,8 +596,9 @@ def _measures(rows, key: str) -> tuple[FiniteMeasure, ...]:
 def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
     """Read an instance written by save_instance.  A file that is not a JSON
     object with an integer ``n`` equal to the length of ``mu0``, numeric rows
-    ``Y`` (and ``W``), an integer ``multiplicity_bound`` and a pair
-    ``mass_bounds`` raises a ``ValueError`` that names the file."""
+    ``Y`` (and, in an optional object ``structure``, numeric rows ``W`` and a
+    pair ``mass_bounds``) raises a ``ValueError`` that names the file; other
+    keys are ignored."""
     payload = read_json(path)
     try:
         if not isinstance(payload, dict) or not is_number_list(payload.get("mu0")):
@@ -609,14 +610,13 @@ def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
         structure = None
         if "structure" in payload:
             raw = payload["structure"]
-            if not isinstance(raw, dict) or type(raw.get("multiplicity_bound")) is not int:
-                raise ValueError("'structure' must hold an integer 'multiplicity_bound'")
+            if not isinstance(raw, dict):
+                raise ValueError("'structure' must be a JSON object")
             mass_bounds = raw.get("mass_bounds")
             if not is_number_list(mass_bounds) or len(mass_bounds) != 2:
                 raise ValueError("'mass_bounds' must be a pair of numbers")
             structure = FamilyStructure(
                 base=_measures(raw.get("W"), "W"),
-                multiplicity_bound=raw["multiplicity_bound"],
                 mass_bounds=(float(mass_bounds[0]), float(mass_bounds[1])),
             )
         members = _measures(payload.get("Y"), "Y")

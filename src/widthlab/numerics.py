@@ -27,7 +27,6 @@ __all__ = [
     "LatitudeGrid",
     "latitude_grid",
     "integrate_adaptive",
-    "central_second_difference",
     "critical_points",
 ]
 
@@ -143,16 +142,6 @@ def integrate_adaptive(
             error_bound=achieved,
         )
     return total
-
-
-def central_second_difference(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second derivative estimate ``(f(x-h) - 2 f(x) + f(x+h)) / h**2``."""
-    if not (h > 0.0):
-        raise ValueError(f"step h must be positive, got {h}")
-    values = (f(x - h), f(x), f(x + h))
-    if not all(np.isfinite(v) for v in values):
-        raise ValueError(f"non-finite evaluation in second difference at x={x}, h={h}")
-    return (values[0] - 2.0 * values[1] + values[2]) / (h * h)
 
 
 class LatitudeGrid:

@@ -243,11 +243,11 @@ class FlowTrace:
     to arrays of length equal to the number of outer steps taken: ``t``,
     ``volume_drift`` (|V - V0| after renormalization), ``energy``,
     ``r_avg``, ``sup_R_minus_r`` and ``substeps`` (1 for every outer step:
-    the implicit step takes no sub-steps).
+    the implicit step takes no sub-steps).  The step size is not kept; a
+    caller that reports it echoes the ``dt`` it passed to ``run``.
     """
 
     states: list[FlowState]
-    step_size: float
     status: str
     target_volume: float
     monitors: dict[str, np.ndarray]
@@ -331,7 +331,6 @@ def run(
     }
     return FlowTrace(
         states=states,
-        step_size=dt,
         status=status,
         target_volume=target_volume,
         monitors=monitors,

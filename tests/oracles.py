@@ -800,11 +800,7 @@ def equivalence_harness(
             masses = [m.total_mass for m in base]
             structured = MeasureFamily(
                 members=family.members,
-                structure=FamilyStructure(
-                    base=base,
-                    multiplicity_bound=1,
-                    mass_bounds=(min(masses), max(masses)),
-                ),
+                structure=FamilyStructure(base=base, mass_bounds=(min(masses), max(masses))),
             )
             wtrace = weighted_cesaro_structured(mu0, structured, k_max)
             if wtrace.cesaro_errors[-1] >= cesaro_tol:

@@ -103,6 +103,15 @@ class TestWidth:
         assert abs(series - elementary) <= 1e-15 * elementary
         assert _g(z) == elementary
 
+    @pytest.mark.parametrize("rho", [7.4e-155, 1e-200, 1e-232, 1e-300])
+    def test_leaving_floating_point_raises(self, rho):
+        # z overflows below rho ~ 7.5e-155 (G(inf) is nan), rho^(-4/3)
+        # below rho ~ 1e-231.
+        with pytest.raises(ArithmeticError, match=f"at rho={rho!r}$"):
+            normalized_width(rho)
+        with pytest.raises(ArithmeticError):
+            report_at(rho)
+
     def test_width_normalization_consistency(self):
         for rho in (0.3, 1.0, 1.9):
             rep = report_at(rho)
@@ -158,6 +167,13 @@ class TestLocalMinCertificate:
         assert cert.passed
         assert abs(cert.first_difference) < 1e-4
         assert cert.second_difference > 0.0
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    def test_differences_bit_for_bit(self, h):
+        lo, mid, hi = normalized_width(1.0 - h), normalized_width(1.0), normalized_width(1.0 + h)
+        cert = local_min_certificate(h)
+        assert cert.first_difference == (hi - lo) / (2.0 * h)
+        assert cert.second_difference == (lo - 2.0 * mid + hi) / (h * h)
 
     def test_second_difference_magnitude(self):
         # Frozen from the quadrature of the analytic second derivative of the

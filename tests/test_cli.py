@@ -355,6 +355,24 @@ class TestBergerScan:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "flags, rho",
+        [
+            # z = (a - b)/b overflows below rho ~ 7.5e-155 and G(inf) is nan.
+            (["--rho-min", "1e-200", "--rho-max", "1e-150", "--n", "3"], "1e-200"),
+            # rho^(-4/3) itself overflows below rho ~ 1e-231.
+            (["--rho-min", "1e-300"], "1e-300"),
+        ],
+    )
+    def test_small_rho_is_numerical_failure(self, tmp_path, capsys, flags, rho):
+        out = tmp_path / "scan.csv"
+        assert cli.main(["berger-scan", *flags, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert f"rho={rho}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBergerCertify:
     def test_certificates(self, tmp_path):
         out = str(tmp_path / "cert.json")
@@ -389,6 +407,18 @@ class TestBergerCertify:
         assert captured.err.startswith("error: ") and named in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+    def test_small_rho_is_numerical_failure(self, tmp_path, capsys):
+        # A nan product at rho = 1e-200 read as a counterexample to the bound.
+        out = tmp_path / "cert.json"
+        code = cli.main(["berger-certify", "--grid-lo", "1e-200", "--grid-n", "3",
+                         "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "rho=1e-200" in err
+        assert not out.exists()
 
 
 class TestConformalAnalyze:
@@ -673,9 +703,7 @@ class TestEquidistCommands:
             eq.FiniteMeasure(np.array([2.0, 1.0])),
             eq.MeasureFamily(
                 members=base,
-                structure=eq.FamilyStructure(
-                    base=base, multiplicity_bound=2, mass_bounds=(1.0, 2.0)
-                ),
+                structure=eq.FamilyStructure(base=base, mass_bounds=(1.0, 2.0)),
             ),
         )
         out = str(tmp_path / "trace.csv")
@@ -703,6 +731,20 @@ class TestEquidistCommands:
         out = tmp_path / "out"
         assert cli.main([command, "--input", str(path), "--output", str(out)]) == 1
         assert_only_error_line(capsys, str(path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["equidist-check", "equidist-sequence"])
+    def test_infinite_mass_instance_exits_one(self, tmp_path, capsys, command):
+        # Each weight is finite, but mu0's mass overflows: normalizing it
+        # gave the target (0, 0) and wrong errors, after a numpy warning
+        # (which the suite turns into an error).
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"n": 2, "mu0": [1e308, 1e308], "Y": [[1e308, 0.0], [0.0, 1e308]]}
+        ))
+        out = tmp_path / "out"
+        assert cli.main([command, "--input", str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, f"{path}: measure weights must have a finite total mass")
         assert not out.exists()
 
     def test_sequence_rejects_non_member(self, tmp_path, nonmember_instance_path,

@@ -492,17 +492,9 @@ class TestJacobiSpectrum:
 
 
 class TestLatitudeSphereInvariants:
-    def test_area_radius_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            cf.LatitudeSphere(
-                theta=1.0, area=10.0, minimality_residual=0.0, induced_radius_sq=1.0
-            )
-
     def test_interior_latitude_enforced(self):
         with pytest.raises(ValueError):
-            cf.LatitudeSphere(
-                theta=0.0, area=0.0, minimality_residual=0.0, induced_radius_sq=0.0
-            )
+            cf.LatitudeSphere(theta=0.0, area=0.0, minimality_residual=0.0)
 
     def test_counts_must_be_nonnegative_integers(self):
         with pytest.raises(ValueError):
@@ -510,7 +502,6 @@ class TestLatitudeSphereInvariants:
                 theta=1.0,
                 area=4 * PI,
                 minimality_residual=0.0,
-                induced_radius_sq=1.0,
                 index=-1,
             )
 

@@ -44,6 +44,12 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError, match="non-empty"):
             eq.FiniteMeasure(np.array([]))
 
+    def test_rejects_infinite_total_mass(self):
+        # Without a RuntimeWarning, which the suite turns into an error.
+        with pytest.raises(ValueError, match="finite total mass"):
+            fm(1e308, 1e308)
+        assert fm(1e308, 0.0).total_mass == 1e308
+
 
 class TestMeasureFamily:
     def test_rejects_empty_family(self):
@@ -57,13 +63,11 @@ class TestMeasureFamily:
     def test_structure_validation(self):
         base = (fm(1.0, 0.0),)
         with pytest.raises(ValueError, match="mass bounds"):
-            eq.FamilyStructure(base=base, multiplicity_bound=1, mass_bounds=(2.0, 1.0))
+            eq.FamilyStructure(base=base, mass_bounds=(2.0, 1.0))
         with pytest.raises(ValueError, match="mass bounds"):
-            eq.FamilyStructure(base=base, multiplicity_bound=1, mass_bounds=(0.0, 1.0))
-        with pytest.raises(ValueError, match="multiplicity"):
-            eq.FamilyStructure(base=base, multiplicity_bound=0, mass_bounds=(0.5, 1.0))
+            eq.FamilyStructure(base=base, mass_bounds=(0.0, 1.0))
         with pytest.raises(ValueError, match="non-empty"):
-            eq.FamilyStructure(base=(), multiplicity_bound=1, mass_bounds=(0.5, 1.0))
+            eq.FamilyStructure(base=(), mass_bounds=(0.5, 1.0))
 
 
 class TestConeHullMembership:
@@ -319,7 +323,7 @@ class TestWeightedCesaroStructured:
         return eq.MeasureFamily(
             members=tuple(members),
             structure=eq.FamilyStructure(
-                base=tuple(base), multiplicity_bound=2, mass_bounds=bounds
+                base=tuple(base), mass_bounds=bounds
             ),
         )
 
@@ -419,18 +423,39 @@ class TestInstanceIO:
         base = (fm(2.0, 0.0), fm(0.0, 1.0))
         family = eq.MeasureFamily(
             members=base,
-            structure=eq.FamilyStructure(
-                base=base, multiplicity_bound=3, mass_bounds=(1.0, 2.0)
-            ),
+            structure=eq.FamilyStructure(base=base, mass_bounds=(1.0, 2.0)),
         )
         eq.save_instance(path, fm(2.0, 1.0), family)
         _, loaded = eq.load_instance(path)
         assert loaded.structure is not None
-        assert loaded.structure.multiplicity_bound == 3
         assert loaded.structure.mass_bounds == (1.0, 2.0)
         np.testing.assert_array_equal(
             loaded.structure.base[0].weights, base[0].weights
         )
+
+    def test_structure_written_as_base_and_mass_bounds(self, tmp_path):
+        path = str(tmp_path / "instance.json")
+        base = (fm(2.0, 0.0), fm(0.0, 1.0))
+        family = eq.MeasureFamily(
+            members=base, structure=eq.FamilyStructure(base=base, mass_bounds=(1.0, 2.0))
+        )
+        eq.save_instance(path, fm(2.0, 1.0), family)
+        written = open(path).read()
+        assert set(json.loads(written)["structure"]) == {"W", "mass_bounds"}
+        eq.save_instance(path, *eq.load_instance(path))
+        assert open(path).read() == written
+
+    def test_structure_with_unread_multiplicity_bound_loads(self, tmp_path):
+        # The layout the benchmark writes: the key is ignored like any other.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "n": 2, "mu0": [2.0, 1.0], "Y": [[2.0, 0.0], [0.0, 1.0]],
+            "structure": {"W": [[2.0, 0.0], [0.0, 1.0]], "multiplicity_bound": 1,
+                          "mass_bounds": [1.0, 2.0]},
+        }))
+        _, loaded = eq.load_instance(str(path))
+        assert loaded.structure.mass_bounds == (1.0, 2.0)
+        assert [list(m.weights) for m in loaded.structure.base] == [[2.0, 0.0], [0.0, 1.0]]
 
     def test_n_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -450,8 +475,7 @@ class TestInstanceIO:
             {"n": 2, "mu0": [1.0, 2.0], "Y": [{"a": 1}]},
             {"n": 2, "mu0": [1.0, "2"], "Y": [[1.0, 0.0]]},
             {"n": 2, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]],
-             "structure": {"W": [[1.0, 0.0]], "multiplicity_bound": 1.5,
-                           "mass_bounds": [1.0, 1.0]}},
+             "structure": {"W": 5, "mass_bounds": [1.0, 1.0]}},
             {"n": 2, "mu0": [1.0, 2.0], "Y": [[1.0, 0.0]],
              "structure": {"W": [[1.0, 0.0]], "multiplicity_bound": 1,
                            "mass_bounds": [2.0]}},

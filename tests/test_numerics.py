@@ -14,7 +14,6 @@ from widthlab.conformal import AxisymProfile
 from widthlab.numerics import (
     QuadratureConfig,
     QuadratureError,
-    central_second_difference,
     critical_points,
     integrate_adaptive,
     latitude_grid,
@@ -80,24 +79,6 @@ class TestIntegrateAdaptive:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=1e-8, max_depth=0)
-
-
-class TestCentralSecondDifference:
-    def test_quadratic_is_exact(self):
-        value = central_second_difference(lambda x: 3.0 * x**2 + x - 1.0, 0.7, 1e-3)
-        assert abs(value - 6.0) < 1e-8
-
-    def test_cosine(self):
-        value = central_second_difference(np.cos, 0.0, 1e-4)
-        assert abs(value - (-1.0)) < 1e-6
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            central_second_difference(np.cos, 0.0, 0.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            central_second_difference(lambda x: np.inf, 0.0, 0.1)
 
 
 def sampled(fn, n):

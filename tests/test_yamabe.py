@@ -362,7 +362,7 @@ class TestTheorem1Monitor:
         with pytest.raises(ValueError):
             yamabe.theorem1_monitor(
                 yamabe.FlowTrace(
-                    states=[], step_size=1e-4, status="completed",
+                    states=[], status="completed",
                     target_volume=1.0, monitors={},
                 )
             )
