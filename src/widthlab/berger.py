@@ -52,10 +52,22 @@ def _require_positive_rho(rho: float) -> float:
     return rho
 
 
+def _finite(value: float, name: str, rho: float) -> float:
+    """value, or ``ArithmeticError`` naming rho where it left floating point."""
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{name} leaves floating point at rho={rho!r}")
+    return value
+
+
 def scalar_curvature(rho: float) -> float:
-    """Scalar curvature of g_rho, namely ``8 - 2 rho^2``."""
+    """Scalar curvature of g_rho, namely ``8 - 2 rho^2``.
+
+    Raises:
+        ArithmeticError: for rho above about 9.5e153, where ``rho^2``
+            overflows.
+    """
     rho = _require_positive_rho(rho)
-    return 8.0 - 2.0 * rho * rho
+    return _finite(8.0 - 2.0 * rho * rho, "scalar curvature", rho)
 
 
 def has_positive_ricci(rho: float) -> bool:
@@ -65,9 +77,14 @@ def has_positive_ricci(rho: float) -> bool:
 
 
 def volume(rho: float) -> float:
-    """Total volume ``2 pi^2 rho`` (linear in the fibre-squashing factor)."""
+    """Total volume ``2 pi^2 rho`` (linear in the fibre-squashing factor).
+
+    Raises:
+        ArithmeticError: for rho above about 9.1e306, where the product
+            overflows.
+    """
     rho = _require_positive_rho(rho)
-    return 2.0 * math.pi**2 * rho
+    return _finite(2.0 * math.pi**2 * rho, "volume", rho)
 
 
 # Below this |z| the series of G replaces the elementary formulas, which
@@ -112,13 +129,18 @@ def normalized_width(rho: float) -> float:
         value = (2.0 / math.pi) ** (1.0 / 3.0) * integral
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise ArithmeticError(f"normalized width leaves floating point at rho={rho!r}")
-    return value
+    return _finite(value, "normalized width", rho)
 
 
 def width(rho: float) -> float:
-    """Sweep-out width, i.e. ``normalized_width * volume^(2/3)``."""
+    """Sweep-out width, i.e. ``normalized_width * volume^(2/3)``.
+
+    Raises:
+        ArithmeticError: where either factor leaves floating point (see
+            ``normalized_width`` and ``volume``).  The product is about
+            ``10 rho`` for large rho, half the volume, so it is finite
+            wherever both factors are.
+    """
     return normalized_width(rho) * volume(rho) ** (2.0 / 3.0)
 
 
@@ -145,7 +167,12 @@ class BergerReport:
 
 
 def report_at(rho: float) -> BergerReport:
-    """Assemble the full invariant report at a single parameter value."""
+    """Assemble the full invariant report at a single parameter value.
+
+    Raises:
+        ArithmeticError: where a value leaves floating point (see the
+            closed forms).
+    """
     nw = normalized_width(rho)
     vol = volume(rho)
     return BergerReport(

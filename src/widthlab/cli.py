@@ -132,19 +132,18 @@ def _sphere_payload(sphere) -> dict:
     }
 
 
-def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
+def _load_profile(cfg: RunConfig) -> tuple[conformal.AxisymProfile, float, np.ndarray]:
+    """The input profile with its volume and scalar curvature field."""
     try:
-        return conformal.load_profile(cfg.input_path)
+        return conformal._read_profile(cfg.input_path)
     except conformal.ProfileError as exc:
         flag = _SUBCOMMANDS[cfg.command].input_flag
         raise conformal.ProfileError(f"{flag}: {exc}") from None
 
 
 def _run_conformal_analyze(cfg: RunConfig) -> None:
-    profile = _load_profile(cfg)
+    profile, volume, curvature = _load_profile(cfg)
     star = conformal.star_scan(profile)
-    curvature = conformal.scalar_curvature_field(profile)
-    volume = conformal.volume(profile)
     iso = conformal._isoperimetric_verdict(star.width_upper_bound, volume)
     text = report_text(
         cfg.as_dict(),
@@ -169,7 +168,7 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
 
 def _run_yamabe_run(cfg: RunConfig) -> None:
     p = cfg.params
-    profile = _load_profile(cfg)
+    profile, _, _ = _load_profile(cfg)
     trace = yamabe.run(
         profile,
         t_end=p["t_end"],

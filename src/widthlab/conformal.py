@@ -88,11 +88,14 @@ class ProfileError(ValueError):
     """Raised for profiles that fail positivity or pole-regularity checks."""
 
 
-def _pole_irregularity(u: np.ndarray, h: float) -> str | None:
-    """Why positive node values u at spacing h fail pole regularity (see
-    ``AxisymProfile``), or None when they pass."""
-    bound = POLE_REG_FACTOR * float(u.max()) * h * h
-    defect = max(abs(u[1] - u[0]), abs(u[-1] - u[-2]))
+def _pole_irregularity(u: np.ndarray, top: float, h: float) -> str | None:
+    """Why positive node values u with maximum ``top`` at spacing h fail pole
+    regularity (see ``AxisymProfile``), or None when they pass.
+
+    The caller passes ``top = max(u)``: the flow already holds it.
+    """
+    bound = POLE_REG_FACTOR * top * h * h
+    defect = max(abs(u.item(1) - u.item(0)), abs(u.item(-1) - u.item(-2)))
     if defect > bound:
         return (
             f"pole regularity violated: one-sided difference {defect:.3e} "
@@ -127,7 +130,7 @@ class AxisymProfile:
         object.__setattr__(self, "u", u)
         if not np.all(u > 0.0):
             raise ProfileError("conformal profile must be strictly positive")
-        irregularity = _pole_irregularity(u, h)
+        irregularity = _pole_irregularity(u, float(u.max()), h)
         if irregularity:
             raise ProfileError(irregularity)
 
@@ -168,6 +171,13 @@ def load_profile(path: str) -> AxisymProfile:
             curvature overflows or underflows in floating point.
         ValueError: a file that is not JSON.
     """
+    return _read_profile(path)[0]
+
+
+def _read_profile(path: str) -> tuple[AxisymProfile, float, np.ndarray]:
+    """``load_profile``, with the volume and the scalar curvature field that
+    its check evaluated, so a caller that reports them need not evaluate
+    them again."""
     payload = read_json(path)
     if not isinstance(payload, dict) or "n" not in payload or "u" not in payload:
         raise ProfileError(f"profile file {path} must contain 'n' and 'u'")
@@ -197,7 +207,7 @@ def load_profile(path: str) -> AxisymProfile:
             f"underflows in floating point (volume {vol:.3g}, u from "
             f"{u.min():.3g} to {u.max():.3g})"
         )
-    return profile
+    return profile, vol, curvature
 
 
 def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:

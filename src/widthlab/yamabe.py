@@ -38,8 +38,11 @@ order as the Euler step: criterion 6 converges at t = 0.93707, against
 
 Cost: each outer step evaluates its state once.  ``LatitudeGrid.evaluate``
 returns the curvature, the volume and the average curvature from one pass
-that forms ``u^6`` once, and the evaluation at the end of an outer step (which
-``run`` records in its monitors) is reused by the next step.
+that forms ``u^6`` once.  ``run`` forms ``r - R`` of each state once, for its
+monitor ``sup|R - r|`` and for the next step, and carries min(u) and max(u)
+through the renormalization instead of reducing u again: rounding is
+monotone, so for a scale s > 0 the extremes of ``u * s`` are the extremes of
+u times s, to the bit.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
@@ -162,7 +165,7 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
         volume=vol,
         r_avg=r,
         energy=r * vol ** (2.0 / 3.0),
-        sup_R_minus_r=float(np.max(np.abs(scalar - r))),
+        sup_R_minus_r=float(np.absolute(r - scalar).max()),
         width_bound=width,
         max_sphere=_sphere_at(profile, areas, i, offset),
     )
@@ -173,22 +176,20 @@ def _advance(
     u: np.ndarray,
     dt: float,
     target_volume: float,
-    evaluation: tuple[np.ndarray, float, float],
-) -> tuple[np.ndarray, tuple[np.ndarray, float, float]]:
+    lo: float,
+    deviation: np.ndarray,
+) -> tuple[np.ndarray, float]:
     """One stabilized semi-implicit step of size dt, then renormalization.
 
-    ``evaluation`` is ``grid.evaluate(u)``; the evaluation of the returned
-    state comes back with it, so each state is evaluated once.  The returned
-    state is a valid ``AxisymProfile``: positive, finite and regular at the
-    poles.
+    ``lo`` is ``min(u)`` and ``deviation`` is ``r - R`` at u, which the
+    caller already holds.  Returns the new state and its minimum; the state
+    is a valid ``AxisymProfile``: positive, finite and regular at the poles.
     """
-    scalar, _, r = evaluation
-    lo = float(u.min())
     quartic = lo**4
     a = dt * (STABILIZER * 2.0 / quartic) if quartic > 0.0 else math.inf
     if not a < math.inf:
         raise FlowError(f"stabilizer overflowed: min(u) = {lo:.3e} is too small")
-    u = u + grid.neumann_solve(a, dt * (u / 4.0) * (r - scalar))
+    u = u + grid.neumann_solve(a, dt * (u / 4.0) * deviation)
     # Positive and finite: a NaN passes through min and max and fails both.
     lo, hi = float(u.min()), float(u.max())
     if not (lo > 0.0 and hi < math.inf):
@@ -205,11 +206,13 @@ def _advance(
             f"volume {kind} in floating point (got {vol!r}; min(u) = {lo:.3e}, "
             f"max(u) = {hi:.3e})"
         )
-    u = u * (target_volume / vol) ** (1.0 / 6.0)
-    irregularity = _pole_irregularity(u, grid.h)
+    scale = (target_volume / vol) ** (1.0 / 6.0)
+    u = u * scale
+    # Rounding is monotone, so lo * scale and hi * scale are min and max of u.
+    irregularity = _pole_irregularity(u, hi * scale, grid.h)
     if irregularity:
         raise FlowError(f"a step of size {dt:.3e} left no valid profile: {irregularity}")
-    return u, grid.evaluate(u)
+    return u, lo * scale
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -230,7 +233,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     grid = latitude_grid(state.profile.n)
     u = state.profile.u
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u, _ = _advance(grid, u, dt, state.volume, grid.evaluate(u))
+        scalar, _, r = grid.evaluate(u)
+        u, _ = _advance(grid, u, dt, state.volume, float(u.min()), r - scalar)
         return flow_state(AxisymProfile(u), state.time + dt)
 
 
@@ -300,15 +304,17 @@ def run(
     status = "completed"
     taken = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        evaluation = grid.evaluate(u)
-        target_volume = evaluation[1]
+        scalar, target_volume, r = grid.evaluate(u)
+        deviation = r - scalar
+        lo = float(u.min())
         states = [flow_state(profile, 0.0)]
         for i in range(n_steps):
-            u, evaluation = _advance(grid, u, dt, target_volume, evaluation)
+            u, lo = _advance(grid, u, dt, target_volume, lo, deviation)
             taken = i + 1
             time = taken * dt
-            scalar, vol, r = evaluation
-            sup_dev = float(np.max(np.abs(scalar - r)))
+            scalar, vol, r = grid.evaluate(u)
+            deviation = r - scalar
+            sup_dev = float(np.absolute(deviation).max())
             mon_t[i] = time
             mon_drift[i] = abs(vol - target_volume)
             mon_energy[i] = r * vol ** (2.0 / 3.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ class TestWidth:
         with pytest.raises(ArithmeticError, match=f"at rho={rho!r}$"):
             normalized_width(rho)
         with pytest.raises(ArithmeticError):
+            report_at(rho)
+
+    @pytest.mark.parametrize(
+        "rho, finite",
+        [
+            # rho^2 overflows above rho ~ 9.5e153; the volume and the width
+            # stay finite there.
+            (1e154, ("volume", "width", "normalized_width")),
+            # 2 pi^2 rho overflows above rho ~ 9.1e306; the width takes the
+            # volume's error.  The normalized width stays finite.
+            (1e307, ("normalized_width",)),
+            (1.7e308, ("normalized_width",)),
+        ],
+    )
+    def test_large_rho_leaving_floating_point_raises(self, rho, finite):
+        named = f"at rho={re.escape(repr(rho))}$"
+        for fn in (scalar_curvature, volume, width, normalized_width):
+            if fn.__name__ in finite:
+                assert math.isfinite(fn(rho))
+            else:
+                with pytest.raises(ArithmeticError, match=named):
+                    fn(rho)
+        with pytest.raises(ArithmeticError, match=named):
             report_at(rho)
 
     def test_width_normalization_consistency(self):

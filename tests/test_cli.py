@@ -233,7 +233,7 @@ def inputs_unread(monkeypatch):
     def unreachable(path):
         raise AssertionError("input read before the flags were checked")
 
-    monkeypatch.setattr(cf, "load_profile", unreachable)
+    monkeypatch.setattr(cf, "_read_profile", unreachable)
     monkeypatch.setattr(eq, "load_instance", unreachable)
 
 
@@ -370,6 +370,18 @@ class TestBergerScan:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert f"rho={rho}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_rho_is_numerical_failure(self, tmp_path, capsys):
+        # 8 - 2 rho^2 overflows to -inf above rho ~ 9.5e153 and 2 pi^2 rho to
+        # inf above rho ~ 9.1e306; no row may carry them.
+        out = tmp_path / "scan.csv"
+        flags = ["--rho-min", "1e150", "--rho-max", "1e308", "--n", "3"]
+        assert cli.main(["berger-scan", *flags, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: scalar curvature leaves floating point at rho=1e+229\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 

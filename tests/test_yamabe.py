@@ -31,10 +31,12 @@ def bump_profile(n, amplitude=0.3):
     return AxisymProfile.from_function(lambda t: 1.0 + amplitude * np.cos(t), n)
 
 
-def advance(*args):
-    """``yamabe._advance`` under the warning state that run and step give it."""
+def advance(grid, u, dt, target_volume, evaluation):
+    """``yamabe._advance`` from u and ``evaluation = grid.evaluate(...)``,
+    under the warning state that run and step give it."""
+    scalar, _, r = evaluation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return yamabe._advance(*args)
+        return yamabe._advance(grid, u, dt, target_volume, float(u.min()), r - scalar)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,30 @@ class TestStep:
             yamabe.run(bump_profile(401), t_end=0.03, dt=4e-5)
         assert len(steps) == 61
         assert math.isclose(sum(steps), 0.00244)
+
+    def test_pole_flow_error_carries_the_profile_rule(self, monkeypatch):
+        # The flow judges each state by AxisymProfile's pole rule, not by a
+        # copy of it: the error names the failing state with the rule's own
+        # words, and the rule is fed the max(u) the flow carries, which must
+        # be the one AxisymProfile finds afresh.
+        monkeypatch.setattr(yamabe, "STABILIZER", 0.75)
+        rule = yamabe._pole_irregularity
+        judged = []
+
+        def recording(u, top, h):
+            judged.append((u.copy(), top))
+            return rule(u, top, h)
+
+        monkeypatch.setattr(yamabe, "_pole_irregularity", recording)
+        with pytest.raises(yamabe.FlowError) as flow_error:
+            yamabe.run(bump_profile(401), t_end=0.03, dt=4e-5)
+        assert len(judged) == 61
+        assert all(top == u.max() for u, top in judged)
+        with pytest.raises(conformal.ProfileError) as profile_error:
+            AxisymProfile(judged[-1][0])
+        assert str(flow_error.value) == (
+            f"a step of size 4.000e-05 left no valid profile: {profile_error.value}"
+        )
 
     def test_step_leaving_floating_point_is_flow_error(self):
         # On u ~ 1e-40 the curvature is ~1e160, so dt (u/4)(r - R) ~ 1e117:
@@ -505,6 +531,29 @@ class TestFusedStepMatchesReference:
             assert np.array_equal(trace.monitors[key], values), key
         counts = trace.monitors["substeps"]
         assert substeps[0] <= counts.min() and counts.max() <= substeps[1]
+
+    def test_long_run_with_moving_minimum_matches_reference(self):
+        # Two dips of nearly equal depth: the narrow one fills first, so the
+        # node of min(u), which the step carries through the renormalization,
+        # moves across the grid and ends at the pole.
+        profile = AxisymProfile.from_function(
+            lambda t: 1.0 - 0.25 * np.exp(-(((t - 1.0) / 0.12) ** 2))
+            - 0.24 * np.exp(-(((t - 2.2) / 0.3) ** 2)),
+            201,
+        )
+        dt, steps, sample_every = 4e-5, 2000, 50
+        trace = yamabe.run(profile, t_end=steps * dt, dt=dt, sample_every=sample_every)
+        samples, monitors = implicit_flow_reference(
+            profile.u, steps * dt, dt, sample_every, 1e-3, yamabe.STABILIZER
+        )
+        assert trace.monitors["t"].size == steps
+        lows = {int(np.argmin(u)) for u in samples}
+        assert len(lows) > 10 and int(np.argmin(samples[-1])) == 200
+        assert len(trace.states) == len(samples)
+        for state, u in zip(trace.states, samples):
+            assert np.array_equal(state.profile.u, u)
+        for key, values in monitors.items():
+            assert np.array_equal(trace.monitors[key], values), key
 
     def test_step_matches_reference(self):
         state = yamabe.flow_state(bump_profile(101))
