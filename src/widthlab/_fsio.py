@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields, is_dataclass
 from itertools import repeat
 
 import numpy as np
@@ -39,11 +40,13 @@ def atomic_write_text(path: str, text: str) -> None:
 def _json_default(obj):
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
         return obj.item()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def json_text(payload: dict) -> str:
-    """Compact JSON with sorted keys and a final newline."""
+    """Compact JSON with sorted keys and a final newline; a record as its fields."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=_json_default) + "\n"
 

@@ -23,7 +23,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -101,12 +101,7 @@ def _run_berger_certify(cfg: RunConfig) -> None:
     holds = all(c.passed for c in checks)
     text = report_text(
         cfg.as_dict(),
-        local_min={
-            "h": certificate.h,
-            "first_difference": certificate.first_difference,
-            "second_difference": certificate.second_difference,
-            "passed": certificate.passed,
-        },
+        local_min=certificate,
         product_bound={
             "bound": berger.PRODUCT_BOUND,
             "max_product": max(c.product for c in checks),
@@ -119,17 +114,6 @@ def _run_berger_certify(cfg: RunConfig) -> None:
         f"local min passed={certificate.passed}, bound holds={holds} "
         f"on {p['grid_n']} grid points"
     )
-
-
-def _sphere_payload(sphere) -> dict:
-    return {
-        "theta": sphere.theta,
-        "area": sphere.area,
-        "minimality_residual": sphere.minimality_residual,
-        "jacobi_Q": sphere.jacobi_Q,
-        "index": sphere.index,
-        "nullity": sphere.nullity,
-    }
 
 
 def _load_profile(cfg: RunConfig) -> tuple[conformal.AxisymProfile, float, np.ndarray]:
@@ -155,9 +139,9 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
         },
         width_upper_bound=star.width_upper_bound,
         normalized_width_bound=star.width_upper_bound / volume ** (2.0 / 3.0),
-        minimal_spheres=[_sphere_payload(s) for s in star.minimal_spheres],
+        minimal_spheres=star.minimal_spheres,
         star_holds_on_axisym_candidates=star.star_holds_on_axisym_candidates,
-        isoperimetric=asdict(iso),
+        isoperimetric=iso,
     )
     atomic_write_text(cfg.output_path, text)
     print(
@@ -183,8 +167,7 @@ def _run_yamabe_run(cfg: RunConfig) -> None:
     final = trace.states[-1]
     print(
         f"flow {trace.status} at t={final.time:.6g}: r_avg={final.r_avg:.6f}, "
-        f"normalized width bound "
-        f"{final.width_bound / final.volume ** (2.0 / 3.0):.7f}; width * r "
+        f"normalized width bound {report.final_normalized_width:.7f}; width * r "
         f"{report.product_at_max:.5f} at t={report.tau_star:.6g} "
         f"(latitude {report.latitude_product_at_max:.5f} at "
         f"t={report.latitude_tau_star:.6g}), bound {report.bound:.5f}"
@@ -328,8 +311,7 @@ def _run_roundcheck(cfg: RunConfig) -> int:
     report = roundcheck()
     for item in report.items:
         print(f"{'PASS' if item.passed else 'FAIL'} {item.name}: {item.detail}")
-    text = report_text(cfg.as_dict(), passed=report.passed,
-                       items=[asdict(item) for item in report.items])
+    text = report_text(cfg.as_dict(), passed=report.passed, items=report.items)
     atomic_write_text(cfg.output_path, text)
     if not report.passed:
         print("numerical failure: roundcheck self-test failed", file=sys.stderr)

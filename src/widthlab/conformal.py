@@ -195,19 +195,27 @@ def _read_profile(path: str) -> tuple[AxisymProfile, float, np.ndarray]:
         )
     try:
         profile = AxisymProfile(u)
+        curvature, vol, _ = _evaluate(profile)
     except ValueError as exc:
         raise ProfileError(f"profile file {path}: {exc}") from None
+    return profile, vol, curvature
+
+
+def _evaluate(profile: AxisymProfile) -> tuple[np.ndarray, float, float]:
+    """Curvature field, volume and average curvature of a profile, by the one
+    floating-point rule: ``ProfileError`` (and no numpy warning) unless the
+    volume is positive and finite and the curvature finite at every node."""
     grid = latitude_grid(profile.n)
+    u = profile.u
     with np.errstate(all="ignore"):
         vol = grid.volume(u)
         curvature = grid.scalar_curvature(u)
     if not (0.0 < vol < math.inf and np.all(np.isfinite(curvature))):
         raise ProfileError(
-            f"profile file {path}: volume or scalar curvature overflows or "
-            f"underflows in floating point (volume {vol:.3g}, u from "
-            f"{u.min():.3g} to {u.max():.3g})"
+            f"volume or scalar curvature overflows or underflows in floating "
+            f"point (volume {vol:.3g}, u from {u.min():.3g} to {u.max():.3g})"
         )
-    return profile, vol, curvature
+    return curvature, vol, grid.average_r(curvature, u, vol)
 
 
 def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:

@@ -39,10 +39,10 @@ order as the Euler step: criterion 6 converges at t = 0.93707, against
 Cost: each outer step evaluates its state once.  ``LatitudeGrid.evaluate``
 returns the curvature, the volume and the average curvature from one pass
 that forms ``u^6`` once.  ``run`` forms ``r - R`` of each state once, for its
-monitor ``sup|R - r|`` and for the next step, and carries min(u) and max(u)
-through the renormalization instead of reducing u again: rounding is
-monotone, so for a scale s > 0 the extremes of ``u * s`` are the extremes of
-u times s, to the bit.
+monitor ``sup|R - r|`` and for the next step, builds each sampled state from
+its step's evaluation, and carries min(u) and max(u) through the
+renormalization instead of reducing u again: rounding is monotone, so for a
+scale s > 0 the extremes of ``u * s`` are the extremes of u times s, to the bit.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
@@ -54,7 +54,7 @@ time derivative of the maximal latitude area (estimated by
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -63,13 +63,15 @@ from ._fsio import atomic_write_text, csv_text, report_text
 from .conformal import (
     AxisymProfile,
     LatitudeSphere,
+    ProfileError,
+    _evaluate,
     _pole_irregularity,
-    _sphere_at,
     _vertex,
     area_profile,
     max_latitude_sphere,
     scalar_curvature_field,
     tilted_width_bound,
+    width_upper_bound,
 )
 from .numerics import LatitudeGrid, latitude_grid
 
@@ -115,7 +117,8 @@ class FlowError(RuntimeError):
     - the step leaves the poles irregular under the rule of
       ``AxisymProfile``, which every step checks (with the stabilizer
       halved, 1 + 0.3 cos(theta) at n = 401 and dt = 4e-5 does so at step
-      61).
+      61);
+    - ``step``'s new state fails the evaluation rule of ``flow_state``.
 
     ``run`` and ``step`` silence numpy's overflow, invalid-value and
     division warnings, because they check every result themselves, so the
@@ -124,13 +127,13 @@ class FlowError(RuntimeError):
 
 
 def average_scalar_curvature(profile: AxisymProfile) -> float:
-    """Volume average ``(integral R dV) / V`` of the scalar curvature."""
-    return latitude_grid(profile.n).evaluate(profile.u)[2]
+    """Volume average ``(integral R dV) / V`` of R; raises as ``flow_state``."""
+    return _evaluate(profile)[2]
 
 
 def hilbert_einstein_energy(profile: AxisymProfile) -> float:
-    """Scale-invariant curvature energy ``(integral R dV) / V^(1/3)``."""
-    _, vol, r = latitude_grid(profile.n).evaluate(profile.u)
+    """Scale-invariant energy ``(integral R dV) / V^(1/3)``; raises as ``flow_state``."""
+    _, vol, r = _evaluate(profile)
     return r * vol ** (2.0 / 3.0)
 
 
@@ -141,7 +144,8 @@ class FlowState:
     ``sup_R_minus_r`` is ``max |R - r|`` over the nodes, the convergence
     measure of ``run``.  ``width_bound`` is ``conformal.width_upper_bound``:
     an estimate of the maximal latitude-sphere area, not a rigorous width
-    bound.
+    bound; ``max_sphere`` is ``conformal.max_latitude_sphere``.  Each state
+    is built from one evaluation of its profile.
     """
 
     time: float
@@ -155,19 +159,21 @@ class FlowState:
 
 
 def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
-    """Assemble the diagnostic snapshot for a profile."""
-    scalar, vol, r = latitude_grid(profile.n).evaluate(profile.u)
-    areas = area_profile(profile)
-    i, offset, width, _ = _vertex(areas, profile.spacing)
+    """Assemble the diagnostic snapshot for a profile.
+
+    Raises:
+        ProfileError: when its volume or curvature leaves floating point.
+    """
+    scalar, vol, r = _evaluate(profile)
+    return _state(profile, time, vol, r, float(np.absolute(r - scalar).max()))
+
+
+def _state(profile, time, vol, r, sup_dev) -> FlowState:
+    """The snapshot of a profile from its evaluation: volume, r, sup|R - r|."""
     return FlowState(
-        time=float(time),
-        profile=profile,
-        volume=vol,
-        r_avg=r,
-        energy=r * vol ** (2.0 / 3.0),
-        sup_R_minus_r=float(np.absolute(r - scalar).max()),
-        width_bound=width,
-        max_sphere=_sphere_at(profile, areas, i, offset),
+        time=float(time), profile=profile, volume=vol, r_avg=r,
+        energy=r * vol ** (2.0 / 3.0), sup_R_minus_r=sup_dev,
+        width_bound=width_upper_bound(profile), max_sphere=max_latitude_sphere(profile),
     )
 
 
@@ -235,7 +241,10 @@ def step(state: FlowState, dt: float) -> FlowState:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scalar, _, r = grid.evaluate(u)
         u, _ = _advance(grid, u, dt, state.volume, float(u.min()), r - scalar)
+    try:
         return flow_state(AxisymProfile(u), state.time + dt)
+    except ProfileError as exc:
+        raise FlowError(f"a step of size {dt:.3e} left no valid profile: {exc}") from None
 
 
 @dataclass
@@ -295,7 +304,6 @@ def run(
     grid = latitude_grid(profile.n)
     u = profile.u
     n_steps = max(int(round(t_end / dt)), 1)
-    mon_t = np.empty(n_steps)
     mon_drift = np.empty(n_steps)
     mon_energy = np.empty(n_steps)
     mon_r = np.empty(n_steps)
@@ -307,7 +315,7 @@ def run(
         scalar, target_volume, r = grid.evaluate(u)
         deviation = r - scalar
         lo = float(u.min())
-        states = [flow_state(profile, 0.0)]
+        states = [_state(profile, 0.0, target_volume, r, float(np.absolute(deviation).max()))]
         for i in range(n_steps):
             u, lo = _advance(grid, u, dt, target_volume, lo, deviation)
             taken = i + 1
@@ -315,20 +323,19 @@ def run(
             scalar, vol, r = grid.evaluate(u)
             deviation = r - scalar
             sup_dev = float(np.absolute(deviation).max())
-            mon_t[i] = time
             mon_drift[i] = abs(vol - target_volume)
             mon_energy[i] = r * vol ** (2.0 / 3.0)
             mon_r[i] = r
             mon_sup[i] = sup_dev
             converged = sup_dev < convergence_tol
             if taken % sample_every == 0 or taken == n_steps or converged:
-                states.append(flow_state(AxisymProfile(u), time))
+                states.append(_state(AxisymProfile(u), time, vol, r, sup_dev))
             if converged:
                 status = "converged"
                 break
 
     monitors = {
-        "t": mon_t[:taken],
+        "t": np.multiply(t := np.arange(1.0, taken + 1), dt, out=t),  # in place: one array
         "volume_drift": mon_drift[:taken],
         "energy": mon_energy[:taken],
         "r_avg": mon_r[:taken],
@@ -535,7 +542,6 @@ def write_run_summary_json(
 
     Returns the trace's ``theorem1_monitor`` report, which the summary holds.
     """
-    final = trace.states[-1]
     report = theorem1_monitor(trace)
     monitors = trace.monitors
     text = report_text(
@@ -544,14 +550,14 @@ def write_run_summary_json(
         steps=int(monitors["t"].size),
         target_volume=trace.target_volume,
         final={
-            **{name: get(final) for name, get in _TRACE_COLUMNS.items()},
-            "normalized_width": final.width_bound / final.volume ** (2.0 / 3.0),
+            **{name: get(trace.states[-1]) for name, get in _TRACE_COLUMNS.items()},
+            "normalized_width": report.final_normalized_width,
         },
         max_volume_drift=float(np.max(monitors["volume_drift"])),
         max_energy_increase=float(
             np.max(np.diff(monitors["energy"])) if monitors["energy"].size > 1 else 0.0
         ),
-        theorem1=asdict(report),
+        theorem1=report,
     )
     atomic_write_text(path, text)
     return report

@@ -2,6 +2,7 @@
 formats, determinism, and exit codes."""
 
 import argparse
+import dataclasses
 import json
 import warnings
 
@@ -399,6 +400,16 @@ class TestBergerCertify:
         assert data["product_bound"]["all_below_bound"] is True
         assert data["product_bound"]["max_product"] <= 24.0 * np.pi + 1e-4
 
+    def test_local_min_is_the_certificate_record(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert cli.main(["berger-certify", "--grid-n", "3", "--output", str(out)]) == 0
+        local_min = json.loads(out.read_text())["local_min"]
+        certificate = berger.local_min_certificate(1e-2, first_tol=1e-4)
+        assert local_min == {
+            f.name: getattr(certificate, f.name)
+            for f in dataclasses.fields(berger.LocalMinCertificate)
+        }
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -449,6 +460,20 @@ class TestConformalAnalyze:
         assert sphere["index"] == 4 and sphere["nullity"] == 0
         assert data["star_holds_on_axisym_candidates"] is True
         assert data["isoperimetric"]["passed"] is False
+
+    def test_sphere_and_isoperimetric_blocks_are_records(self, tmp_path):
+        # Three spheres on 1 + 0.3 cos(2 theta); each block carries exactly
+        # its dataclass's fields.
+        path = str(tmp_path / "double.json")
+        profile = cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(2 * t), 41)
+        cf.save_profile(profile, path)
+        out = tmp_path / "ana.json"
+        assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        star = cf.star_scan(profile)
+        assert data["minimal_spheres"] == [dataclasses.asdict(s) for s in star.minimal_spheres]
+        assert len(data["minimal_spheres"]) == 3
+        assert data["isoperimetric"] == dataclasses.asdict(cf.isoperimetric_check(profile))
 
     def test_eps_is_not_an_option(self, tmp_path, round_profile_path, capsys):
         assert cli.main(["conformal-analyze", "--input", round_profile_path,
@@ -783,6 +808,7 @@ class TestRoundcheck:
             "yamabe-round-stationary",
             "equidist-trivial-instances",
         ]
+        assert data["items"] == [dataclasses.asdict(i) for i in cli.roundcheck().items]
 
     def test_report_object(self):
         report = cli.roundcheck()

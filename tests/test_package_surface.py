@@ -2,9 +2,11 @@
 
 A name in ``__all__`` must exist, and every public top-level function or
 class a module defines must be listed; helpers that only the module itself
-uses carry a leading underscore.
+uses carry a leading underscore, and the few private helpers that another
+module takes are pinned by name.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -36,3 +38,41 @@ def test_all_is_the_public_surface(name):
     ]
     unlisted = [attr for attr in defined if attr not in exported]
     assert not unlisted, f"widthlab.{name} defines public names outside __all__: {unlisted}"
+
+
+# Private names one module takes from another, as (importer, "home._name").
+# Each couples the importer to a helper its home may change at will, so the
+# set is pinned: a new entry must be added here on purpose.
+CROSS_MODULE_PRIVATE = {
+    ("cli", "conformal._isoperimetric_verdict"),
+    ("cli", "conformal._read_profile"),
+    ("yamabe", "conformal._evaluate"),
+    ("yamabe", "conformal._pole_irregularity"),
+    ("yamabe", "conformal._vertex"),
+}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _cross_module_private_names(name: str) -> set:
+    """``from .home import _x`` and ``home._x`` in the source of widthlab.<name>."""
+    module = importlib.import_module(f"widthlab.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found |= {(name, f"{node.module}.{a.name}") for a in node.names if _private(a.name)}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULES and _private(node.attr)):
+            found.add((name, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_cross_module_private_names_are_pinned():
+    found = set().union(*(_cross_module_private_names(name) for name in MODULES))
+    new = sorted(found - CROSS_MODULE_PRIVATE)
+    assert not new, f"private names used across modules outside the pinned set: {new}"
+    gone = sorted(CROSS_MODULE_PRIVATE - found)
+    assert not gone, f"pinned cross-module private names no longer used: {gone}"

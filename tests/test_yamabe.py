@@ -1,5 +1,6 @@
 """Tests for the volume-normalized conformal curvature flow."""
 
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from widthlab.conformal import (
     tilted_width_bound,
 )
 from widthlab import conformal, yamabe
-from widthlab.numerics import latitude_grid
+from widthlab.numerics import LatitudeGrid, latitude_grid
 
 from oracles import (
     ReferenceFlowKernel,
@@ -219,6 +220,35 @@ class TestStep:
             with pytest.raises(ValueError, match="volume"):
                 quantity(p)
 
+    def test_overflowing_curvature_is_profile_error(self, tmp_path):
+        # u^5 underflows to 0 at the one node of 1e-70, so R is infinite
+        # there: the diagnostics reject the profile by load_profile's rule,
+        # in its words and with no numpy warning, instead of returning nan.
+        u = np.ones(101)
+        u[50] = 1e-70
+        profile = AxisymProfile(u)
+        path = tmp_path / "p.json"
+        conformal.save_profile(profile, str(path))
+        with pytest.raises(conformal.ProfileError) as loaded:
+            conformal.load_profile(str(path))
+        for quantity in (yamabe.flow_state, yamabe.average_scalar_curvature,
+                         yamabe.hilbert_einstein_energy):
+            with pytest.raises(conformal.ProfileError) as rejected:
+                quantity(profile)
+            assert str(loaded.value) == f"profile file {path}: {rejected.value}"
+
+    def test_step_to_overflowing_curvature_is_flow_error(self, monkeypatch):
+        # A step whose state passes the step's own checks but whose curvature
+        # leaves floating point ends in a FlowError, not a nan state.
+        u = np.ones(101)
+        u[50] = 1e-70
+        monkeypatch.setattr(yamabe, "_advance", lambda *args: (u, 1e-70))
+        state = yamabe.flow_state(bump_profile(101))
+        with pytest.raises(yamabe.FlowError, match=(
+            r"a step of size 1\.000e-04 left no valid profile: volume or scalar "
+            r"curvature overflows")):
+            yamabe.step(state, 1e-4)
+
     def test_volume_underflow_in_substep_is_flow_error(self):
         # The evaluation of the round profile has R = r, so the step leaves
         # u = 1e-60 as it is and its volume underflows to 0.
@@ -251,6 +281,35 @@ class TestRun:
         assert trace.status == "completed"
         times = [s.time for s in trace.states]
         assert times == pytest.approx([0.0, 30e-4, 60e-4, 90e-4, 0.01])
+
+    def test_each_state_is_evaluated_once(self, monkeypatch):
+        # One evaluation per outer step plus one of the initial profile; the
+        # sampled states are built from those, not evaluated again.
+        evaluate = LatitudeGrid.evaluate
+        calls = []
+
+        def counting(grid, u):
+            calls.append(u.size)
+            return evaluate(grid, u)
+
+        monkeypatch.setattr(LatitudeGrid, "evaluate", counting)
+        trace = yamabe.run(bump_profile(201), t_end=0.01, dt=1e-4, sample_every=10,
+                           convergence_tol=0.0)
+        assert trace.monitors["t"].size == 100 and len(trace.states) == 11
+        assert calls == [201] * 101
+
+    def test_states_equal_flow_state(self):
+        # Each sampled state, the initial one and the converged last one
+        # among them, is the snapshot flow_state takes of its profile, bit
+        # for bit.
+        trace = yamabe.run(bump_profile(201, amplitude=0.1), t_end=3.0, dt=4e-4,
+                           sample_every=7)
+        assert trace.status == "converged" and trace.monitors["t"].size % 7 != 0
+        names = [f.name for f in dataclasses.fields(yamabe.FlowState) if f.name != "profile"]
+        for state in trace.states:
+            fresh = yamabe.flow_state(state.profile, state.time)
+            for name in names:
+                assert getattr(state, name) == getattr(fresh, name), (state.time, name)
 
     def test_perturbed_profile_converges_to_mobius_round(self, converging_trace):
         trace = converging_trace
