@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 from dataclasses import fields, is_dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -65,13 +65,14 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _column_cells(values):
-    """The cells of one column, formatted by the type of its first value."""
+    """The ``%`` format and the cells of one column, by the type of its first
+    value."""
     kind = type(values[0]) if len(values) else float
     if kind is bool:
-        return map(_BOOL_TEXT.__getitem__, values)
+        return "%s", map(_BOOL_TEXT.__getitem__, values)
     if kind is int:
-        return map(str, values)
-    return map(format, values, repeat(".17g"))
+        return "%s", values
+    return "%.17g", values
 
 
 def csv_text(columns: dict) -> str:
@@ -79,11 +80,12 @@ def csv_text(columns: dict) -> str:
     of one type: booleans are written ``true``/``false``, integers in full
     and other numbers as ``%.17g`` (round-trip exact).
 
-    Columns rather than rows: the cells are formatted a column at a time,
-    and no row tuples pile up, which keeps 10,000-row traces as cheap as a
-    hand-written loop."""
-    body = zip(*map(_column_cells, columns.values()))
-    return "\n".join([",".join(columns), *map(",".join, body)]) + "\n"
+    One row format is built per call and applied by one ``%`` to all the
+    cells, row after row, which keeps 10,000-row traces cheap."""
+    formats, cells = zip(*map(_column_cells, columns.values()))
+    flat = tuple(chain.from_iterable(zip(*cells)))
+    rows = ("\n" + ",".join(formats)) * (len(flat) // len(formats))
+    return (",".join(columns).replace("%", "%%") + rows + "\n") % flat
 
 
 def read_json(path: str):

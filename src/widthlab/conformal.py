@@ -67,10 +67,8 @@ __all__ = [
     "max_latitude_sphere",
     "TILT_ANGLES",
     "SweepoutMax",
-    "tilted_sphere_area",
     "tilted_width_bound",
     "star_scan",
-    "curvature_integral_over_sphere",
     "isoperimetric_check",
     "great_sphere_average_check",
 ]
@@ -511,21 +509,6 @@ def _certified_max(spheres: _TiltedSpheres, alpha: float, values: np.ndarray) ->
     )
 
 
-def tilted_sphere_area(profile: AxisymProfile, alpha: float, c: float) -> float:
-    """Area of the round sphere ``{x . v = c}`` with v at angle alpha from the axis.
-
-    u is taken piecewise linear in theta between nodes (as in
-    ``sphere_area``); the area ``2 pi (1 - c^2) integral_{-1}^{1} u(x4)^4 ds``
-    with ``x4 = c cos(alpha) - sqrt(1 - c^2) sin(alpha) s`` is evaluated in
-    closed form.  At alpha = 0 it is ``sphere_area`` at ``theta = arccos(c)``.
-    """
-    if not (0.0 <= alpha <= 0.5 * np.pi):
-        raise ValueError(f"tilt angle must lie in [0, pi/2], got {alpha}")
-    if not (-1.0 <= c <= 1.0):
-        raise ValueError(f"sphere level must lie in [-1, 1], got {c}")
-    return float(_TiltedSpheres(profile).area(float(alpha), np.array([math.acos(c)]))[0])
-
-
 def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
     """``min over alpha of max over c`` of the tilted sphere areas.
 
@@ -800,13 +783,6 @@ def star_scan(profile: AxisymProfile) -> StarReport:
         minimal_spheres=spheres,
         star_holds_on_axisym_candidates=not violating,
     )
-
-
-def curvature_integral_over_sphere(profile: AxisymProfile, theta_star: float) -> float:
-    """``R(theta_star) * area(theta_star)``; R is constant on each latitude."""
-    field = scalar_curvature_field(profile)
-    r_star = float(np.interp(theta_star, profile.thetas, field))
-    return r_star * sphere_area(profile, theta_star)
 
 
 @dataclass(frozen=True)

