@@ -116,17 +116,18 @@ def _run_berger_certify(cfg: RunConfig) -> None:
     )
 
 
-def _load_profile(cfg: RunConfig) -> tuple[conformal.AxisymProfile, float, np.ndarray]:
-    """The input profile with its volume and scalar curvature field."""
+def _load_profile(cfg: RunConfig) -> conformal.AxisymProfile:
+    """The input profile, which holds its evaluation (see ``load_profile``)."""
     try:
-        return conformal._read_profile(cfg.input_path)
+        return conformal.load_profile(cfg.input_path)
     except conformal.ProfileError as exc:
         flag = _SUBCOMMANDS[cfg.command].input_flag
         raise conformal.ProfileError(f"{flag}: {exc}") from None
 
 
 def _run_conformal_analyze(cfg: RunConfig) -> None:
-    profile, volume, curvature = _load_profile(cfg)
+    profile = _load_profile(cfg)
+    curvature, volume, _ = profile.evaluation
     star = conformal.star_scan(profile)
     iso = conformal._isoperimetric_verdict(star.width_upper_bound, volume)
     text = report_text(
@@ -152,7 +153,7 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
 
 def _run_yamabe_run(cfg: RunConfig) -> None:
     p = cfg.params
-    profile, _, _ = _load_profile(cfg)
+    profile = _load_profile(cfg)
     trace = yamabe.run(
         profile,
         t_end=p["t_end"],

@@ -27,6 +27,7 @@ volume average.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -156,6 +157,27 @@ class AxisymProfile:
         """Linear interpolation of the profile between grid nodes."""
         return float(np.interp(theta, self.thetas, self.u))
 
+    @functools.cached_property
+    def evaluation(self) -> tuple[np.ndarray, float, float]:
+        """Curvature field (read-only), volume and average curvature, kept
+        from first use; not a field, so ``==`` and ``replace`` ignore it.
+
+        ``LatitudeGrid.evaluate`` under the one floating-point rule: a
+        ``ProfileError`` (and no numpy warning) unless the volume is positive
+        and finite and the average finite, as it is exactly when every node's
+        curvature is (the Simpson weights are positive, and inf * 0 is nan).
+        """
+        u = self.u
+        with np.errstate(all="ignore"):
+            curvature, vol, r = latitude_grid(self.n).evaluate(u)
+        if not (0.0 < vol < math.inf and math.isfinite(r)):
+            raise ProfileError(
+                f"volume or scalar curvature overflows or underflows in floating "
+                f"point (volume {vol:.3g}, u from {u.min():.3g} to {u.max():.3g})"
+            )
+        curvature.flags.writeable = False
+        return curvature, vol, r
+
 
 def load_profile(path: str) -> AxisymProfile:
     """Read a profile from JSON ``{"n": ..., "u": [...], "description": ...}``.
@@ -166,16 +188,10 @@ def load_profile(path: str) -> AxisymProfile:
             samples, more than ``MAX_PROFILE_NODES`` nodes, samples that
             make no valid profile (fewer than 5, not finite, not positive or
             not regular at the poles), or a profile whose volume or scalar
-            curvature overflows or underflows in floating point.
+            curvature overflows or underflows in floating point (checked by
+            ``evaluation``, which the returned profile keeps).
         ValueError: a file that is not JSON.
     """
-    return _read_profile(path)[0]
-
-
-def _read_profile(path: str) -> tuple[AxisymProfile, float, np.ndarray]:
-    """``load_profile``, with the volume and the scalar curvature field that
-    its check evaluated, so a caller that reports them need not evaluate
-    them again."""
     payload = read_json(path)
     if not isinstance(payload, dict) or "n" not in payload or "u" not in payload:
         raise ProfileError(f"profile file {path} must contain 'n' and 'u'")
@@ -193,27 +209,10 @@ def _read_profile(path: str) -> tuple[AxisymProfile, float, np.ndarray]:
         )
     try:
         profile = AxisymProfile(u)
-        curvature, vol, _ = _evaluate(profile)
+        profile.evaluation  # raises by the floating-point rule
     except ValueError as exc:
         raise ProfileError(f"profile file {path}: {exc}") from None
-    return profile, vol, curvature
-
-
-def _evaluate(profile: AxisymProfile) -> tuple[np.ndarray, float, float]:
-    """Curvature field, volume and average curvature of a profile, by the one
-    floating-point rule: ``ProfileError`` (and no numpy warning) unless the
-    volume is positive and finite and the curvature finite at every node."""
-    grid = latitude_grid(profile.n)
-    u = profile.u
-    with np.errstate(all="ignore"):
-        vol = grid.volume(u)
-        curvature = grid.scalar_curvature(u)
-    if not (0.0 < vol < math.inf and np.all(np.isfinite(curvature))):
-        raise ProfileError(
-            f"volume or scalar curvature overflows or underflows in floating "
-            f"point (volume {vol:.3g}, u from {u.min():.3g} to {u.max():.3g})"
-        )
-    return curvature, vol, grid.average_r(curvature, u, vol)
+    return profile
 
 
 def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:
@@ -230,15 +229,16 @@ def scalar_curvature_field(profile: AxisymProfile) -> np.ndarray:
     ``lap(u) = u'' + 2 cot(theta) u'``, discretized with centered second-order
     differences in the interior.  At the poles the regular limit is
     ``3 u''(0)``, taken from the even-symmetry ghost node as
-    ``6 (u_1 - u_0) / h^2``.  This is the field the flow evolves by
-    (``numerics.LatitudeGrid.scalar_curvature``), bit for bit.
+    ``6 (u_1 - u_0) / h^2``.  This is the field the flow evolves by, bit
+    for bit: the read-only array of ``profile.evaluation``, which may raise.
     """
-    return latitude_grid(profile.n).scalar_curvature(profile.u)
+    return profile.evaluation[0]
 
 
 def volume(profile: AxisymProfile) -> float:
-    """Total volume ``4 pi * integral u^6 sin^2(theta) d theta``."""
-    return latitude_grid(profile.n).volume(profile.u)
+    """Total volume ``4 pi * integral u^6 sin^2(theta) d theta``, from
+    ``profile.evaluation``, which may raise."""
+    return profile.evaluation[1]
 
 
 def sphere_area(profile: AxisymProfile, theta: float) -> float:

@@ -209,15 +209,14 @@ class LatitudeGrid:
     def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Scalar curvature, volume and volume-averaged curvature of u.
 
-        ``u^6`` is formed once and serves both integrals.  A volume that is
-        not positive (``u^6`` underflowed) raises ``ValueError``.
+        ``u^6`` is formed once and serves both integrals.  Nothing is checked
+        here (``conformal.AxisymProfile.evaluation`` holds the rule), so the
+        division is numpy's: a volume of 0 gives an r of inf or nan.
         """
         scalar = self.scalar_curvature(u)
         u6 = u**6.0
         vol = 4.0 * np.pi * float(self.simpson.dot(u6 * self.sin2))
-        if not vol > 0.0:
-            raise ValueError(f"volume {vol!r} is not positive (min(u) = {u.min():.3e})")
-        r = 4.0 * np.pi * float(self.simpson.dot(scalar * u6 * self.sin2)) / vol
+        r = float(4.0 * np.pi * self.simpson.dot(scalar * u6 * self.sin2) / vol)
         return scalar, vol, r
 
     def volume(self, u: np.ndarray) -> float:
@@ -240,10 +239,6 @@ class LatitudeGrid:
         spectrum = np.fft.rfft(even)
         spectrum /= self.mu * a + 1.0
         return np.fft.irfft(spectrum, even.size)[:rhs.size]
-
-    def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
-        """Volume average of a field, given the volume of u."""
-        return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)

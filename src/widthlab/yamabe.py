@@ -36,13 +36,15 @@ energy rise is 8.2e-12.  The stabilizer adds an O(dt) time error, the same
 order as the Euler step: criterion 6 converges at t = 0.93707, against
 0.93667 under explicit Euler.
 
-Cost: each outer step evaluates its state once.  ``LatitudeGrid.evaluate``
-returns the curvature, the volume and the average curvature from one pass
-that forms ``u^6`` once.  ``run`` forms ``r - R`` of each state once, for its
-monitor ``sup|R - r|`` and for the next step, builds each sampled state from
-its step's evaluation, and carries min(u) and max(u) through the
-renormalization instead of reducing u again: rounding is monotone, so for a
-scale s > 0 the extremes of ``u * s`` are the extremes of u times s, to the bit.
+Cost: each state is evaluated once.  ``LatitudeGrid.evaluate`` forms ``u^6``
+once for the volume and the average curvature.  ``AxisymProfile.evaluation``
+keeps its result for ``flow_state``, ``step`` and the energy functions;
+``run`` calls the kernel directly and keeps nothing on its sampled profiles.
+``run`` forms ``r - R`` of each state once, for its monitor ``sup|R - r|`` and
+for the next step, builds each sampled state from its step's evaluation, and
+carries min(u) and max(u) through the renormalization instead of reducing u
+again: rounding is monotone, so for a scale s > 0 the extremes of ``u * s``
+are the extremes of u times s, to the bit.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
@@ -64,12 +66,10 @@ from .conformal import (
     AxisymProfile,
     LatitudeSphere,
     ProfileError,
-    _evaluate,
     _pole_irregularity,
     _vertex,
     area_profile,
     max_latitude_sphere,
-    scalar_curvature_field,
     tilted_width_bound,
     width_upper_bound,
 )
@@ -115,7 +115,7 @@ class FlowError(RuntimeError):
       ``AxisymProfile``, which every step checks (with the stabilizer
       halved, 1 + 0.3 cos(theta) at n = 401 and dt = 4e-5 does so at step
       61);
-    - ``step``'s new state fails the evaluation rule of ``flow_state``.
+    - ``step``'s new state (the one it evaluates) fails ``flow_state``'s rule.
 
     ``run`` and ``step`` silence numpy's overflow, invalid-value and
     division warnings, because they check every result themselves, so the
@@ -125,12 +125,12 @@ class FlowError(RuntimeError):
 
 def average_scalar_curvature(profile: AxisymProfile) -> float:
     """Volume average ``(integral R dV) / V`` of R; raises as ``flow_state``."""
-    return _evaluate(profile)[2]
+    return profile.evaluation[2]
 
 
 def hilbert_einstein_energy(profile: AxisymProfile) -> float:
     """Scale-invariant energy ``(integral R dV) / V^(1/3)``; raises as ``flow_state``."""
-    _, vol, r = _evaluate(profile)
+    _, vol, r = profile.evaluation
     return r * vol ** (2.0 / 3.0)
 
 
@@ -159,9 +159,9 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
     """Assemble the diagnostic snapshot for a profile.
 
     Raises:
-        ProfileError: when its volume or curvature leaves floating point.
+        ProfileError: by the rule of ``AxisymProfile.evaluation``.
     """
-    scalar, vol, r = _evaluate(profile)
+    scalar, vol, r = profile.evaluation
     return _state(profile, time, vol, r, float(np.absolute(r - scalar).max()))
 
 
@@ -228,16 +228,15 @@ def step(state: FlowState, dt: float) -> FlowState:
     Raises:
         FlowError: when the step leaves floating point or the valid
             profiles (see ``FlowError``).
-        ValueError: for a dt that is not positive and finite, or a state of
-            zero volume.
+        ValueError: for a dt that is not positive and finite, or a state
+            whose profile fails ``AxisymProfile.evaluation``.
     """
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    grid = latitude_grid(state.profile.n)
     u = state.profile.u
+    scalar, _, r = state.profile.evaluation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scalar, _, r = grid.evaluate(u)
-        u, _ = _advance(grid, u, dt, state.volume, float(u.min()), r - scalar)
+        u, _ = _advance(latitude_grid(u.size), u, dt, state.volume, float(u.min()), r - scalar)
     try:
         return flow_state(AxisymProfile(u), state.time + dt)
     except ProfileError as exc:
@@ -398,7 +397,8 @@ def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
     for i in range(1, len(states) - 1):
         before, here, after = states[i - 1], states[i], states[i + 1]
         sampled = (after.width_bound - before.width_bound) / (after.time - before.time)
-        field = scalar_curvature_field(here.profile)
+        # The kernel, as in run, so that no sampled profile keeps an evaluation.
+        field = latitude_grid(here.profile.n).scalar_curvature(here.profile.u)
         areas = area_profile(here.profile)
         lhs = float(_vertex(areas, here.profile.spacing)[3] @ (areas * (here.r_avg - field)))
         theta = here.max_sphere.theta

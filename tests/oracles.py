@@ -566,10 +566,9 @@ def maximum_test_direction(profile: AxisymProfile, f: np.ndarray) -> VariationRe
     integral is non-positive for admissible directions.
     """
     f = _direction(f, profile.n)
-    grid = latitude_grid(profile.n)
+    kernel = ReferenceFlowKernel(profile.n)
     u = profile.u
-    vol = grid.volume(u)
-    adjusted = f - grid.average_r(f, u, vol)
+    adjusted = f - kernel.average_r(f, u, kernel.volume(u))
     sphere = max_latitude_sphere(profile)
     f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted))
     return VariationReport(

@@ -234,7 +234,7 @@ def inputs_unread(monkeypatch):
     def unreachable(path):
         raise AssertionError("input read before the flags were checked")
 
-    monkeypatch.setattr(cf, "_read_profile", unreachable)
+    monkeypatch.setattr(cf, "load_profile", unreachable)
     monkeypatch.setattr(eq, "load_instance", unreachable)
 
 

@@ -1,5 +1,6 @@
 """Tests for axisymmetric conformal geometry on the three-sphere."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from widthlab import conformal as cf
+from widthlab.numerics import LatitudeGrid
 
 from oracles import (
     cosine_series_jacobi_q,
@@ -83,6 +85,20 @@ class TestAxisymProfile:
         path.write_text(json.dumps({"n": 7, "u": [1.0, 1.0, 1.0, 1.0, 1.0]}))
         with pytest.raises(cf.ProfileError):
             cf.load_profile(str(path))
+
+    def test_evaluation_is_kept_read_only(self, monkeypatch):
+        # The profile keeps its evaluation: a second read is the same array
+        # with no kernel call, and no caller can write into it.  It is not a
+        # field, so replace and == ignore it.
+        p = bump(201)
+        field = cf.scalar_curvature_field(p)
+        monkeypatch.setattr(LatitudeGrid, "evaluate", None)
+        assert cf.scalar_curvature_field(p) is field
+        assert cf.volume(p) == p.evaluation[1]
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0
+        copy = dataclasses.replace(p)
+        assert "evaluation" not in vars(copy) and copy == p
 
 
 class TestScalarCurvatureField:

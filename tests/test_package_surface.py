@@ -45,8 +45,6 @@ def test_all_is_the_public_surface(name):
 # set is pinned: a new entry must be added here on purpose.
 CROSS_MODULE_PRIVATE = {
     ("cli", "conformal._isoperimetric_verdict"),
-    ("cli", "conformal._read_profile"),
-    ("yamabe", "conformal._evaluate"),
     ("yamabe", "conformal._pole_irregularity"),
     ("yamabe", "conformal._vertex"),
 }

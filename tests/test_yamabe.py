@@ -13,7 +13,7 @@ from widthlab.conformal import (
     scalar_curvature_field,
     tilted_width_bound,
 )
-from widthlab import conformal, yamabe
+from widthlab import cli, conformal, yamabe
 from widthlab.numerics import LatitudeGrid, latitude_grid
 
 from oracles import (
@@ -221,19 +221,24 @@ class TestStep:
             with pytest.raises(ValueError, match="volume"):
                 quantity(p)
 
-    def test_overflowing_curvature_is_profile_error(self, tmp_path):
-        # u^5 underflows to 0 at the one node of 1e-70, so R is infinite
-        # there: the diagnostics reject the profile by load_profile's rule,
-        # in its words and with no numpy warning, instead of returning nan.
-        u = np.ones(101)
-        u[50] = 1e-70
+    @pytest.mark.parametrize("n", [101, 100])
+    @pytest.mark.parametrize("node", ["interior", "pole-0", "pole-n-1"])
+    def test_overflowing_curvature_is_profile_error(self, tmp_path, node, n):
+        # u^5 underflows to 0 where u is 1e-70, so R is infinite there: every
+        # reader of the evaluation rejects the profile by load_profile's
+        # rule, in its words and with no numpy warning, instead of returning
+        # inf or nan.  At a pole the next node is 1e-70 as well, so the
+        # profile stays regular there.
+        u = np.ones(n)
+        u[{"interior": [n // 2], "pole-0": [0, 1], "pole-n-1": [-2, -1]}[node]] = 1e-70
         profile = AxisymProfile(u)
         path = tmp_path / "p.json"
         conformal.save_profile(profile, str(path))
         with pytest.raises(conformal.ProfileError) as loaded:
             conformal.load_profile(str(path))
         for quantity in (yamabe.flow_state, yamabe.average_scalar_curvature,
-                         yamabe.hilbert_einstein_energy):
+                         yamabe.hilbert_einstein_energy, conformal.volume,
+                         conformal.scalar_curvature_field):
             with pytest.raises(conformal.ProfileError) as rejected:
                 quantity(profile)
             assert str(loaded.value) == f"profile file {path}: {rejected.value}"
@@ -298,6 +303,39 @@ class TestRun:
                            convergence_tol=0.0)
         assert trace.monitors["t"].size == 100 and len(trace.states) == 11
         assert calls == [201] * 101
+
+    @pytest.mark.parametrize("job, evaluations", [
+        ("chained-steps", 11), ("conformal-analyze", 1), ("roundcheck", 2),
+        ("yamabe-run", 102),
+    ])
+    def test_each_profile_is_evaluated_once(self, monkeypatch, tmp_path, job, evaluations):
+        # Every evaluation forms the curvature; a profile keeps its own, so
+        # step does not evaluate its input again and the CLI reports what
+        # load_profile evaluated.  run evaluates its initial profile and
+        # each of its 100 steps itself.
+        curvature = LatitudeGrid.scalar_curvature
+        calls = []
+
+        def counting(grid, u):
+            calls.append(u.size)
+            return curvature(grid, u)
+
+        monkeypatch.setattr(LatitudeGrid, "scalar_curvature", counting)
+        path = str(tmp_path / "profile.json")
+        conformal.save_profile(bump_profile(201), path)
+        out = ["--output", str(tmp_path / "report.json")]
+        if job == "chained-steps":
+            state = yamabe.flow_state(bump_profile(201))
+            for _ in range(10):
+                state = yamabe.step(state, 1e-4)
+        elif job == "conformal-analyze":
+            assert cli.main([job, "--input", path, *out]) == 0
+        elif job == "roundcheck":
+            assert cli.main([job, *out]) == 0
+        else:
+            assert cli.main([job, "--profile", path, "--t-end", "0.01", "--dt", "1e-4",
+                             "--convergence-tol", "0", *out]) == 0
+        assert len(calls) == evaluations
 
     def test_states_equal_flow_state(self):
         # Each sampled state, the initial one and the converged last one
