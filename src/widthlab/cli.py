@@ -129,7 +129,6 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
     profile = _load_profile(cfg)
     curvature, volume, _ = profile.evaluation
     star = conformal.star_scan(profile)
-    iso = conformal._isoperimetric_verdict(star.width_upper_bound, volume)
     text = report_text(
         cfg.as_dict(),
         n=profile.n,
@@ -142,7 +141,7 @@ def _run_conformal_analyze(cfg: RunConfig) -> None:
         normalized_width_bound=star.width_upper_bound / volume ** (2.0 / 3.0),
         minimal_spheres=star.minimal_spheres,
         star_holds_on_axisym_candidates=star.star_holds_on_axisym_candidates,
-        isoperimetric=iso,
+        isoperimetric=conformal.isoperimetric_check(profile),
     )
     atomic_write_text(cfg.output_path, text)
     print(

@@ -114,18 +114,23 @@ class AxisymProfile:
     (and mirrored at pi), which admits pole second derivatives up to about
     ``2 * POLE_REG_FACTOR * max(u)`` while rejecting conical profiles whose
     one-sided difference decays only like h.  Violations of the first three
-    rules raise ``ValueError``, of the last two ``ProfileError``.
+    rules raise ``ValueError``, of the last two ``ProfileError``.  ``u`` is
+    a read-only copy, so the values the profile keeps cannot go stale; a
+    read-only array of its own (another profile's ``u``) is not copied.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
+        if u.flags.writeable or u.base is not None:
+            u = u.copy()
         if u.ndim != 1:
             raise ValueError(f"grid values must be one-dimensional, got shape {u.shape}")
         h = latitude_grid(u.size).h  # raises for fewer than 5 nodes
         if not np.all(np.isfinite(u)):
             raise ValueError("grid values must be finite")
+        u.flags.writeable = False
         object.__setattr__(self, "u", u)
         if not np.all(u > 0.0):
             raise ProfileError("conformal profile must be strictly positive")
@@ -177,6 +182,25 @@ class AxisymProfile:
             )
         curvature.flags.writeable = False
         return curvature, vol, r
+
+    @functools.cached_property
+    def latitude_max(self) -> tuple[float, LatitudeSphere | None]:
+        """``width_upper_bound`` and ``max_latitude_sphere`` from one area pass,
+        kept like ``evaluation``; no sphere where the areas overflowed."""
+        areas = area_profile(self)
+        i, offset, width, _ = _vertex(areas, self.spacing)
+        return width, _sphere_at(self, areas, i, offset) if math.isfinite(width) else None
+
+    @functools.cached_property
+    def critical_spheres(self) -> tuple[LatitudeSphere, ...]:
+        """The spheres of ``minimal_coordinate_spheres``, kept like ``evaluation``."""
+        values = area_profile(self)
+        spheres = []
+        for i, kind in critical_points(values):
+            sign = {"max": 1.0, "min": -1.0}.get(kind)
+            offset = _vertex(sign * values[i - 1:i + 2], self.spacing)[1] if sign else 0.0
+            spheres.append(_sphere_at(self, values, i, offset))
+        return tuple(spheres)
 
 
 def load_profile(path: str) -> AxisymProfile:
@@ -324,15 +348,9 @@ def minimal_coordinate_spheres(profile: AxisymProfile) -> list[LatitudeSphere]:
     around them (negated at a minimum); saddle-flat runs are reported at
     their middle node.  The ``minimality_residual`` is the centered
     difference |A'| at the anchoring node, which vanishes to grid order at a
-    genuine critical latitude.
+    genuine critical latitude.  A new list of ``profile.critical_spheres``.
     """
-    values = area_profile(profile)
-    spheres = []
-    for i, kind in critical_points(values):
-        sign = {"max": 1.0, "min": -1.0}.get(kind)
-        offset = _vertex(sign * values[i - 1:i + 2], profile.spacing)[1] if sign else 0.0
-        spheres.append(_sphere_at(profile, values, i, offset))
-    return spheres
+    return list(profile.critical_spheres)
 
 
 def width_upper_bound(profile: AxisymProfile) -> float:
@@ -343,14 +361,16 @@ def width_upper_bound(profile: AxisymProfile) -> float:
     but this estimate can fall on either side of it by its interpolation
     error, so it is not a bound; ``tilted_width_bound`` is one.
     """
-    return _vertex(area_profile(profile), profile.spacing)[2]
+    return profile.latitude_max[0]
 
 
 def max_latitude_sphere(profile: AxisymProfile) -> LatitudeSphere:
-    """The latitude sphere realizing the sweep-out maximum."""
-    areas = area_profile(profile)
-    i, offset, _, _ = _vertex(areas, profile.spacing)
-    return _sphere_at(profile, areas, i, offset)
+    """The latitude sphere realizing the sweep-out maximum; OverflowError
+    where the areas overflow, though ``width_upper_bound`` returns there."""
+    width, sphere = profile.latitude_max
+    if sphere is None:
+        raise OverflowError(f"no maximal latitude sphere: the width estimate is {width}")
+    return sphere
 
 
 _EPS = float(np.finfo(float).eps)
@@ -539,12 +559,14 @@ def tilted_width_bound(profile: AxisymProfile) -> SweepoutMax:
 
 
 def _check_critical(profile: AxisymProfile, theta_star: float) -> None:
-    """Raise unless ``minimal_coordinate_spheres`` finds a sphere within one
-    cell h of ``theta_star``.  The sphere finder is the one definition of a
-    critical latitude, so every sphere it returns passes and ``star_scan``
-    skips this check (and the finder's re-run) for its own spheres."""
+    """Raise unless the sphere finder (``profile.critical_spheres``, found
+    once per profile) has a sphere within one cell h of ``theta_star``.  The
+    finder is the one definition of a critical latitude, so every sphere it
+    returns passes.  A latitude off the open interval (0, pi) fails first."""
+    if not (0.0 < theta_star < np.pi):
+        raise ValueError(f"theta_star must be interior, got {theta_star}")
     cells = min(
-        (abs(s.theta - theta_star) / profile.spacing for s in minimal_coordinate_spheres(profile)),
+        (abs(s.theta - theta_star) / profile.spacing for s in profile.critical_spheres),
         default=math.inf,
     )
     if not cells <= 1.0:
@@ -589,8 +611,6 @@ def _graph_setup(
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"harmonic degree must be a nonnegative integer, got {k}")
-    if not (0.0 < theta_star < np.pi):
-        raise ValueError(f"theta_star must be interior, got {theta_star}")
     _check_critical(profile, theta_star)
     u_star = profile.interp_u(theta_star)
     c = 1.0 / (u_star * u_star)
@@ -698,18 +718,11 @@ def jacobi_spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport
     Raises:
         ValueError: if ``theta_star`` is not interior, or not within one
             cell of a sphere that ``minimal_coordinate_spheres`` finds (each
-            of those passes, so ``star_scan`` skips this check for them).
+            of those passes; the profile keeps them, so the finder runs once).
         ArithmeticError: if ``Q radius^2`` is not finite, where the count
             would not end.
     """
-    if not (0.0 < theta_star < np.pi):
-        raise ValueError(f"theta_star must be interior, got {theta_star}")
     _check_critical(profile, theta_star)
-    return _spectrum(profile, theta_star)
-
-
-def _spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport:
-    """``jacobi_spectrum`` at a latitude known to be critical."""
     h = profile.spacing
     # np.interp works point by point: the bits of three scalar calls.
     stencil = np.interp(theta_star + np.array([-h, 0.0, h]), profile.thetas, profile.u)
@@ -744,15 +757,11 @@ def _spectrum(profile: AxisymProfile, theta_star: float) -> SpectrumReport:
     )
 
 
-def _with_spectrum(sphere: LatitudeSphere, spectrum: SpectrumReport) -> LatitudeSphere:
-    return replace(
-        sphere, jacobi_Q=spectrum.jacobi_Q, index=spectrum.index, nullity=spectrum.nullity
-    )
-
-
 def analyze_sphere(profile: AxisymProfile, sphere: LatitudeSphere) -> LatitudeSphere:
     """Fill a sphere's jacobi_Q, index and nullity from ``jacobi_spectrum``."""
-    return _with_spectrum(sphere, jacobi_spectrum(profile, sphere.theta))
+    spectrum = jacobi_spectrum(profile, sphere.theta)
+    return replace(sphere, jacobi_Q=spectrum.jacobi_Q, index=spectrum.index,
+                   nullity=spectrum.nullity)
 
 
 @dataclass(frozen=True)
@@ -771,13 +780,10 @@ class StarReport:
 
 
 def star_scan(profile: AxisymProfile) -> StarReport:
-    """Analyze every critical latitude sphere, found once, and test the stability verdict."""
+    """Analyze every critical latitude sphere and test the stability verdict."""
     bound = width_upper_bound(profile)
-    found = minimal_coordinate_spheres(profile)
-    spheres = [_with_spectrum(s, _spectrum(profile, s.theta)) for s in found]
-    violating = [
-        s for s in spheres if s.index == 0 and s.nullity == 0 and s.area <= bound
-    ]
+    spheres = [analyze_sphere(profile, s) for s in minimal_coordinate_spheres(profile)]
+    violating = any(s.index == 0 and s.nullity == 0 and s.area <= bound for s in spheres)
     return StarReport(
         width_upper_bound=bound,
         minimal_spheres=spheres,
@@ -789,11 +795,11 @@ def star_scan(profile: AxisymProfile) -> StarReport:
 class IsoperimetricCheck:
     """Sweep-out maximum against the round equator at equal volume.
 
-    ``max_profile_area`` is ``width_upper_bound``, an estimate of the
-    maximal latitude-sphere area.  That area bounds the isoperimetric profile
-    maximum from above, so ``passed`` supports the sharp comparison up to the
-    estimate's interpolation error without certifying it; a failure of this
-    conservative check is not a counterexample.
+    ``max_profile_area`` is ``width_upper_bound``, the profile's kept
+    estimate of the maximal latitude-sphere area.  That area bounds the
+    isoperimetric profile maximum from above, so ``passed`` supports the
+    sharp comparison up to the estimate's interpolation error without
+    certifying it; failing this conservative check is no counterexample.
     """
 
     max_profile_area: float
@@ -802,20 +808,14 @@ class IsoperimetricCheck:
 
 
 def isoperimetric_check(profile: AxisymProfile, tol: float = 1e-3) -> IsoperimetricCheck:
-    """Judge ``width_upper_bound``; raise ValueError unless ``tol`` is finite and >= 0."""
-    return _isoperimetric_verdict(width_upper_bound(profile), volume(profile), tol)
-
-
-def _isoperimetric_verdict(max_area: float, vol: float, tol: float = 1e-3) -> IsoperimetricCheck:
-    """``isoperimetric_check`` from a width estimate and volume already at hand."""
+    """Judge ``width_upper_bound`` against the round equator of the profile's
+    volume (both kept); raise ValueError unless ``tol`` is finite and >= 0."""
+    max_area, vol = width_upper_bound(profile), volume(profile)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"isoperimetric tolerance must be finite and >= 0, got {tol}")
     round_area = 4.0 * np.pi * (vol / (2.0 * np.pi**2)) ** (2.0 / 3.0)
-    return IsoperimetricCheck(
-        max_profile_area=max_area,
-        round_equator_area_same_volume=round_area,
-        passed=max_area <= round_area + tol,
-    )
+    return IsoperimetricCheck(max_profile_area=max_area, round_equator_area_same_volume=round_area,
+                              passed=max_area <= round_area + tol)
 
 
 @dataclass(frozen=True)

@@ -171,13 +171,12 @@ class LatitudeGrid:
             w[2:-2:2] = 2.0
             w *= self.h / 3.0
         else:
-            head = m - 3
-            if head > 0:
-                w[0] = 1.0
-                w[1:head:2] = 4.0
-                w[2:head:2] = 2.0
-                w[head] = 1.0
-                w[:head + 1] *= self.h / 3.0
+            head = m - 3  # at least 2, as m >= 5
+            w[0] = 1.0
+            w[1:head:2] = 4.0
+            w[2:head:2] = 2.0
+            w[head] = 1.0
+            w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
         self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / self.h2

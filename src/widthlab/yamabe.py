@@ -39,7 +39,7 @@ order as the Euler step: criterion 6 converges at t = 0.93707, against
 Cost: each state is evaluated once.  ``LatitudeGrid.evaluate`` forms ``u^6``
 once for the volume and the average curvature.  ``AxisymProfile.evaluation``
 keeps its result for ``flow_state``, ``step`` and the energy functions;
-``run`` calls the kernel directly and keeps nothing on its sampled profiles.
+``run`` calls the kernel directly and keeps no array on its sampled profiles.
 ``run`` forms ``r - R`` of each state once, for its monitor ``sup|R - r|`` and
 for the next step, builds each sampled state from its step's evaluation, and
 carries min(u) and max(u) through the renormalization instead of reducing u
@@ -142,7 +142,7 @@ class FlowState:
     measure of ``run``.  ``width_bound`` is ``conformal.width_upper_bound``:
     an estimate of the maximal latitude-sphere area, not a rigorous width
     bound; ``max_sphere`` is ``conformal.max_latitude_sphere``.  Each state
-    is built from one evaluation of its profile.
+    is built from one evaluation and one area pass of its profile.
     """
 
     time: float

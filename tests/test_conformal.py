@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from widthlab import cli, yamabe
 from widthlab import conformal as cf
 from widthlab.numerics import LatitudeGrid
 
@@ -99,6 +100,48 @@ class TestAxisymProfile:
             field[0] = 0.0
         copy = dataclasses.replace(p)
         assert "evaluation" not in vars(copy) and copy == p
+
+    def test_keeps_a_read_only_copy(self):
+        # Writing into the caller's array after a first read moves neither u
+        # nor any reader, kept or not; the profile's own u cannot be written.
+        u = np.ones(101)
+        p = cf.AxisymProfile(u)
+        cf.volume(p)
+        u[40:60] = 1.5
+        fresh = cf.AxisymProfile(np.ones(101))
+        assert np.array_equal(p.u, fresh.u)
+        assert cf.volume(p) == cf.volume(fresh) == pytest.approx(2 * PI**2)
+        assert np.array_equal(cf.scalar_curvature_field(p), cf.scalar_curvature_field(fresh))
+        assert cf.width_upper_bound(p) == cf.width_upper_bound(fresh)
+        assert cf.max_latitude_sphere(p) == cf.max_latitude_sphere(fresh)
+        assert cf.star_scan(p) == cf.star_scan(fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            p.u[0] = 2.0
+
+    def test_latitude_family_is_kept(self, monkeypatch):
+        # The width estimate, the maximal sphere and the critical spheres are
+        # kept from first use, equal to those of a fresh profile of the same
+        # nodes; callers get a new list, and replace and == ignore the caches.
+        p = double_bump(401)
+        width, sphere = cf.width_upper_bound(p), cf.max_latitude_sphere(p)
+        spheres = cf.minimal_coordinate_spheres(p)
+        fresh = cf.AxisymProfile(p.u.copy())
+        assert (width, sphere) == p.latitude_max == (
+            cf.width_upper_bound(fresh), cf.max_latitude_sphere(fresh))
+        assert spheres == list(p.critical_spheres) == cf.minimal_coordinate_spheres(fresh)
+        assert len(spheres) == 3
+        monkeypatch.setattr(cf, "area_profile", None)
+        spheres.append(sphere)
+        assert cf.minimal_coordinate_spheres(p) == spheres[:3]
+        assert cf.width_upper_bound(p) == width and cf.max_latitude_sphere(p) is sphere
+        copy = dataclasses.replace(p)
+        assert not {"latitude_max", "critical_spheres"} & set(vars(copy)) and copy == p
+        # A kept finder still rejects a latitude 1.27 cells from the equator.
+        monkeypatch.undo()
+        p = cf.AxisymProfile.round_profile(201)
+        assert cf.jacobi_spectrum(p, PI / 2).index == 1
+        with pytest.raises(ValueError, match="not a critical latitude .* cells away"):
+            cf.jacobi_spectrum(p, PI / 2 - 0.02)
 
 
 class TestScalarCurvatureField:
@@ -216,6 +259,15 @@ class TestWidthUpperBound:
         assert cf.width_upper_bound(p) == pytest.approx(4 * PI * 1e-280, rel=1e-12)
         spheres = cf.star_scan(p).minimal_spheres
         assert [(s.index, s.nullity) for s in spheres] == [(1, 3)]
+
+    def test_overflowing_areas_keep_the_estimate(self):
+        # u^4 overflows, so the pole area is inf * 0 = nan: the estimate is
+        # still returned (NaN), and no sphere is maximal.
+        p = cf.AxisymProfile.round_profile(201, radius_factor=1e80)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(cf.width_upper_bound(p))
+            with pytest.raises(OverflowError, match="no maximal latitude sphere"):
+                cf.max_latitude_sphere(p)
 
     def test_bump_against_dense_oracle(self):
         coarse = cf.width_upper_bound(bump(401))
@@ -560,6 +612,28 @@ class TestStarScan:
         report = cf.star_scan(double_bump(401))
         assert len(report.minimal_spheres) == 3
         assert calls == [401]
+
+    def test_latitude_passes_are_kept(self, monkeypatch, tmp_path):
+        # Area passes and sphere-finder runs, counted where conformal looks
+        # them up: one area pass per sampled flow state, and one finder run
+        # per profile however often its spheres are asked for.
+        calls = {"area_profile": 0, "critical_points": 0}
+        for name in calls:
+            def counted(values, fn=getattr(cf, name), name=name):
+                calls[name] += 1
+                return fn(values)
+            monkeypatch.setattr(cf, name, counted)
+        trace = yamabe.run(bump(201), t_end=1e-2, dt=1e-4, sample_every=10, convergence_tol=0.0)
+        assert len(trace.states) == 11 and calls == {"area_profile": 11, "critical_points": 0}
+        p = cf.AxisymProfile.round_profile(201)
+        for _ in range(3):
+            assert cf.jacobi_spectrum(p, PI / 2).nullity == 3
+        assert calls["critical_points"] == 1
+        path = tmp_path / "bump.json"
+        cf.save_profile(double_bump(201), str(path))
+        out = tmp_path / "analyze.json"
+        assert cli.main(["conformal-analyze", "--input", str(path), "--output", str(out)]) == 0
+        assert calls["critical_points"] == 2
 
     @pytest.mark.parametrize("n", [201, 401, 801])
     def test_matches_reference_composition(self, n):
