@@ -184,12 +184,24 @@ class AxisymProfile:
         return curvature, vol, r
 
     @functools.cached_property
-    def latitude_max(self) -> tuple[float, LatitudeSphere | None]:
-        """``width_upper_bound`` and ``max_latitude_sphere`` from one area pass,
-        kept like ``evaluation``; no sphere where the areas overflowed."""
+    def latitude_max(self) -> tuple[float, int, float, float]:
+        """``width_upper_bound`` and the vertex of the maximal latitude sphere
+        (node, offset, residual) from one area pass, kept like
+        ``evaluation``; the residual is nan where the areas overflowed."""
         areas = area_profile(self)
         i, offset, width, _ = _vertex(areas, self.spacing)
-        return width, _sphere_at(self, areas, i, offset) if math.isfinite(width) else None
+        if not math.isfinite(width):
+            return width, i, offset, math.nan
+        i, residual = _anchor(areas, i, self.spacing)
+        return width, i, offset, residual
+
+    @functools.cached_property
+    def _max_sphere(self) -> LatitudeSphere:
+        """The sphere of ``max_latitude_sphere``, built on first use."""
+        width, *vertex = self.latitude_max
+        if not math.isfinite(width):
+            raise OverflowError(f"no maximal latitude sphere: the width estimate is {width}")
+        return _sphere_at(self, *vertex)
 
     @functools.cached_property
     def critical_spheres(self) -> tuple[LatitudeSphere, ...]:
@@ -199,7 +211,8 @@ class AxisymProfile:
         for i, kind in critical_points(values):
             sign = {"max": 1.0, "min": -1.0}.get(kind)
             offset = _vertex(sign * values[i - 1:i + 2], self.spacing)[1] if sign else 0.0
-            spheres.append(_sphere_at(self, values, i, offset))
+            i, residual = _anchor(values, i, self.spacing)
+            spheres.append(_sphere_at(self, i, offset, residual))
         return tuple(spheres)
 
 
@@ -301,17 +314,21 @@ class LatitudeSphere:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def _sphere_at(
-    profile: AxisymProfile, areas: np.ndarray, i: int, offset: float
-) -> LatitudeSphere:
-    """The sphere at ``offset`` from node i (moved off a pole node), with the
-    centered difference |A'| of ``areas`` at i as its residual."""
-    i = min(max(i, 1), profile.n - 2)
+def _anchor(areas: np.ndarray, i: int, h: float) -> tuple[int, float]:
+    """Node i moved off a pole node, and the centered difference |A'| of
+    ``areas`` there, the minimality residual of a sphere anchored at it."""
+    i = min(max(i, 1), areas.size - 2)
+    return i, float(abs(areas[i + 1] - areas[i - 1]) / (2.0 * h))
+
+
+def _sphere_at(profile: AxisymProfile, i: int, offset: float, residual: float) -> LatitudeSphere:
+    """The sphere at ``offset`` from the interior node i, with the given
+    minimality residual."""
     theta = float(profile.thetas[i] + offset)
     return LatitudeSphere(
         theta=theta,
         area=4.0 * np.pi * (profile.interp_u(theta) ** 4 * math.sin(theta) ** 2),
-        minimality_residual=float(abs(areas[i + 1] - areas[i - 1]) / (2.0 * profile.spacing)),
+        minimality_residual=residual,
     )
 
 
@@ -365,12 +382,10 @@ def width_upper_bound(profile: AxisymProfile) -> float:
 
 
 def max_latitude_sphere(profile: AxisymProfile) -> LatitudeSphere:
-    """The latitude sphere realizing the sweep-out maximum; OverflowError
-    where the areas overflow, though ``width_upper_bound`` returns there."""
-    width, sphere = profile.latitude_max
-    if sphere is None:
-        raise OverflowError(f"no maximal latitude sphere: the width estimate is {width}")
-    return sphere
+    """The latitude sphere realizing the sweep-out maximum, built from the
+    kept vertex on first use and then kept; OverflowError where the areas
+    overflow, though ``width_upper_bound`` returns there."""
+    return profile._max_sphere
 
 
 _EPS = float(np.finfo(float).eps)
@@ -780,8 +795,18 @@ class StarReport:
 
 
 def star_scan(profile: AxisymProfile) -> StarReport:
-    """Analyze every critical latitude sphere and test the stability verdict."""
+    """Analyze every critical latitude sphere and test the stability verdict.
+
+    Raises:
+        ProfileError: the latitude areas overflow in floating point, so no
+            width estimate or critical latitude can be read from them.
+    """
     bound = width_upper_bound(profile)
+    if not math.isfinite(bound):
+        raise ProfileError(
+            f"latitude areas overflow in floating point (width estimate {bound}, "
+            f"u up to {profile.u.max():.3g})"
+        )
     spheres = [analyze_sphere(profile, s) for s in minimal_coordinate_spheres(profile)]
     violating = any(s.index == 0 and s.nullity == 0 and s.area <= bound for s in spheres)
     return StarReport(

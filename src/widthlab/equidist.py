@@ -2,19 +2,20 @@
 
 Radon measures on X = {1..n} are nonnegative weight vectors; the weak-*
 topology is realized as the sup norm.  Membership of a target measure in
-the closed convex cone spanned by a finite family is decided by phase 1 of
-an exact simplex method.  Float data are dyadic rationals, so one
-power-of-two scale turns them into integers without rounding, and the dense
-tableau is pivoted fraction-free (Bareiss) on Python ints.  When the
-feasibility LP is infeasible, its phase-1 duals y are a Farkas functional,
-and ``<y, mu0> / ||y||_1`` bounds the sup-norm defect of every conic
-combination from below; a target whose bound exceeds the tolerance is a
-non-member with f = y, and only near-members run a second phase 1, on the
-band of targets within the tolerance in sup norm.  Member coefficients
-that reconstruct the target exactly (or to within the tolerance, for
-near-members) and separating functionals that satisfy their sign
-conditions are checked as `fractions.Fraction`s, then issued as their
-nearest doubles, exact where the rationals are dyadic.
+the closed convex cone spanned by a finite family is decided exactly.  Float
+data are dyadic rationals, so one power-of-two scale turns them into
+integers without rounding, and all arithmetic is fraction-free (Bareiss) on
+Python ints.  A family of full column rank whose unique solution is
+nonnegative is a member by one Gauss elimination; every other target runs
+phase 1 of a dense simplex.  When the feasibility LP is infeasible, its
+phase-1 duals y are a Farkas functional, and ``<y, mu0> / ||y||_1`` bounds
+the sup-norm defect of every conic combination from below; a target whose
+bound exceeds the tolerance is a non-member with f = y, and only
+near-members run a second phase 1, on the band of targets within the
+tolerance in sup norm.  Member coefficients that reconstruct the target
+exactly (or to within the tolerance, for near-members) and separating
+functionals that satisfy their sign conditions are checked by integer sums,
+then issued as their nearest doubles, exact where the rationals are dyadic.
 
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
@@ -28,6 +29,7 @@ guess is kept, so every trace is the one-step loop's, bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,15 +285,99 @@ def _fractions(values) -> list[Fraction]:
     return [Fraction(float(v)) for v in values]
 
 
+def _integer_image(vectors: list[np.ndarray]) -> tuple[list[list[int]], int]:
+    """Integer vectors ``L * v`` and the least power of two L that makes them
+    integers; exact, since every double is a dyadic rational."""
+    ratios = [[v.as_integer_ratio() for v in vector.tolist()] for vector in vectors]
+    scale = max(den for ratio in ratios for _, den in ratio)
+    return [[num * (scale // den) for num, den in ratio] for ratio in ratios], scale
+
+
+def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integers k_i and the least d > 0 with ``values[i] = k_i / d``."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+# Relative margin of the float pre-check: a component of the float solution
+# below -_FLOAT_MARGIN * max|x| marks a target that the elimination cannot
+# certify, while a member's zero coefficients, off by rounding, stay above it.
+_FLOAT_MARGIN = 1e-9
+
+
+def _elimination_worth_trying(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
+    """Whether a float solve of ``A x = b`` (LU where A is square, least
+    squares where it is tall) finds full column rank and no clearly negative
+    component; it chooses the path, never a verdict."""
+    a = np.array([m.weights for m in family.members]).T
+    try:
+        with np.errstate(all="ignore"):
+            if a.shape[0] == a.shape[1]:
+                x = np.linalg.solve(a, mu0.weights)
+            else:
+                x, _, rank, _ = np.linalg.lstsq(a, mu0.weights, rcond=None)
+                if rank < a.shape[1]:
+                    return False
+            return bool(np.all(x >= -_FLOAT_MARGIN * np.max(np.abs(x))))
+    except np.linalg.LinAlgError:  # singular
+        return False
+
+
+def _eliminate(columns: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """The solution ``x = X / d`` (integers X, d > 0) of ``A x = b`` for
+    integer columns A and rhs b, by fraction-free Gauss elimination with the
+    ``_bareiss_row`` rule; None if A has short column rank or the system is
+    inconsistent.
+
+    Forward elimination pivots on the first nonzero entry of each column, so
+    the last pivot is the minor of A on the pivot rows, and d its absolute
+    value.  Every row stays a combination of the equations, and ``d x`` is
+    an integer vector by Cramer's rule, so each back-substitution division
+    is exact.  Rows keep only their entries from the current column on; the
+    others are zero.
+    """
+    m = len(columns)
+    rows = [list(row) for row in zip(*columns, rhs)]
+    d = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][0]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        prow = rows[k]
+        p = prow[0]
+        rows[k + 1:] = [_bareiss_row(row, prow, 0, p, d)[1:] for row in rows[k + 1:]]
+        d = p
+    if any(row[0] for row in rows[m:]):
+        return None
+    x = [0] * m
+    for k in reversed(range(m)):
+        row = rows[k]
+        x[k] = (d * row[-1] - sum(map(operator.mul, row[1:-1], x[k + 1:]))) // row[0]
+    return (x, d) if d > 0 else ([-v for v in x], -d)
+
+
 def cone_hull_membership(
     mu0: FiniteMeasure, family: MeasureFamily, tol: float = 1e-9
 ) -> MembershipCertificate:
     """Decide whether mu0 lies in the closed cone generated by the family.
 
     The feasibility system ``A x = b, x >= 0`` (columns of A the members,
-    b = mu0) is solved by an exact phase-1 simplex on an integer tableau.
-    If it is infeasible, phase 1 ends with a positive objective and its
-    duals y form a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0``
+    b = mu0) is decided exactly on its integer image ``[L A | L b]``, L the
+    least common denominator (a power of two for float data).  When the
+    family has no more members than points, one fraction-free Gauss
+    elimination (``_eliminate``) runs first; if A has full column rank, the
+    system is consistent and its solution x is >= 0, that x is the only
+    solution, hence the point where phase 1 would stop (every pivot phase 1
+    makes after its objective reaches 0 is degenerate), and the verdict is
+    "member" with that x.  A float solve of ``A x = b`` decides only whether
+    the elimination is tried (not when its rank is short or some component
+    is clearly negative), never a verdict.  Every other case (short rank,
+    more members than points, non-members and near-members) runs the exact
+    phase-1 simplex on an integer tableau, as below.
+
+    If the system is infeasible, phase 1 ends with a positive objective and
+    its duals y form a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0``
     for every member.  Since ``<y, b> <= <y, b - A x> <= ||y||_1 ||A x - b||_inf``
     for every x >= 0, the sup-norm defect of every conic combination is at
     least ``<y, b> / ||y||_1``; when that bound exceeds ``tol`` the verdict is
@@ -300,9 +386,10 @@ def cone_hull_membership(
     (see ``_band_program``): the verdict is "member" when the band is
     feasible, that is when the least sup-norm defect is at most ``tol``, and
     otherwise the first n components of its Farkas duals separate.  Exact
-    checks pass before a certificate is issued in nearest doubles: member
-    coefficients reconstruct the target to within 0 (first solve) or ``tol``
-    (band solve), and a separating functional satisfies its sign conditions.
+    integer checks on the image pass before a certificate is issued in
+    nearest doubles: member coefficients reconstruct the target to within 0
+    (elimination or first solve) or ``tol`` (band solve), and a separating
+    functional satisfies its sign conditions.
 
     Raises:
         ValueError: ground set above the supported size, a tol that is not
@@ -318,21 +405,28 @@ def cone_hull_membership(
     if all(m.total_mass == 0.0 for m in family.members):
         raise ValueError("degenerate family: every member is the zero measure")
 
+    image, scale = _integer_image([m.weights for m in family.members] + [mu0.weights])
+    image_b = image.pop()
+    if len(image) <= mu0.n and _elimination_worth_trying(mu0, family):
+        solution = _eliminate(image, image_b)
+        if solution is not None and min(solution[0]) >= 0:
+            return _member_certificate(*solution, 0, image, image_b)
+
     b = _fractions(mu0.weights)
     cols = [_fractions(m.weights) for m in family.members]
-
     defect, x, y = _Simplex(cols, b).solve()
     if defect == 0:
-        return _member_certificate(x, b, cols, _ZERO)
+        return _member_certificate(*_numerators(x), 0, image, image_b)
     # Phase 1 ended positive, so defect = <y, b> and y is a Farkas functional.
     exact_tol = Fraction(tol)
     if defect > exact_tol * sum(abs(v) for v in y):
-        return _separating_certificate(y, b, cols)
+        return _separating_certificate(y, image, image_b)
 
     excess, x, y = _Simplex(*_band_program(b, cols, exact_tol)).solve()
     if excess == 0:
-        return _member_certificate(x[: len(cols)], b, cols, exact_tol)
-    return _separating_certificate(y[: mu0.n], b, cols)
+        x, d = _numerators(x[: len(cols)])
+        return _member_certificate(x, d, math.floor(exact_tol * d * scale), image, image_b)
+    return _separating_certificate(y[: mu0.n], image, image_b)
 
 
 def _band_program(b: list[Fraction], cols: list[list[Fraction]], tol: Fraction):
@@ -355,32 +449,33 @@ def _band_program(b: list[Fraction], cols: list[list[Fraction]], tol: Fraction):
     return columns, [bi + tol for bi in b] + [2 * tol] * n
 
 
-def _separating_certificate(f, b, cols) -> MembershipCertificate:
-    """Non-member certificate for f after exact checks of its sign conditions."""
-    pairing = sum(fi * bi for fi, bi in zip(f, b))
-    if pairing <= 0:
+def _separating_certificate(f, image, image_b) -> MembershipCertificate:
+    """Non-member certificate for f after exact checks of its sign
+    conditions on the integer image (f scaled to integers by a positive
+    factor, which keeps every sign)."""
+    g, _ = _numerators(f)
+    if sum(gi * bi for gi, bi in zip(g, image_b)) <= 0 or any(
+        sum(gi * ci for gi, ci in zip(g, col)) > 0 for col in image
+    ):
         raise ArithmeticError("separating functional failed exact verification")
-    for col in cols:
-        if sum(fi * ci for fi, ci in zip(f, col)) > 0:
-            raise ArithmeticError("separating functional failed exact verification")
     return MembershipCertificate(
         verdict="non_member",
         separating_f=np.array([float(v) for v in f]),
     )
 
 
-def _member_certificate(x, b, cols, bound: Fraction) -> MembershipCertificate:
-    """Member certificate for x after an exact check that
-    ``||sum x_j col_j - b||_inf <= bound``."""
-    support = [(xj, col) for xj, col in zip(x, cols) if xj != 0]
-    for i, bi in enumerate(b):
-        if abs(sum(xj * col[i] for xj, col in support) - bi) > bound:
+def _member_certificate(x, d, bound: int, image, image_b) -> MembershipCertificate:
+    """Member certificate for the coefficients ``x_j / d`` after an exact
+    check on the integer image: every component of ``sum x_j col_j - d b``
+    is at most ``bound`` in absolute value (``floor(d L tol)`` for a target
+    within tol of the cone, L the image's scale)."""
+    support = [(xj, col) for xj, col in zip(x, image) if xj != 0]
+    for i, bi in enumerate(image_b):
+        if abs(sum(xj * col[i] for xj, col in support) - d * bi) > bound:
             raise ArithmeticError("member certificate failed exact verification")
     return MembershipCertificate(
         verdict="member",
-        coefficients=tuple(
-            (j, float(xj)) for j, xj in enumerate(x) if xj != 0
-        ),
+        coefficients=tuple((j, xj / d) for j, xj in enumerate(x) if xj != 0),
     )
 
 

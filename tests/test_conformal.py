@@ -126,8 +126,8 @@ class TestAxisymProfile:
         width, sphere = cf.width_upper_bound(p), cf.max_latitude_sphere(p)
         spheres = cf.minimal_coordinate_spheres(p)
         fresh = cf.AxisymProfile(p.u.copy())
-        assert (width, sphere) == p.latitude_max == (
-            cf.width_upper_bound(fresh), cf.max_latitude_sphere(fresh))
+        assert width == p.latitude_max[0] == cf.width_upper_bound(fresh)
+        assert sphere == cf.max_latitude_sphere(fresh)
         assert spheres == list(p.critical_spheres) == cf.minimal_coordinate_spheres(fresh)
         assert len(spheres) == 3
         monkeypatch.setattr(cf, "area_profile", None)
@@ -135,7 +135,8 @@ class TestAxisymProfile:
         assert cf.minimal_coordinate_spheres(p) == spheres[:3]
         assert cf.width_upper_bound(p) == width and cf.max_latitude_sphere(p) is sphere
         copy = dataclasses.replace(p)
-        assert not {"latitude_max", "critical_spheres"} & set(vars(copy)) and copy == p
+        assert not {"latitude_max", "_max_sphere", "critical_spheres"} & set(vars(copy))
+        assert copy == p
         # A kept finder still rejects a latitude 1.27 cells from the equator.
         monkeypatch.undo()
         p = cf.AxisymProfile.round_profile(201)
@@ -268,6 +269,29 @@ class TestWidthUpperBound:
             assert math.isnan(cf.width_upper_bound(p))
             with pytest.raises(OverflowError, match="no maximal latitude sphere"):
                 cf.max_latitude_sphere(p)
+
+    def test_overflowing_areas_have_no_star_verdict(self):
+        # Built directly (load_profile rejects it): NaN areas have no sign
+        # changes, so a scan would report no spheres and a verdict of True.
+        p = cf.AxisymProfile(np.full(101, 1e80))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(cf.ProfileError, match="latitude areas overflow"):
+                cf.star_scan(p)
+
+    def test_maximal_sphere_is_built_on_first_use(self, monkeypatch):
+        # The width estimate keeps only the vertex scalars; the sphere is
+        # built from them once, with no second area pass.
+        p = double_bump(401)
+        width, node, offset, residual = p.latitude_max
+        assert cf.width_upper_bound(p) == width and "_max_sphere" not in vars(p)
+        built = []
+        sphere_at = cf._sphere_at
+        monkeypatch.setattr(cf, "_sphere_at", lambda *args: built.append(args) or sphere_at(*args))
+        monkeypatch.setattr(cf, "area_profile", None)
+        sphere = cf.max_latitude_sphere(p)
+        assert cf.max_latitude_sphere(p) is sphere and len(built) == 1
+        assert sphere.theta == float(p.thetas[node] + offset)
+        assert sphere.minimality_residual == residual
 
     def test_bump_against_dense_oracle(self):
         coarse = cf.width_upper_bound(bump(401))

@@ -706,9 +706,12 @@ class TestFarkasExit:
         return eq.FiniteMeasure(base.weights + np.array([1e-12, 0.0, 0.0])), fam(base)
 
     def test_near_member_reaches_band_program(self, monkeypatch):
+        # The float solve of the one-member family is positive, so the
+        # elimination runs first, finds the system inconsistent and hands over.
         solves = self.count_solves(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         assert eq.cone_hull_membership(*self.nudged(), tol=1e-9).verdict == "member"
-        assert solves == [3, 6]
+        assert (solves, eliminations) == ([3, 6], [1])
 
     def test_clear_non_member_skips_band_program(self, monkeypatch):
         solves = self.count_solves(monkeypatch)
@@ -759,6 +762,138 @@ class TestFarkasExit:
             t_min, _, _ = FractionSimplex(*defect_program(b, cols)).solve()
             expected = "member" if t_min <= Fraction(1e-9) else "non_member"
             assert eq.cone_hull_membership(mu0, family).verdict == expected, trial
+
+
+def phase_one_route(mu0, family, tol=1e-9):
+    """Verdict, coefficients and separating functional from phase 1 on the
+    integer tableau, then the band solve where the Farkas bound is at most
+    tol: the route of every query that the elimination does not decide."""
+    b = fractions(mu0.weights)
+    cols = [fractions(m.weights) for m in family.members]
+    defect, x, y = eq._Simplex(cols, b).solve()
+    exact_tol = Fraction(tol)
+    if defect > 0:
+        if defect > exact_tol * sum(abs(v) for v in y):
+            return "non_member", None, [float(v).hex() for v in y]
+        excess, x, y = eq._Simplex(*eq._band_program(b, cols, exact_tol)).solve()
+        if excess > 0:
+            return "non_member", None, [float(v).hex() for v in y[: mu0.n]]
+    coefficients = [(j, float(v).hex()) for j, v in enumerate(x[: len(cols)]) if v != 0]
+    return "member", coefficients, None
+
+
+def certificate_bits(cert):
+    coefficients = cert.coefficients
+    f = cert.separating_f
+    return (
+        cert.verdict,
+        None if coefficients is None else [(j, c.hex()) for j, c in coefficients],
+        None if f is None else [float(v).hex() for v in f],
+    )
+
+
+def sweep_instance(rng, shape, target):
+    """A seeded dyadic family of the given shape and a target of the given
+    kind: a member with positive or with some zero coefficients, a random
+    target (on a tall family almost always outside its cone) or a member
+    nudged by 1e-12 .. 1e-8."""
+    n = int(rng.integers(2, 9))
+    m = {"square": n, "rank_deficient": n, "tall": int(rng.integers(1, n)),
+         "wide": n + int(rng.integers(1, 5))}[shape]
+    rows = rng.integers(0, 16, size=(m, n)) / 16.0
+    if shape == "rank_deficient":
+        rows[-1] = rows[0] + rows[-2] / 2.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    coeffs = rng.integers(1, 9, size=m) / 8.0
+    if target == "zeros":
+        coeffs[rng.permutation(m)[: max(1, m // 3)]] = 0.0
+    mu0 = coeffs @ rows
+    if target == "random":
+        mu0 = rng.integers(0, 17, size=n) / 16.0
+    if target == "near":
+        shift = float(rng.choice([1e-12, 1e-10, 9e-10, 1.1e-9, 1e-8]))
+        mu0 = np.maximum(mu0 + shift * rng.choice([-1.0, 0.0, 1.0], size=n), 0.0)
+    family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
+    return eq.FiniteMeasure(mu0), family
+
+
+def count_eliminations(monkeypatch):
+    """Record the family size of each elimination ``cone_hull_membership`` runs."""
+    calls = []
+    eliminate = eq._eliminate
+
+    def counting(columns, rhs):
+        calls.append(len(columns))
+        return eliminate(columns, rhs)
+
+    monkeypatch.setattr(eq, "_eliminate", counting)
+    return calls
+
+
+class TestElimination:
+    @staticmethod
+    def member(rows, coeffs):
+        rows = np.array(rows, dtype=float)
+        family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
+        return eq.FiniteMeasure(np.array(coeffs) @ rows), family
+
+    @pytest.mark.parametrize("rows, coeffs", [
+        # square, tall (3 members on 5 points), and square with zero coefficients
+        ([[1, 0.5, 0, 0], [0, 1, 0.25, 0], [0, 0, 1, 0.75], [0.5, 0, 0, 1]],
+         [0.5, 1.25, 2.0, 0.125]),
+        ([[1, 0.5, 0, 0, 0.25], [0, 1, 0.25, 0, 0], [0, 0, 1, 0.75, 0.5]],
+         [3.0, 0.25, 1.5]),
+        ([[0.25, 0.5, 0, 0.75], [0, 1, 0.25, 0], [0.5, 0, 1, 0.75], [0.5, 0.25, 0, 1]],
+         [0.0, 1.25, 0.0, 0.375]),
+    ], ids=["square", "tall", "zero_coefficients"])
+    def test_full_column_rank_member_runs_no_simplex(self, monkeypatch, rows, coeffs):
+        solves = TestFarkasExit.count_solves(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
+        mu0, family = self.member(rows, coeffs)
+        cert = eq.cone_hull_membership(mu0, family)
+        assert cert.coefficients == tuple((j, c) for j, c in enumerate(coeffs) if c)
+        assert (solves, eliminations) == ([], [len(rows)])
+        monkeypatch.undo()
+        assert certificate_bits(cert) == phase_one_route(mu0, family)
+
+    def test_planted_non_member_runs_one_solve_and_no_elimination(self, monkeypatch):
+        solves = TestFarkasExit.count_solves(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
+        mu0, family = planted_non_member(np.random.default_rng(6), 6)
+        assert eq.cone_hull_membership(mu0, family).verdict == "non_member"
+        assert (solves, eliminations) == ([6], [])
+
+    def test_eliminate_cases(self):
+        # Full rank, after a row swap: x = (1/3, 2/3) over d = |det A| = 9,
+        # made positive although the last pivot is -9.
+        assert eq._eliminate([[0, 3], [-3, 0]], [-2, 1]) == ([3, 6], 9)
+        # A negative solution is returned; the caller rejects it.
+        assert eq._eliminate([[1, 0], [0, 1]], [-1, 2]) == ([-1, 2], 1)
+        # Short column rank, and an inconsistent tall system.
+        assert eq._eliminate([[1, 2], [2, 4]], [3, 6]) is None
+        assert eq._eliminate([[1, 1, 0]], [1, 1, 1]) is None
+        assert eq._eliminate([[1, 1, 0]], [2, 2, 0]) == ([2], 1)
+
+    @pytest.mark.parametrize("shape", ["square", "tall", "rank_deficient", "wide"])
+    def test_matches_phase_one_route_bit_for_bit(self, monkeypatch, shape):
+        # Decided by the elimination: it ran, and no simplex did.  Only
+        # full-column-rank families (square and tall draws) can be.
+        solves = TestFarkasExit.count_solves(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
+        rng = np.random.default_rng([43, ["square", "tall", "rank_deficient", "wide"].index(shape)])
+        verdicts, eliminated = set(), 0
+        for trial in range(96):
+            target = ("positive", "zeros", "random", "near")[trial % 4]
+            mu0, family = sweep_instance(rng, shape, target)
+            solves.clear()
+            eliminations.clear()
+            cert = eq.cone_hull_membership(mu0, family)
+            verdicts.add(cert.verdict)
+            eliminated += eliminations != [] and solves == []
+            solves.clear()
+            assert certificate_bits(cert) == phase_one_route(mu0, family), (trial, target)
+        assert verdicts == {"member", "non_member"}
+        assert (eliminated > 0) == (shape in ("square", "tall"))
 
 
 class TestCapSizes:
