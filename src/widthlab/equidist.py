@@ -161,7 +161,11 @@ class EquidistTrace:
     def __post_init__(self):
         if len(self.sequence) != len(self.cesaro_errors):
             raise ValueError("sequence and error trace must have equal length")
-        if any(e < 0.0 for e in self.cesaro_errors):
+        # min skips a NaN after the first element but returns a leading one,
+        # so only then must every error be compared.
+        errors = self.cesaro_errors
+        lowest = min(errors, default=0.0)
+        if lowest < 0.0 or (lowest != lowest and any(e < 0.0 for e in errors)):
             raise ValueError("Cesaro errors must be nonnegative")
 
 
@@ -301,22 +305,26 @@ def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
 
 # Relative margin of the float pre-check: a component of the float solution
 # below -_FLOAT_MARGIN * max|x| marks a target that the elimination cannot
-# certify, while a member's zero coefficients, off by rounding, stay above it.
+# certify, while a member's zero coefficients, off by rounding, stay above it;
+# likewise a tall system whose float residual exceeds _FLOAT_MARGIN * max|b|
+# is taken to be inconsistent.
 _FLOAT_MARGIN = 1e-9
 
 
 def _elimination_worth_trying(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
-    """Whether a float solve of ``A x = b`` (LU where A is square, least
-    squares where it is tall) finds full column rank and no clearly negative
-    component; it chooses the path, never a verdict."""
+    """Whether a float solve of ``A x = b`` (LU where A is square, the normal
+    equations ``A^T A x = A^T b`` where it is tall) is nonsingular, leaves no
+    residual above the margin and has no clearly negative component; it
+    chooses the path, never a verdict."""
     a = np.array([m.weights for m in family.members]).T
+    b = mu0.weights
     try:
         with np.errstate(all="ignore"):
             if a.shape[0] == a.shape[1]:
-                x = np.linalg.solve(a, mu0.weights)
+                x = np.linalg.solve(a, b)
             else:
-                x, _, rank, _ = np.linalg.lstsq(a, mu0.weights, rcond=None)
-                if rank < a.shape[1]:
+                x = np.linalg.solve(a.T @ a, a.T @ b)
+                if not np.max(np.abs(a @ x - b)) <= _FLOAT_MARGIN * np.max(np.abs(b)):
                     return False
             return bool(np.all(x >= -_FLOAT_MARGIN * np.max(np.abs(x))))
     except np.linalg.LinAlgError:  # singular
@@ -371,10 +379,11 @@ def cone_hull_membership(
     solution, hence the point where phase 1 would stop (every pivot phase 1
     makes after its objective reaches 0 is degenerate), and the verdict is
     "member" with that x.  A float solve of ``A x = b`` decides only whether
-    the elimination is tried (not when its rank is short or some component
-    is clearly negative), never a verdict.  Every other case (short rank,
-    more members than points, non-members and near-members) runs the exact
-    phase-1 simplex on an integer tableau, as below.
+    the elimination is tried (not when it is singular, a tall system's
+    residual is clearly nonzero or some component is clearly negative),
+    never a verdict.  Every other case (short rank, more members than
+    points, non-members and near-members) runs the exact phase-1 simplex on
+    an integer tableau, as below.
 
     If the system is infeasible, phase 1 ends with a positive objective and
     its duals y form a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0``
@@ -575,28 +584,40 @@ def _greedy_trace(
 ) -> EquidistTrace:
     """Greedy nearest-mean selection shared by both Cesaro variants.
 
-    Each step applies the same ufuncs in the same order as the plain
-    expression ``max(|(running + candidates) / denominator - target|)``, but
-    into buffers allocated once, so the trace is bit-identical to it.
+    Each step computes ``max(|(running + candidates) / denominator - target|)``
+    per candidate into buffers allocated once, laid out coordinates by
+    candidates, (n, m): ``by_coord`` is a contiguous copy of
+    ``candidates.T``, ``tiled`` the target repeated across the m columns, the
+    running sum an (n, 1) column and the weighted denominators a (1, m) row,
+    so the subtraction runs on two arrays of one shape and the maximum
+    reduces down the columns.  The trace is bit-identical to the plain
+    (m, n) expression: every trial element is the same IEEE operation on the
+    same operands (``running_i + c_ji``, then ``/ k`` or ``/ (total + m_j)``,
+    then ``- t_i``, then ``abs``), a maximum is exact in any order, and
+    ``argmin`` on the same distances takes the same lowest index.
 
     Speculate and verify: from step 2 * ``_WINDOW`` on, the last ``_WINDOW``
     picks are looked up in the last ``_LOOKBACK``.  If they occurred at lag
     P, the next B picks are guessed as the periodic continuation, and
-    ``_verified_block`` evaluates those B steps as one batch, keeping them up
-    to and including the first whose pick differs from its guess.  A fully
-    verified block is followed at once by one of twice the size (up to
-    ``_BLOCK_ELEMENTS`` trial values); after a miss B falls back to
-    ``_WINDOW``, and a miss or a failed search is followed by a run of single
-    steps that doubles each time, from ``_WINDOW`` to ``_MAX_PAUSE``.  A guess
-    decides only how many steps one batch evaluates, never a pick or an error.
+    ``_verified_block`` evaluates those B steps as one batch on the same
+    (n, m) arrays, keeping them up to and including the first whose pick
+    differs from its guess.  A fully verified block is followed at once by
+    one of twice the size (up to ``_BLOCK_ELEMENTS`` trial values); after a
+    miss B falls back to ``_WINDOW``, and a miss or a failed search is
+    followed by a run of single steps that doubles each time, from
+    ``_WINDOW`` to ``_MAX_PAUSE``.  A guess decides only how many steps one
+    batch evaluates, never a pick or an error.
     """
     add, divide, subtract, absolute = np.add, np.divide, np.subtract, np.absolute
-    row_max = np.maximum.reduce
+    column_max = np.maximum.reduce
     m, n = candidates.shape
-    running = np.zeros_like(target)
-    trial = np.empty_like(candidates)
-    denominators = np.empty_like(masses)
-    column = denominators[:, None]
+    by_coord = np.ascontiguousarray(candidates.T)
+    tiled = np.repeat(target[:, None], m, axis=1)
+    column = np.zeros((n, 1))
+    running = column[:, 0]
+    trial = np.empty((n, m))
+    masses_row = masses[None, :]
+    denominators = np.empty((1, m))
     dists = np.empty(m)
     rows = list(candidates)
     mass_of = masses.tolist()
@@ -610,15 +631,15 @@ def _greedy_trace(
     size, pause, next_try = _WINDOW, _WINDOW, 2 * _WINDOW
     while len(picks) < k_max:
         for k in range(len(picks) + 1, min(next_try, k_max) + 1):
-            add(running, candidates, out=trial)
+            add(column, by_coord, out=trial)
             if weighted:
-                add(total_mass, masses, out=denominators)
-                divide(trial, column, out=trial)
+                add(total_mass, masses_row, out=denominators)
+                divide(trial, denominators, out=trial)
             else:
                 divide(trial, float(k), out=trial)
-            subtract(trial, target, out=trial)
+            subtract(trial, tiled, out=trial)
             absolute(trial, out=trial)
-            row_max(trial, axis=1, out=dists)
+            column_max(trial, axis=0, out=dists)
             pick = int(dists.argmin())  # argmin takes the lowest index on ties
             picks.append(pick)
             errors.append(dists.item(pick))
@@ -633,7 +654,7 @@ def _greedy_trace(
             count = min(size, capacity, k_max - done)
             guess = (period * (count // len(period) + 1))[:count]
             kept, block_errors, total_mass = _verified_block(
-                guess, done + 1, running, total_mass, target, candidates, masses,
+                guess, done + 1, running, total_mass, tiled, by_coord, masses,
                 weighted, buffers)
             picks += kept
             errors += block_errors
@@ -646,43 +667,44 @@ def _greedy_trace(
     return EquidistTrace(sequence=tuple(picks), cesaro_errors=tuple(errors))
 
 
-def _verified_block(guess, k, running, total_mass, target, candidates, masses,
+def _verified_block(guess, k, running, total_mass, tiled, by_coord, masses,
                     weighted, buffers):
     """Greedy steps k, k + 1, ... as one batch, on the guess that they pick
     ``guess`` (bytes).
 
-    ``np.add.accumulate`` over ``[running, candidates[guess[:-1]]]`` forms
-    the running sum before each step by the loop's additions in its order,
-    and the total masses likewise; the loop's ufuncs then run on an
-    (n, m, B) stack, steps last so that each runs over contiguous steps.
-    Every step up to the first pick that differs from its guess had the
-    loop's operands, so it is the loop's step.  Returns those picks (bytes),
-    their errors and the total mass after them, and advances ``running``
-    past them in place.
+    ``running`` (n,), ``tiled`` and ``by_coord`` (n, m) are the arrays of
+    ``_greedy_trace``.  ``np.add.accumulate`` over
+    ``[running, candidates[guess[:-1]]]`` forms the running sum before each
+    step by the loop's additions in its order, and the total masses
+    likewise; the loop's ufuncs then run on an (n, m, B) stack, steps last
+    so that each runs over contiguous steps.  Every step up to the first pick
+    that differs from its guess had the loop's operands, so it is the loop's
+    step.  Returns those picks (bytes), their errors and the total mass
+    after them, and advances ``running`` past them in place.
     """
     count = len(guess)
     sums, totals, trial, denominators, dists = (a[..., :count] for a in buffers)
     order = np.frombuffer(guess, dtype=np.uint8)
     sums[:, 0] = running
-    np.take(candidates.T, order[:-1], axis=1, out=sums[:, 1:])
+    np.take(by_coord, order[:-1], axis=1, out=sums[:, 1:])
     np.add.accumulate(sums, axis=1, out=sums)
     totals[0] = total_mass
     np.take(masses, order[:-1], out=totals[1:])
     np.add.accumulate(totals, out=totals)
-    np.add(sums[:, None, :], candidates.T[:, :, None], out=trial)
+    np.add(sums[:, None, :], by_coord[:, :, None], out=trial)
     if weighted:
         np.add(totals, masses[:, None], out=denominators)
         np.divide(trial, denominators, out=trial)
     else:
         np.divide(trial, np.arange(k, k + count, dtype=float), out=trial)
-    np.subtract(trial, target[:, None, None], out=trial)
+    np.subtract(trial, tiled[:, :, None], out=trial)
     np.absolute(trial, out=trial)
     np.maximum.reduce(trial, axis=0, out=dists)
     chosen = dists.argmin(axis=0)  # lowest index on ties, step by step
     misses = np.flatnonzero(chosen != order)
     kept = count if misses.size == 0 else int(misses[0]) + 1
     last = int(chosen[kept - 1])
-    np.add(sums[:, kept - 1], candidates[last], out=running)
+    np.add(sums[:, kept - 1], by_coord[:, last], out=running)
     errors = dists[chosen[:kept], np.arange(kept)].tolist()
     return (guess[: kept - 1] + bytes((last,)), errors,
             totals.item(kept - 1) + masses.item(last))

@@ -259,6 +259,18 @@ class TestRationalApproximation:
                 assert abs(a - c / result.d) < eps / n
 
 
+class TestEquidistTrace:
+    # A leading NaN makes min() return NaN, so the check must look further.
+    @pytest.mark.parametrize("errors", [(float("nan"), -1.0), (0.5, float("nan"), -1e-300)])
+    def test_negative_error_is_refused(self, errors):
+        with pytest.raises(ValueError, match="nonnegative"):
+            eq.EquidistTrace(sequence=(0,) * len(errors), cesaro_errors=errors)
+
+    @pytest.mark.parametrize("errors", [(float("nan"),), (0.5, float("nan"), 0.0), ()])
+    def test_nan_and_nonnegative_errors_pass(self, errors):
+        eq.EquidistTrace(sequence=(0,) * len(errors), cesaro_errors=errors)
+
+
 class TestCesaroSequence:
     def test_singleton_family_zero_error(self):
         mu0 = fm(2.0, 4.0, 2.0)
@@ -714,11 +726,13 @@ class TestFarkasExit:
         assert (solves, eliminations) == ([3, 6], [1])
 
     def test_clear_non_member_skips_band_program(self, monkeypatch):
+        # The tall system's float residual (0.5) rules out the elimination.
         solves = self.count_solves(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         assert eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0))).verdict == (
             "non_member"
         )
-        assert solves == [2]
+        assert (solves, eliminations) == ([2], [])
 
     def test_forged_band_coefficients_are_refused(self, monkeypatch):
         # Coefficients from the band solve are checked exactly against the
@@ -923,23 +937,28 @@ class TestCapSizes:
 
 
 class TestGreedyTrace:
-    @pytest.mark.parametrize("n", [2, 6, 20, 64])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_equals_reference(self, n, weighted):
-        rng = np.random.default_rng([n, weighted])
-        family = rng.integers(0, 16, size=(n, n)) / 16.0 + 1.0 / 16.0
-        mu0 = (rng.integers(1, 9, size=n) / 8.0) @ family
-        target = mu0 / mu0.sum()
+    @staticmethod
+    def dyadic_instance(rng, m, n, weighted):
+        """A member of a random dyadic family of m measures on n points, as
+        (target, candidates, masses, weighted)."""
+        family = rng.integers(0, 16, size=(m, n)) / 16.0 + 1.0 / 16.0
+        mu0 = (rng.integers(1, 9, size=m) / 8.0) @ family
         masses = family.sum(axis=1)
         if weighted:
-            candidates = family
-        else:
-            candidates = family / masses[:, None]
-            masses = np.ones(n)
-        k_max = 3000
-        got = eq._greedy_trace(target, candidates, masses, k_max, weighted)
-        want = reference_greedy_trace(target, candidates, masses, k_max, weighted)
-        assert got == want
+            return mu0 / mu0.sum(), family, masses, True
+        return mu0 / mu0.sum(), family / masses[:, None], np.ones(m), False
+
+    # (m, n): square families (named by n), then fewer and more members than
+    # points, one member, and one point; the step's arrays are laid out (n, m).
+    @pytest.mark.parametrize("m, n", [
+        *(pytest.param(n, n, id=str(n)) for n in (2, 6, 20, 64)),
+        *(pytest.param(m, n, id=f"{m}x{n}") for m, n in ((3, 7), (7, 3), (1, 5), (5, 1))),
+    ])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equals_reference(self, m, n, weighted):
+        rng = np.random.default_rng([m, n, weighted])
+        got, want = self.trace_both(self.dyadic_instance(rng, m, n, weighted), 3000)
+        self.assert_bit_identical(got, want)
 
     # Instances whose float orbit repeats, as (target, candidates, masses,
     # weighted): the two-candidate alternation of point masses, its weighted
@@ -981,6 +1000,14 @@ class TestGreedyTrace:
         recording.calls = calls
         monkeypatch.setattr(eq, "_verified_block", recording)
         return recording
+
+    def test_orbit_without_repeats_takes_single_steps(self, blocks):
+        # A dyadic member at n = m = 12 whose orbit repeats no window in
+        # 2,000 steps: every step comes from the one-step loop.
+        instance = self.dyadic_instance(np.random.default_rng(12), 12, 12, False)
+        got, want = self.trace_both(instance, 2000)
+        self.assert_bit_identical(got, want)
+        assert not any(kept == guess for _, guess, kept in blocks.calls)
 
     @pytest.mark.parametrize("name", sorted(PERIODIC))
     def test_periodic_blocks_are_accepted(self, name, blocks):
