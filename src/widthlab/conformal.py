@@ -103,6 +103,22 @@ def _pole_irregularity(u: np.ndarray, top: float, h: float) -> str | None:
     return None
 
 
+def _evaluation_fault(u: np.ndarray, curvature: np.ndarray, vol: float, r: float) -> str | None:
+    """Why the evaluation ``(curvature, vol, r)`` of node values u left
+    floating point, or None when the volume is positive and finite and r and
+    every curvature value finite.
+
+    The average does not vouch for the field: it integrates ``S u``, which
+    stays finite where ``u^5`` underflows and R is infinite.
+    """
+    if 0.0 < vol < math.inf and math.isfinite(r) and np.isfinite(curvature).all():
+        return None
+    return (
+        f"volume or scalar curvature overflows or underflows in floating "
+        f"point (volume {vol:.3g}, u from {u.min():.3g} to {u.max():.3g})"
+    )
+
+
 @dataclass(frozen=True)
 class AxisymProfile:
     """Positive conformal profile u on the uniform latitude grid.
@@ -167,19 +183,17 @@ class AxisymProfile:
         """Curvature field (read-only), volume and average curvature, kept
         from first use; not a field, so ``==`` and ``replace`` ignore it.
 
-        ``LatitudeGrid.evaluate`` under the one floating-point rule: a
-        ``ProfileError`` (and no numpy warning) unless the volume is positive
-        and finite and the average finite, as it is exactly when every node's
-        curvature is (the Simpson weights are positive, and inf * 0 is nan).
+        ``LatitudeGrid.evaluate`` under the one floating-point rule of
+        ``_evaluation_fault``: a ``ProfileError`` (and no numpy warning)
+        unless the volume is positive and finite and the average and every
+        node's curvature finite.
         """
         u = self.u
         with np.errstate(all="ignore"):
             curvature, vol, r = latitude_grid(self.n).evaluate(u)
-        if not (0.0 < vol < math.inf and math.isfinite(r)):
-            raise ProfileError(
-                f"volume or scalar curvature overflows or underflows in floating "
-                f"point (volume {vol:.3g}, u from {u.min():.3g} to {u.max():.3g})"
-            )
+            fault = _evaluation_fault(u, curvature, vol, r)
+        if fault:
+            raise ProfileError(fault)
         curvature.flags.writeable = False
         return curvature, vol, r
 
@@ -326,9 +340,7 @@ def _sphere_at(profile: AxisymProfile, i: int, offset: float, residual: float) -
     minimality residual."""
     theta = float(profile.thetas[i] + offset)
     return LatitudeSphere(
-        theta=theta,
-        area=4.0 * np.pi * (profile.interp_u(theta) ** 4 * math.sin(theta) ** 2),
-        minimality_residual=residual,
+        theta=theta, area=sphere_area(profile, theta), minimality_residual=residual
     )
 
 

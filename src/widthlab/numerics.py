@@ -3,11 +3,23 @@
 The module has two primitives: an adaptive Simpson integrator with
 Richardson error control, and ``latitude_grid(n)``, the one discretization of
 the uniform grid theta_i = i * pi / (n - 1) over [0, pi]: nodes, composite
-Simpson weights, the scalar-curvature stencil of conformal metrics
+Simpson weights, the one curvature kernel of conformal metrics
 ``u^4 g_round``, and the Neumann second-difference solve of the flow's
 implicit step.  Volumes, areas, curvature fields and the flow all evaluate
-through it.  A grid holds only read-only arrays, so one instance per n is
-shared; data on the grid are plain float arrays of the n node values.  The
+through it.
+
+The kernel (``LatitudeGrid.evaluate``) is fused: the stencil
+``S = A (u+ - u) + B (u- - u) + 6 u`` with ``A, B = -8 (1/h^2 +- cot/h)``
+takes differences first, so the round profile has R = 6 exactly;
+``u^5`` and ``u^6`` come from one chain of products; ``R = S / u^5``; and
+the volume and the curvature integral are two dots with the one weight
+vector ``4 pi * simpson * sin^2``, the integral as ``weights . (S u)``
+because ``R u^6 = S u``.  Static fields and the flow call this one kernel,
+so they agree to the bit.
+
+A grid holds only read-only arrays, so one instance per n is shared; data
+on the grid are plain float arrays of the n node values, and scratch
+arrays live in a ``Workspace`` that the caller allocates and owns.  The
 Berger width and the Jacobi term are closed forms, so the adaptive
 integrator serves only the fine-grid cross-check
 ``conformal.second_variation_oracle`` and the tests.
@@ -17,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +37,7 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "LatitudeGrid",
+    "Workspace",
     "latitude_grid",
     "integrate_adaptive",
     "critical_points",
@@ -144,15 +157,36 @@ def integrate_adaptive(
     return total
 
 
-class LatitudeGrid:
-    """Nodes, Simpson weights and curvature stencil of one latitude grid.
+class Workspace(NamedTuple):
+    """Scratch arrays of one ``LatitudeGrid`` (see ``LatitudeGrid.workspace``).
 
-    Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the interior
-    ``cot_inner``, the composite Simpson weights ``simpson`` (with a 3/8 tail
-    when the interval count is odd) and the eigenvalues ``mu`` of the Neumann
-    second difference (see ``neumann_solve``).  ``latitude_grid`` shares one
-    instance per n, so its arrays are read-only; the grid has no other
-    state, and every method returns fresh arrays or floats.
+    ``diff`` holds the n - 1 forward differences, ``even`` the 2n - 2
+    values of the even extension and ``spectrum`` its n Fourier
+    coefficients; every other array holds n values.  ``u6`` and ``u5`` hold
+    the powers of the last kernel call and ``stencil`` its S.
+    """
+
+    diff: np.ndarray
+    scratch: np.ndarray
+    stencil: np.ndarray
+    u6: np.ndarray
+    u5: np.ndarray
+    scalar: np.ndarray
+    even: np.ndarray
+    spectrum: np.ndarray
+
+
+class LatitudeGrid:
+    """Nodes, weights and the one curvature kernel of one latitude grid.
+
+    Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the composite
+    Simpson weights ``simpson`` (with a 3/8 tail when the interval count is
+    odd), the volume weights ``weights = 4 pi * simpson * sin2``, the
+    stencil coefficients ``ahead`` and ``behind`` (see ``scalar_curvature``)
+    and the eigenvalues ``mu`` of the Neumann second difference (see
+    ``neumann_solve``).  ``latitude_grid`` shares one instance per n, so its
+    arrays are read-only; the grid has no other state.  Scratch arrays come
+    from ``workspace``, which the caller owns.
     """
 
     def __init__(self, n: int):
@@ -162,7 +196,6 @@ class LatitudeGrid:
         self.h2 = self.h * self.h
         self.thetas = np.linspace(0.0, np.pi, n)
         self.sin2 = np.sin(self.thetas) ** 2
-        self.cot_inner = 1.0 / np.tan(self.thetas[1:-1])
         w = np.zeros(n)
         m = n - 1
         if m % 2 == 0:
@@ -179,50 +212,91 @@ class LatitudeGrid:
             w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
+        self.weights = 4.0 * np.pi * w * self.sin2
+        # S_i = A_i (u_{i+1} - u_i) + B_i (u_{i-1} - u_i) + 6 u_i inside, with
+        # A, B = -8 (1/h^2 +- cot(theta_i)/h), and the ghost-node pole rows
+        # -48 (u_1 - u_0)/h^2 + 6 u_0 (mirrored at pi).  On the forward
+        # differences d_i = u_{i+1} - u_i the terms are ahead_i d_i and
+        # behind_i d_{i-1}, behind = -B: the sign is exact, so the products
+        # are the stencil's to the bit.
+        cot = 1.0 / np.tan(self.thetas[1:-1])
+        self.ahead = np.concatenate(([-48.0 / self.h2], -8.0 * (1.0 / self.h2 + cot / self.h)))
+        self.behind = np.concatenate((8.0 * (1.0 / self.h2 - cot / self.h), [48.0 / self.h2]))
         self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / self.h2
-        for shared in (self.thetas, self.sin2, self.cot_inner, self.simpson, self.mu):
+        for shared in (self.thetas, self.sin2, self.simpson, self.weights, self.ahead,
+                       self.behind, self.mu):
             shared.flags.writeable = False
 
-    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
-        """Scalar curvature ``(-8 lap(u) + 6 u) / u^5`` of ``u^4 g_round``.
+    def workspace(self) -> Workspace:
+        """Fresh scratch arrays for the kernel and the Neumann solve.
+
+        The methods write into the workspace they are given and return
+        arrays of it, so a caller that passes one workspace to several calls
+        (as ``yamabe.run`` does) has each call overwrite what the last
+        returned.
+        """
+        n = self.thetas.size
+        return Workspace(
+            np.empty(n - 1), *np.empty((4, n)), np.empty(n), np.empty(2 * n - 2),
+            np.empty(n, dtype=complex),
+        )
+
+    def scalar_curvature(self, u: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+        """Scalar curvature ``R = S / u^5`` of ``u^4 g_round``, with the
+        stencil ``S = -8 lap(u) + 6 u``.
 
         ``lap(u) = u'' + 2 cot(theta) u'`` takes centered differences in the
         interior and, at the poles, the even-symmetry ghost-node rows
         ``lap(0) = 6 (u_1 - u_0) / h^2`` (and mirrored at pi): second order
-        for smooth axisymmetric profiles, and damping as flow dynamics.
+        for smooth axisymmetric profiles, and damping as flow dynamics.  S
+        sums ``ahead * d``, ``behind * d`` and ``6 u`` in that order over the
+        forward differences d (see ``__init__``): differences first, so a
+        constant u has S = 6 u exactly and the round profile R = 6 at every
+        node.  The powers come from one chain, ``u^2``, ``u^4``,
+        ``u^6 = u^4 u^2`` and ``u^5 = u^4 u``.  The call leaves S and
+        ``u^6`` in ``work`` for ``evaluate``; without ``work`` it takes a
+        fresh ``workspace``.
         """
-        up, dn = u[2:], u[:-2]
-        scalar = np.empty_like(u)
-        lap = scalar[1:-1]
-        np.subtract(up, 2.0 * u[1:-1], out=lap)
-        lap += dn
-        lap /= self.h2
-        lap += self.cot_inner * (up - dn) / self.h
-        scalar[0] = 6.0 * (u.item(1) - u.item(0)) / self.h2
-        scalar[-1] = 6.0 * (u.item(-2) - u.item(-1)) / self.h2
-        scalar *= -8.0
-        scalar += 6.0 * u
-        scalar /= u**5.0
-        return scalar
+        w = self.workspace() if work is None else work
+        d, scratch, stencil, u5 = w.diff, w.scratch, w.stencil, w.u5
+        np.subtract(u[1:], u[:-1], out=d)
+        np.multiply(self.ahead, d, out=stencil[:-1])
+        stencil[-1] = 0.0
+        np.multiply(self.behind, d, out=scratch[:-1])
+        np.add(stencil[1:], scratch[:-1], out=stencil[1:])
+        np.multiply(u, 6.0, out=scratch)
+        np.add(stencil, scratch, out=stencil)
+        _sixth_power(u, w.u6, u5)
+        np.multiply(u5, u, out=u5)
+        return np.divide(stencil, u5, out=w.scalar)
 
-    def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def evaluate(
+        self, u: np.ndarray, work: Workspace | None = None
+    ) -> tuple[np.ndarray, float, float]:
         """Scalar curvature, volume and volume-averaged curvature of u.
 
-        ``u^6`` is formed once and serves both integrals.  Nothing is checked
-        here (``conformal.AxisymProfile.evaluation`` holds the rule), so the
-        division is numpy's: a volume of 0 gives an r of inf or nan.
+        The volume is ``weights . u^6`` and the curvature integral is
+        ``weights . (S u)``, as ``R u^6 = S u``; both reuse what
+        ``scalar_curvature`` left in ``work``.  Nothing is checked here
+        (``conformal.AxisymProfile.evaluation`` holds the rule), so the
+        division is numpy's: a volume of 0 gives an r of inf or nan.  The
+        curvature field is an array of ``work`` (fresh without it).
         """
-        scalar = self.scalar_curvature(u)
-        u6 = u**6.0
-        vol = 4.0 * np.pi * float(self.simpson.dot(u6 * self.sin2))
-        r = float(4.0 * np.pi * self.simpson.dot(scalar * u6 * self.sin2) / vol)
-        return scalar, vol, r
+        if work is None:
+            work = self.workspace()
+        scalar = self.scalar_curvature(u, work)
+        vol = self.weights.dot(work.u6)
+        r = self.weights.dot(np.multiply(work.stencil, u, out=work.scratch)) / vol
+        return scalar, float(vol), float(r)
 
-    def volume(self, u: np.ndarray) -> float:
-        """Volume ``4 pi * integral u^6 sin^2(theta) d theta``."""
-        return 4.0 * np.pi * float(self.simpson.dot(u**6.0 * self.sin2))
+    def volume(self, u: np.ndarray, work: Workspace | None = None) -> float:
+        """Volume ``weights . u^6``, to the bit the volume of ``evaluate``."""
+        w = self.workspace() if work is None else work
+        return float(self.weights.dot(_sixth_power(u, w.u6, w.u5)))
 
-    def neumann_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
+    def neumann_solve(
+        self, a: float, rhs: np.ndarray, work: Workspace | None = None
+    ) -> np.ndarray:
         """Solve ``(I - a D2) x = rhs`` for ``a >= 0`` by a DCT-I.
 
         D2 is the Neumann three-point second difference:
@@ -232,12 +306,26 @@ class LatitudeGrid:
         eigenvalues ``-mu_k``, ``mu_k = 4 sin^2(pi k / (2 (n - 1))) / h^2``,
         so the solve divides the DCT-I of rhs by ``1 + a mu_k`` and
         transforms back.  The DCT-I is the real FFT of the even extension
-        ``rhs[0], ..., rhs[n-1], rhs[n-2], ..., rhs[1]``.
+        ``rhs[0], ..., rhs[n-1], rhs[n-2], ..., rhs[1]``.  The solve writes
+        into ``work`` (its ``even``, ``spectrum`` and ``scratch``; fresh when
+        None) and x is a view of ``work.even``; rhs is copied first, so it
+        may be any array of ``work`` but ``even``.  The ``out`` arguments of
+        ``numpy.fft`` need numpy 2.
         """
-        even = np.concatenate((rhs, rhs[-2:0:-1]))
-        spectrum = np.fft.rfft(even)
-        spectrum /= self.mu * a + 1.0
-        return np.fft.irfft(spectrum, even.size)[:rhs.size]
+        w = self.workspace() if work is None else work
+        even = np.concatenate((rhs, rhs[-2:0:-1]), out=w.even)
+        spectrum = np.fft.rfft(even, out=w.spectrum)
+        denominators = np.multiply(self.mu, a, out=w.scratch)
+        denominators += 1.0
+        spectrum /= denominators
+        return np.fft.irfft(spectrum, even.size, out=even)[:rhs.size]
+
+
+def _sixth_power(u: np.ndarray, u6: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    """``u^6 = u^4 u^2`` into u6, leaving ``u^4 = (u^2)^2`` in u4."""
+    np.multiply(u, u, out=u6)
+    np.multiply(u6, u6, out=u4)
+    return np.multiply(u4, u6, out=u6)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)

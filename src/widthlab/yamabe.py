@@ -32,19 +32,28 @@ factor of 0.75 let the energy rise by 2.2e-4 at dt = 2e-5, and at dt = 4e-5
 the pole rows went unstable (the state after 61 steps failed pole
 regularity).  Factor 1.5 converges with the energy non-increasing at every
 dt from 4e-5 to 1e-3, and at the criterion-6 step dt = 1e-5 its largest
-energy rise is 8.2e-12.  The stabilizer adds an O(dt) time error, the same
+energy rise is 8.9e-12.  The stabilizer adds an O(dt) time error, the same
 order as the Euler step: criterion 6 converges at t = 0.93707, against
 0.93667 under explicit Euler.
 
-Cost: each state is evaluated once.  ``LatitudeGrid.evaluate`` forms ``u^6``
-once for the volume and the average curvature.  ``AxisymProfile.evaluation``
-keeps its result for ``flow_state``, ``step`` and the energy functions;
-``run`` calls the kernel directly and keeps no array on its sampled profiles.
-``run`` forms ``r - R`` of each state once, for its monitor ``sup|R - r|`` and
-for the next step, builds each sampled state from its step's evaluation, and
-carries min(u) and max(u) through the renormalization instead of reducing u
-again: rounding is monotone, so for a scale s > 0 the extremes of ``u * s``
-are the extremes of u times s, to the bit.
+Cost: each state is evaluated once, by the fused kernel
+``LatitudeGrid.evaluate``: the stencil ``S`` on forward differences, ``u^5``
+and ``u^6`` from one chain of products, ``R = S / u^5``, and the volume and
+the curvature integral as dots with one weight vector, using
+``R u^6 = S u``.  ``AxisymProfile.evaluation`` keeps its result for
+``flow_state``, ``step`` and the energy functions; ``run`` calls the kernel
+directly and keeps no array on its sampled profiles.  ``run`` allocates its
+work arrays once per call, a ``LatitudeGrid.workspace()``, the state and
+``r - R``, and steps in place: the kernel, the right-hand side
+``(dt/4) u (r - R)`` (two passes), the DCT-I solve (two ``numpy.fft`` calls
+with ``out``) and the renormalization write into them, never into the
+shared grid.  It forms ``r - R`` of each state once, for its monitor
+``sup|R - r|`` and for the next step, builds each sampled state from its
+step's evaluation, takes extremes with ``np.minimum.reduce`` and
+``np.maximum.reduce``, and carries min(u) and max(u) through the
+renormalization instead of reducing u again: rounding is monotone, so for a
+scale s > 0 the extremes of ``u * s`` are the extremes of u times s, to the
+bit.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
@@ -66,6 +75,7 @@ from .conformal import (
     AxisymProfile,
     LatitudeSphere,
     ProfileError,
+    _evaluation_fault,
     _pole_irregularity,
     _vertex,
     area_profile,
@@ -73,14 +83,13 @@ from .conformal import (
     tilted_width_bound,
     width_upper_bound,
 )
-from .numerics import LatitudeGrid, latitude_grid
+from .numerics import LatitudeGrid, Workspace, latitude_grid
 
 __all__ = [
     "FlowError",
     "FlowState",
     "FlowTrace",
     "STABILIZER",
-    "average_scalar_curvature",
     "hilbert_einstein_energy",
     "flow_state",
     "step",
@@ -115,17 +124,15 @@ class FlowError(RuntimeError):
       ``AxisymProfile``, which every step checks (with the stabilizer
       halved, 1 + 0.3 cos(theta) at n = 401 and dt = 4e-5 does so at step
       61);
-    - ``step``'s new state (the one it evaluates) fails ``flow_state``'s rule.
+    - ``step``'s new state (the one it evaluates) fails ``flow_state``'s
+      rule, or a state of ``run`` has a curvature or average that left
+      floating point (a node where ``u^5`` underflows, say: the average
+      integrates ``S u`` and may stay finite there).
 
     ``run`` and ``step`` silence numpy's overflow, invalid-value and
     division warnings, because they check every result themselves, so the
     error is the one report of a failure.
     """
-
-
-def average_scalar_curvature(profile: AxisymProfile) -> float:
-    """Volume average ``(integral R dV) / V`` of R; raises as ``flow_state``."""
-    return profile.evaluation[2]
 
 
 def hilbert_einstein_energy(profile: AxisymProfile) -> float:
@@ -162,7 +169,12 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
         ProfileError: by the rule of ``AxisymProfile.evaluation``.
     """
     scalar, vol, r = profile.evaluation
-    return _state(profile, time, vol, r, float(np.absolute(r - scalar).max()))
+    return _state(profile, time, vol, r, _sup(np.subtract(r, scalar)))
+
+
+def _sup(deviation: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """``max |r - R|`` of ``deviation = r - R``, through ``scratch``."""
+    return float(np.maximum.reduce(np.absolute(deviation, out=scratch)))
 
 
 def _state(profile, time, vol, r, sup_dev) -> FlowState:
@@ -181,26 +193,34 @@ def _advance(
     target_volume: float,
     lo: float,
     deviation: np.ndarray,
+    work: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """One stabilized semi-implicit step of size dt, then renormalization.
 
     ``lo`` is ``min(u)`` and ``deviation`` is ``r - R`` at u, which the
-    caller already holds.  Returns the new state and its minimum; the state
-    is a valid ``AxisymProfile``: positive, finite and regular at the poles.
+    caller already holds.  ``work`` is a ``grid.workspace()`` (fresh when
+    None) and ``out`` receives the new state (fresh when None; u itself is
+    allowed).  Returns the new state and its minimum; the state is a valid
+    ``AxisymProfile``: positive, finite and regular at the poles.
     """
     quartic = lo**4
     a = dt * (STABILIZER * 2.0 / quartic) if quartic > 0.0 else math.inf
     if not a < math.inf:
         raise FlowError(f"stabilizer overflowed: min(u) = {lo:.3e} is too small")
-    u = u + grid.neumann_solve(a, dt * (u / 4.0) * deviation)
+    if work is None:
+        work = grid.workspace()
+    rhs = np.multiply(u, 0.25 * dt, out=work.stencil)
+    rhs *= deviation
+    u = np.add(u, grid.neumann_solve(a, rhs, work), out=out)
     # Positive and finite: a NaN passes through min and max and fails both.
-    lo, hi = float(u.min()), float(u.max())
+    lo, hi = float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
     if not (lo > 0.0 and hi < math.inf):
         raise FlowError(
             f"conformal factor left the positive finite range in a step of size "
             f"{dt:.3e} (min(u) = {lo:.3e}, max(u) = {hi:.3e})"
         )
-    vol = grid.volume(u)
+    vol = grid.volume(u, work)
     if not 0.0 < vol < math.inf:
         # u is positive and finite here, so u^6 overflowed (inf, or inf * 0 =
         # nan at a pole) or underflowed (0).
@@ -210,7 +230,7 @@ def _advance(
             f"max(u) = {hi:.3e})"
         )
     scale = (target_volume / vol) ** (1.0 / 6.0)
-    u = u * scale
+    u *= scale
     # Rounding is monotone, so lo * scale and hi * scale are min and max of u.
     irregularity = _pole_irregularity(u, hi * scale, grid.h)
     if irregularity:
@@ -236,7 +256,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     u = state.profile.u
     scalar, _, r = state.profile.evaluation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u, _ = _advance(latitude_grid(u.size), u, dt, state.volume, float(u.min()), r - scalar)
+        u, _ = _advance(latitude_grid(u.size), u, dt, state.volume,
+                        float(np.minimum.reduce(u)), r - scalar)
     try:
         return flow_state(AxisymProfile(u), state.time + dt)
     except ProfileError as exc:
@@ -284,6 +305,8 @@ def run(
     Raises:
         ValueError: for non-positive or non-finite dt/t_end, more than
             ``MAX_STEPS`` outer steps, or sample_every < 1.
+        ProfileError: for an initial profile that fails the floating-point
+            rule of ``AxisymProfile.evaluation``, checked once per run.
         FlowError: when a step leaves floating point or the valid profiles
             (see ``FlowError``).
     """
@@ -298,7 +321,9 @@ def run(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     grid = latitude_grid(profile.n)
-    u = profile.u
+    work = grid.workspace()
+    u = profile.u.copy()  # the state, stepped in place
+    deviation = np.empty_like(u)
     n_steps = max(int(round(t_end / dt)), 1)
     mon_drift = np.empty(n_steps)
     mon_energy = np.empty(n_steps)
@@ -308,17 +333,25 @@ def run(
     status = "completed"
     taken = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scalar, target_volume, r = grid.evaluate(u)
-        deviation = r - scalar
-        lo = float(u.min())
-        states = [_state(profile, 0.0, target_volume, r, float(np.absolute(deviation).max()))]
+        scalar, target_volume, r = grid.evaluate(u, work)
+        fault = _evaluation_fault(u, scalar, target_volume, r)
+        if fault:
+            raise ProfileError(fault)
+        np.subtract(r, scalar, out=deviation)
+        lo = float(np.minimum.reduce(u))
+        states = [_state(profile, 0.0, target_volume, r, _sup(deviation, work.scratch))]
         for i in range(n_steps):
-            u, lo = _advance(grid, u, dt, target_volume, lo, deviation)
+            u, lo = _advance(grid, u, dt, target_volume, lo, deviation, work, u)
             taken = i + 1
             time = taken * dt
-            scalar, vol, r = grid.evaluate(u)
-            deviation = r - scalar
-            sup_dev = float(np.absolute(deviation).max())
+            scalar, vol, r = grid.evaluate(u, work)
+            np.subtract(r, scalar, out=deviation)
+            sup_dev = _sup(deviation, work.scratch)
+            if not sup_dev < math.inf:
+                raise FlowError(
+                    f"a step of size {dt:.3e} left no valid profile: "
+                    f"{_evaluation_fault(u, scalar, vol, r)}"
+                )
             mon_drift[i] = abs(vol - target_volume)
             mon_energy[i] = r * vol ** (2.0 / 3.0)
             mon_r[i] = r

@@ -8,10 +8,13 @@ from exact derivatives of a cosine series, the critical points of node
 values from a walk over the nodes, and the stability survey of a profile from
 the package's public per-sphere calls, each checked against the sphere
 finder again.  The stabilized implicit flow
-step is kept here in its unfused form, one numpy expression per quantity, as
-the reference the fused step in ``widthlab.yamabe`` must match bit for bit;
-the explicit Euler step under its CFL rule, which the package ran before,
-stays as an independent cross-check of the flow's convergence.  The
+step is kept here in its unfused form, one numpy expression per quantity in
+the fused kernel's operation order, as the reference the fused step in
+``widthlab.yamabe`` must match bit for bit; the textbook curvature, volume
+and average formulas, in another order, check the fused kernel to a
+rounding bound; the explicit Euler step under its CFL rule, which the
+package ran before, stays as an independent cross-check of the flow's
+convergence.  The
 membership LP is kept here as the dense two-phase simplex over
 ``fractions.Fraction`` whose phase 1 the integer tableau in
 ``widthlab.equidist`` must match pivot for pivot, with the LP that
@@ -293,7 +296,17 @@ def reference_star_scan(profile: AxisymProfile) -> StarReport:
 
 
 class ReferenceFlowKernel:
-    """Grid data and the unfused curvature, volume and average evaluations."""
+    """Grid data and the unfused curvature, volume and average evaluations.
+
+    Each array operation is the fused kernel's (``LatitudeGrid.evaluate``),
+    in its order, written out the textbook way: the stencil ``S = A (u+ - u)
+    + B (u- - u) + 6 u`` with ``A, B = -8 (1/h^2 +- cot/h)`` and the pole
+    rows ``-48/h^2 (u1 - u0) + 6 u0``; the powers ``u^2, u^4, u^6 = u^4 u^2,
+    u^5 = u^4 u``; ``R = S / u^5``; the volume ``W . u^6`` and the curvature
+    integral ``W . (S u)`` with ``W = 4 pi simpson sin^2``.  So its results
+    equal the package's bit for bit; ``textbook_evaluation`` is the
+    independent check of the formulas.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -320,24 +333,72 @@ class ReferenceFlowKernel:
                 w[:head + 1] *= self.h / 3.0
             w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * self.h / 8.0)
         self.simpson = w
+        self.weights = 4.0 * np.pi * self.simpson * self.sin2
         # Eigenvalues of minus the Neumann second difference.
         self.mu = 4.0 * np.sin(np.arange(n) * (np.pi / (2 * m))) ** 2 / (self.h * self.h)
 
-    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
+    def stencil(self, u: np.ndarray) -> np.ndarray:
+        """``S = -8 lap(u) + 6 u`` node by node."""
         h2 = self.h * self.h
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 + self.cot[1:-1] * (
-            u[2:] - u[:-2]
-        ) / self.h
-        lap[0] = 6.0 * (u[1] - u[0]) / h2
-        lap[-1] = 6.0 * (u[-2] - u[-1]) / h2
-        return (-8.0 * lap + 6.0 * u) / u**5
+        a = -8.0 * (1.0 / h2 + self.cot[1:-1] / self.h)
+        b = -8.0 * (1.0 / h2 - self.cot[1:-1] / self.h)
+        s = np.empty_like(u)
+        s[1:-1] = a * (u[2:] - u[1:-1]) + b * (u[:-2] - u[1:-1]) + 6.0 * u[1:-1]
+        s[0] = (-48.0 / h2) * (u[1] - u[0]) + 6.0 * u[0]
+        s[-1] = (-48.0 / h2) * (u[-2] - u[-1]) + 6.0 * u[-1]
+        return s
+
+    @staticmethod
+    def powers(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``u^5`` and ``u^6`` from one chain of products."""
+        u2 = u * u
+        u4 = u2 * u2
+        return u4 * u, u4 * u2
+
+    def scalar_curvature(self, u: np.ndarray) -> np.ndarray:
+        return self.stencil(u) / self.powers(u)[0]
 
     def volume(self, u: np.ndarray) -> float:
-        return 4.0 * np.pi * float(self.simpson @ (u**6 * self.sin2))
+        return float(self.weights @ self.powers(u)[1])
 
-    def average_r(self, scalar: np.ndarray, u: np.ndarray, vol: float) -> float:
-        return 4.0 * np.pi * float(self.simpson @ (scalar * u**6 * self.sin2)) / vol
+    def evaluate(self, u: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Curvature field, volume and average curvature ``W . (S u) / V``."""
+        s = self.stencil(u)
+        u5, u6 = self.powers(u)
+        vol = float(self.weights @ u6)
+        return s / u5, vol, float(self.weights @ (s * u)) / vol
+
+    def average(self, f: np.ndarray, u: np.ndarray) -> float:
+        """Volume average ``W . (f u^6) / V`` of node values f."""
+        u6 = self.powers(u)[1]
+        return float(self.weights @ (f * u6)) / float(self.weights @ u6)
+
+
+def textbook_evaluation(u: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Curvature field, volume and average curvature by the textbook formulas.
+
+    ``lap(u) = (u+ - 2u + u-)/h^2 + cot(theta) (u+ - u-)/h`` inside and
+    ``6 (u1 - u0)/h^2`` at the poles, ``R = (-8 lap + 6 u) / u^5``,
+    ``V = 4 pi int u^6 sin^2`` and ``r = 4 pi int R u^6 sin^2 / V`` by
+    ``composite_simpson``, with numpy's powers: the same discretization as
+    the fused kernel in another operation order, so the two agree to
+    rounding only.
+    """
+    n = u.size
+    h = np.pi / (n - 1)
+    h2 = h * h
+    thetas = np.linspace(0.0, np.pi, n)
+    sin2 = np.sin(thetas) ** 2
+    lap = np.empty_like(u)
+    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 + (
+        np.cos(thetas[1:-1]) / np.sin(thetas[1:-1])
+    ) * (u[2:] - u[:-2]) / h
+    lap[0] = 6.0 * (u[1] - u[0]) / h2
+    lap[-1] = 6.0 * (u[-2] - u[-1]) / h2
+    scalar = (-8.0 * lap + 6.0 * u) / u**5
+    vol = 4.0 * np.pi * composite_simpson(u**6 * sin2, h)
+    r = 4.0 * np.pi * composite_simpson(scalar * u**6 * sin2, h) / vol
+    return scalar, vol, r
 
 
 def reference_implicit_advance(
@@ -349,18 +410,16 @@ def reference_implicit_advance(
 ) -> tuple[np.ndarray, int]:
     """One stabilized semi-implicit Euler step, then volume renormalization.
 
-    ``u* = u + (I - dt c D2)^-1 [dt (u/4)(r - R)]`` with
+    ``u* = u + (I - dt c D2)^-1 [(dt/4) u (r - R)]`` with
     ``c = stabilizer * 2 min(u)^-4``; the solve is a DCT-I, the real FFT of
     the even extension.  The state is evaluated from scratch.
     """
     n = u.size
-    scalar = kernel.scalar_curvature(u)
-    vol = kernel.volume(u)
-    r = kernel.average_r(scalar, u, vol)
+    scalar, _, r = kernel.evaluate(u)
     a = dt * (stabilizer * 2.0 / float(np.min(u)) ** 4)
-    rhs = dt * (u / 4.0) * (r - scalar)
+    rhs = u * (dt / 4.0) * (r - scalar)
     even = np.concatenate([rhs, rhs[-2:0:-1]])
-    u = u + np.fft.irfft(np.fft.rfft(even) / (1.0 + a * kernel.mu), even.size)[:n]
+    u = u + np.fft.irfft(np.fft.rfft(even) / (a * kernel.mu + 1.0), even.size)[:n]
     if not np.all(u > 0.0) or not np.all(np.isfinite(u)):
         raise RuntimeError(f"positivity lost in a step of size {dt:.3e}")
     u = u * (target_volume / kernel.volume(u)) ** (1.0 / 6.0)
@@ -388,9 +447,7 @@ def reference_advance(
         substeps += 1
         if substeps > max_substeps:
             raise RuntimeError(f"more than {max_substeps} sub-steps")
-        scalar = kernel.scalar_curvature(u)
-        vol = kernel.volume(u)
-        r = kernel.average_r(scalar, u, vol)
+        scalar, _, r = kernel.evaluate(u)
         u = u + sub * (u / 4.0) * (r - scalar)
         if not np.all(u > 0.0) or not np.all(np.isfinite(u)):
             raise RuntimeError(f"positivity lost in a sub-step of size {sub:.3e}")
@@ -463,9 +520,7 @@ def flow_reference(
     for i in range(n_steps):
         u, subs = advance(kernel, u, dt, target_volume)
         taken = i + 1
-        scalar = kernel.scalar_curvature(u)
-        vol = kernel.volume(u)
-        r = kernel.average_r(scalar, u, vol)
+        scalar, vol, r = kernel.evaluate(u)
         sup_dev = float(np.max(np.abs(scalar - r)))
         rows.append(
             (taken * dt, abs(vol - target_volume), r * vol ** (2.0 / 3.0), r, sup_dev, subs)
@@ -568,7 +623,7 @@ def maximum_test_direction(profile: AxisymProfile, f: np.ndarray) -> VariationRe
     f = _direction(f, profile.n)
     kernel = ReferenceFlowKernel(profile.n)
     u = profile.u
-    adjusted = f - kernel.average_r(f, u, kernel.volume(u))
+    adjusted = f - kernel.average(f, u)
     sphere = max_latitude_sphere(profile)
     f_at_top = float(np.interp(sphere.theta, profile.thetas, adjusted))
     return VariationReport(

@@ -220,6 +220,24 @@ class TestSphereArea:
         with pytest.raises(ValueError):
             cf.sphere_area(bump(101), PI + 0.1)
 
+    @pytest.mark.parametrize("profile", [bump(101), double_bump(201), double_bump(41),
+                                         bump(41, 0.05)])
+    def test_every_reported_area_is_sphere_area(self, profile, tmp_path):
+        # One rounding rule, (4 pi u^4) sin^2: the maximal sphere, the
+        # critical spheres and every sphere conformal-analyze reports carry
+        # sphere_area at their latitude, bit for bit.
+        spheres = [cf.max_latitude_sphere(profile), *cf.minimal_coordinate_spheres(profile),
+                   *cf.star_scan(profile).minimal_spheres]
+        path, out = tmp_path / "profile.json", tmp_path / "analyze.json"
+        cf.save_profile(profile, str(path))
+        assert cli.main(["conformal-analyze", "--input", str(path), "--output", str(out)]) == 0
+        reported = json.loads(out.read_text())["minimal_spheres"]
+        assert len(reported) == len(cf.minimal_coordinate_spheres(profile)) >= 1
+        spheres += [cf.LatitudeSphere(s["theta"], s["area"], s["minimality_residual"])
+                    for s in reported]
+        for sphere in spheres:
+            assert sphere.area == cf.sphere_area(profile, sphere.theta), sphere.theta
+
 
 class TestMinimalCoordinateSpheres:
     def test_round_equator_only(self):

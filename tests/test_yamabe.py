@@ -23,10 +23,16 @@ from oracles import (
     implicit_flow_reference,
     maximum_test_direction,
     reference_implicit_advance,
+    textbook_evaluation,
 )
 
 ROUND_ENERGY = 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0)
 ROUND_NORMALIZED_WIDTH = (16.0 / math.pi) ** (1.0 / 3.0)
+
+
+def average_curvature(profile):
+    """The volume average of R, from the profile's evaluation."""
+    return profile.evaluation[2]
 
 
 def bump_profile(n, amplitude=0.3):
@@ -50,15 +56,15 @@ def converging_trace():
 class TestAverageScalarCurvature:
     def test_round_value(self):
         p = AxisymProfile.round_profile(201)
-        assert abs(yamabe.average_scalar_curvature(p) - 6.0) < 1e-8
+        assert abs(p.evaluation[2] - 6.0) < 1e-8
 
     def test_constant_scaling(self):
         p = AxisymProfile.from_function(lambda t: 2.0 + 0.0 * t, 201)
-        assert abs(yamabe.average_scalar_curvature(p) - 6.0 / 16.0) < 1e-8
+        assert abs(p.evaluation[2] - 6.0 / 16.0) < 1e-8
 
     def test_matches_grid_refinement(self):
-        coarse = yamabe.average_scalar_curvature(bump_profile(401))
-        fine = yamabe.average_scalar_curvature(bump_profile(1601))
+        coarse = bump_profile(401).evaluation[2]
+        fine = bump_profile(1601).evaluation[2]
         assert abs(coarse - fine) / abs(fine) < 1e-5
 
 
@@ -183,13 +189,24 @@ class TestStep:
         with pytest.raises(yamabe.FlowError, match="volume overflowed"):
             yamabe.step(yamabe.flow_state(p), 1e-3)
 
-    def test_curvature_overflow_is_flow_error(self):
-        # u^5 underflows to 0 at the one node of 1e-70, so R is infinite
-        # there; the step fails on its own check, with no numpy warning.
-        u = np.ones(101)
-        u[50] = 1e-70
-        with pytest.raises(yamabe.FlowError, match="positive finite"):
-            yamabe.run(AxisymProfile(u), t_end=0.01, dt=1e-3)
+    @pytest.mark.parametrize("u", ["one-node", "every-node"])
+    def test_initial_overflow_is_profile_error(self, u):
+        # u^5 underflows to 0 where u is 1e-70, so R is infinite there, and
+        # u^6 = 1e-360 underflows to a volume of 0: run judges its initial
+        # profile by the rule of AxisymProfile.evaluation, once, and names
+        # the overflow instead of failing its first step.
+        if u == "one-node":
+            u = np.ones(101)
+            u[50] = 1e-70
+        else:
+            u = np.full(101, 1e-60)
+        profile = AxisymProfile(u)
+        with pytest.raises(conformal.ProfileError) as rejected:
+            yamabe.run(profile, t_end=0.01, dt=1e-3)
+        assert "overflows or underflows" in str(rejected.value)
+        with pytest.raises(conformal.ProfileError) as evaluated:
+            profile.evaluation
+        assert str(rejected.value) == str(evaluated.value)
 
     @pytest.mark.parametrize("huge", ["one node", "every node"])
     def test_volume_overflow_in_step_is_flow_error(self, huge):
@@ -216,7 +233,7 @@ class TestStep:
     def test_underflowed_volume_rejected(self):
         # u^6 = 1e-360 underflows to 0, so the volume is 0.
         p = AxisymProfile.round_profile(101, 1e-60)
-        for quantity in (yamabe.flow_state, yamabe.average_scalar_curvature,
+        for quantity in (yamabe.flow_state, average_curvature,
                          yamabe.hilbert_einstein_energy):
             with pytest.raises(ValueError, match="volume"):
                 quantity(p)
@@ -236,7 +253,7 @@ class TestStep:
         conformal.save_profile(profile, str(path))
         with pytest.raises(conformal.ProfileError) as loaded:
             conformal.load_profile(str(path))
-        for quantity in (yamabe.flow_state, yamabe.average_scalar_curvature,
+        for quantity in (yamabe.flow_state, average_curvature,
                          yamabe.hilbert_einstein_energy, conformal.volume,
                          conformal.scalar_curvature_field):
             with pytest.raises(conformal.ProfileError) as rejected:
@@ -254,6 +271,18 @@ class TestStep:
             r"a step of size 1\.000e-04 left no valid profile: volume or scalar "
             r"curvature overflows")):
             yamabe.step(state, 1e-4)
+
+    def test_run_to_overflowing_curvature_is_flow_error(self, monkeypatch):
+        # The average integrates S u, which stays finite where u^5 underflows,
+        # so run judges each stepped state by its sup|R - r|: a state with an
+        # infinite R ends the run in a FlowError, not in a recorded state.
+        u = np.ones(101)
+        u[50] = 1e-70
+        monkeypatch.setattr(yamabe, "_advance", lambda *args: (u, 1e-70))
+        with pytest.raises(yamabe.FlowError, match=(
+            r"a step of size 1\.000e-04 left no valid profile: volume or scalar "
+            r"curvature overflows")):
+            yamabe.run(bump_profile(101), t_end=1e-4, dt=1e-4)
 
     def test_volume_underflow_in_substep_is_flow_error(self):
         # The evaluation of the round profile has R = r, so the step leaves
@@ -294,9 +323,9 @@ class TestRun:
         evaluate = LatitudeGrid.evaluate
         calls = []
 
-        def counting(grid, u):
+        def counting(grid, u, *work):
             calls.append(u.size)
-            return evaluate(grid, u)
+            return evaluate(grid, u, *work)
 
         monkeypatch.setattr(LatitudeGrid, "evaluate", counting)
         trace = yamabe.run(bump_profile(201), t_end=0.01, dt=1e-4, sample_every=10,
@@ -316,9 +345,9 @@ class TestRun:
         curvature = LatitudeGrid.scalar_curvature
         calls = []
 
-        def counting(grid, u):
+        def counting(grid, u, *work):
             calls.append(u.size)
-            return curvature(grid, u)
+            return curvature(grid, u, *work)
 
         monkeypatch.setattr(LatitudeGrid, "scalar_curvature", counting)
         path = str(tmp_path / "profile.json")
@@ -524,7 +553,7 @@ class TestMaximumTestDirection:
     def test_reconciles_with_width_derivative_sign(self):
         p = AxisymProfile.from_function(lambda t: 1.0 + 0.05 * np.cos(2 * t), 201)
         field = scalar_curvature_field(p)
-        r = yamabe.average_scalar_curvature(p)
+        r = p.evaluation[2]
         report = maximum_test_direction(p, field - r)
         sphere = max_latitude_sphere(p)
         width_rhs = (
@@ -661,17 +690,15 @@ class TestFusedStepMatchesReference:
             kernel, state.profile.u.copy(), 1e-3, state.volume, yamabe.STABILIZER
         )
         assert np.array_equal(after.profile.u, u)
-        vol = kernel.volume(u)
+        _, vol, r = kernel.evaluate(u)
         assert after.volume == vol
-        assert after.r_avg == kernel.average_r(kernel.scalar_curvature(u), u, vol)
+        assert after.r_avg == r
 
     def test_energies_match_reference(self):
         profile = bump_profile(201)
         kernel = ReferenceFlowKernel(201)
-        u = profile.u
-        vol = kernel.volume(u)
-        r = kernel.average_r(kernel.scalar_curvature(u), u, vol)
-        assert yamabe.average_scalar_curvature(profile) == r
+        _, vol, r = kernel.evaluate(profile.u)
+        assert profile.evaluation[2] == r
         assert yamabe.hilbert_einstein_energy(profile) == r * vol ** (2.0 / 3.0)
 
     def test_convergence_time_matches_explicit_scheme(self):
@@ -720,3 +747,44 @@ class TestStaticFieldsMatchFlow:
         assert np.array_equal(field, flow_field)
         assert np.array_equal(field, ReferenceFlowKernel(n).scalar_curvature(profile.u))
 
+
+class TestFusedKernel:
+    """The one kernel's invariants: exact on the round profile, and the
+    textbook formulas to a rounding bound.  (The flow's sampled states equal
+    ``flow_state`` of their profiles bit for bit:
+    ``TestRun.test_states_equal_flow_state``.)"""
+
+    @pytest.mark.parametrize("n", [101, 201, 401, 801])
+    def test_round_profile_is_exactly_six(self, n):
+        # Differences first: a constant u has S = 6 u exactly, so R = 6 at
+        # every node, and a step moves no node.  r is a ratio of two dots,
+        # so it may differ from 6 in the last bit; sup|R - r| is then |r - 6|.
+        profile = AxisymProfile.round_profile(n)
+        grid = latitude_grid(n)
+        assert np.all(grid.evaluate(profile.u)[0] == 6.0)
+        assert np.all(grid.scalar_curvature(profile.u) == 6.0)
+        state = yamabe.flow_state(profile)
+        assert np.all(state.profile.evaluation[0] == 6.0)
+        assert state.sup_R_minus_r == abs(state.r_avg - 6.0) <= 4 * np.finfo(float).eps
+        assert np.array_equal(yamabe.step(state, 1e-3).profile.u, profile.u)
+
+    @pytest.mark.parametrize("n", [101, 201, 401, 801])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_textbook_formulas(self, n, seed):
+        # The textbook route forms (u+ - 2u + u-) / h^2: each of its roundings
+        # is at most eps max(u), so the second difference carries up to about
+        # 4 eps max(u) / h^2, times 8 in S and over min(u)^5 in R; the bound
+        # doubles that for the cot term and the fused side's own roundings,
+        # and the powers add a few eps of |R|.  The integrals are sums of n terms, each
+        # rounded a few times: at most (8 + 2n) eps relative for the positive
+        # volume, and the bound on R plus (16 + 4n) eps max|R| for r.
+        u = four_mode_profile(n, seed).u
+        grid = latitude_grid(n)
+        field, vol, r = grid.evaluate(u)
+        ref_field, ref_vol, ref_r = textbook_evaluation(u)
+        eps = np.finfo(float).eps
+        top = float(np.max(np.abs(ref_field)))
+        field_bound = 64 * eps * u.max() / (grid.h2 * u.min() ** 5) + 16 * eps * top
+        assert np.max(np.abs(field - ref_field)) <= field_bound
+        assert abs(vol - ref_vol) <= (8 + 2 * n) * eps * ref_vol
+        assert abs(r - ref_r) <= field_bound + (16 + 4 * n) * eps * top
