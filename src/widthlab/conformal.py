@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fsio import atomic_write_text, is_number_list, json_text, read_json
+from ._fsio import is_number_list, read_json
 from .numerics import (
     QuadratureConfig,
     critical_points,
@@ -55,7 +55,6 @@ __all__ = [
     "IsoperimetricCheck",
     "GreatSphereCheck",
     "load_profile",
-    "save_profile",
     "scalar_curvature_field",
     "volume",
     "sphere_area",
@@ -264,13 +263,6 @@ def load_profile(path: str) -> AxisymProfile:
     except ValueError as exc:
         raise ProfileError(f"profile file {path}: {exc}") from None
     return profile
-
-
-def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:
-    payload: dict = {"n": profile.n, "u": [float(v) for v in profile.u]}
-    if description is not None:
-        payload["description"] = description
-    atomic_write_text(path, json_text(payload))
 
 
 def scalar_curvature_field(profile: AxisymProfile) -> np.ndarray:

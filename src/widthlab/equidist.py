@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,8 +43,6 @@ __all__ = [
     "MembershipCertificate",
     "EquidistTrace",
     "cone_hull_membership",
-    "condition_i_predicate",
-    "condition_ii_violator",
     "RationalApproximation",
     "rational_approximation",
     "cesaro_sequence",
@@ -58,6 +55,10 @@ __all__ = [
 
 MAX_GROUND_SET = 64
 MAX_FAMILY = 64
+# Cap on the scale L of the integer image: every weight of at least 2**-76
+# (about 1.3e-23) stays within it, while one subnormal weight would make L
+# 2**1074 and a 32 x 32 query take over a minute.
+MAX_IMAGE_SCALE = 2**128
 # Cap on the greedy steps of one Cesaro sequence (100x the CLI default).
 MAX_SEQUENCE_STEPS = 1_000_000
 
@@ -134,8 +135,9 @@ class MembershipCertificate:
     Member certificates carry conic coefficients indexed into the family;
     non-member certificates carry a separating functional f with
     ``<f, mu0> > 0`` and ``<f, mu> <= 0`` for every family member.  Both
-    are verified on exact rationals and issued as their nearest doubles,
-    which are exact only where the rationals are dyadic.
+    are verified by integer sums on the image ``[L·A | L·b]`` of the data
+    and issued as their nearest doubles, which are exact only where the
+    rationals are dyadic.
     """
 
     verdict: str
@@ -173,10 +175,6 @@ class EquidistTrace:
 # Phase-1 simplex on an integer tableau (dense, Bland's rule, fraction-free).
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _bareiss_row(row: list[int], prow: list[int], col: int, p: int, d: int) -> list[int]:
     """``row`` after a fraction-free pivot on ``p = prow[col]``, where ``d``
     is the previous pivot; the divisions are exact."""
@@ -191,38 +189,33 @@ def _bareiss_row(row: list[int], prow: list[int], col: int, p: int, d: int) -> l
 class _Simplex:
     """Phase 1 of a dense simplex in exact integer arithmetic.
 
-    Decides whether ``A x = b, x >= 0`` is feasible, for rational A and
+    Decides whether ``A x = b, x >= 0`` is feasible, for integer A and
     b >= 0, by minimizing the sum of one artificial variable per row from the
     all-artificial basis.  Bland's rule guarantees termination; the problem
     sizes here are desk scale, so no sparsity or revised-form machinery is
     needed.
 
-    The tableau ``[L A | I | L b]`` holds Python ints, with L the lcm of the
-    denominators of A and b (a power of two for float data) and the
-    artificial columns kept as the identity; its last row holds the reduced
-    costs, with minus the objective in the rhs entry.  Pivoting is
-    fraction-free (Bareiss, Math. Comp. 22, 1968): the rational tableau is
-    ``tab / det``, where ``det`` is the last pivot element, and a pivot on
-    ``p`` maps every other row to ``(p * row - f * pivot_row) / det`` with
-    exact division.  The ratio test admits only positive pivot elements, so
-    ``det`` stays positive, and entering columns and ratio-test rows are
-    chosen by sign and by cross-multiplication.  Scaling the rows by L
-    multiplies every reduced cost of a column, and every ratio of the ratio
-    test, by one positive factor, so the pivot sequence, x, the objective and
-    the duals y are those of the same simplex over ``fractions.Fraction``.
+    The tableau ``[A | I | b]`` holds Python ints, with the artificial
+    columns kept as the identity; its last row holds the reduced costs, with
+    minus the objective in the rhs entry.  Pivoting is fraction-free
+    (Bareiss, Math. Comp. 22, 1968): the rational tableau is ``tab / det``,
+    where ``det`` is the last pivot element, and a pivot on ``p`` maps every
+    other row to ``(p * row - f * pivot_row) / det`` with exact division.
+    The ratio test admits only positive pivot elements, so ``det`` stays
+    positive, and entering columns and ratio-test rows are chosen by sign and
+    by cross-multiplication.  Scaling rational data by a positive factor c
+    (the image's L, say) multiplies every reduced cost of a column, and every
+    ratio of the ratio test, by one positive factor, so the pivot sequence, x
+    and the duals y are those of the same simplex over the rationals, and the
+    objective is c times theirs.
     """
 
-    def __init__(self, columns: list[list[Fraction]], b: list[Fraction]):
+    def __init__(self, columns: list[list[int]], b: list[int]):
         self.m = len(b)
         self.n_struct = len(columns)
-        self.scale = scale = math.lcm(
-            *(v.denominator for col in columns for v in col), *(v.denominator for v in b)
-        )
         # Tableau columns: structural variables then artificials then rhs.
         rows = [
-            [col[i].numerator * (scale // col[i].denominator) for col in columns]
-            + [int(i == k) for k in range(self.m)]
-            + [b[i].numerator * (scale // b[i].denominator)]
+            [col[i] for col in columns] + [int(i == k) for k in range(self.m)] + [b[i]]
             for i in range(self.m)
         ]
         # Reduced costs c_j - sum_r row_r[j], with cost 1 on the artificials.
@@ -243,8 +236,9 @@ class _Simplex:
         self.det = p
         self.basis[row] = col
 
-    def solve(self) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-        """Run phase 1; returns (objective, x, y).
+    def solve(self) -> tuple[int, list[int], list[int], int]:
+        """Run phase 1; returns integers (objective, x, y) and d > 0, each
+        value over d.
 
         The objective is the least sum of the artificials, 0 exactly when the
         system is feasible, and x the final basic solution.  When the
@@ -274,33 +268,32 @@ class _Simplex:
                         best = r
             self._pivot(best, entering)
         det, reduced = self.det, tab[m]
-        x = [_ZERO] * self.n_struct
+        x = [0] * self.n_struct
         for row, j in zip(tab, basis):
             if j < self.n_struct:
-                x[j] = Fraction(row[-1], det)
-        # The reduced cost of the i-th artificial is 1 - y_i.  The duals are
-        # unscaled: the row scale L cancels against the unit costs of the
-        # identity artificial columns.
-        y = [_ONE - Fraction(c, det) for c in reduced[self.n_struct : width]]
-        return Fraction(-reduced[-1], det * self.scale), x, y
-
-
-def _fractions(values) -> list[Fraction]:
-    return [Fraction(float(v)) for v in values]
+                x[j] = row[-1]
+        # The reduced cost of the i-th artificial is 1 - y_i.
+        y = [det - c for c in reduced[self.n_struct : width]]
+        return -reduced[-1], x, y, det
 
 
 def _integer_image(vectors: list[np.ndarray]) -> tuple[list[list[int]], int]:
     """Integer vectors ``L * v`` and the least power of two L that makes them
-    integers; exact, since every double is a dyadic rational."""
+    integers; exact, since every double is a dyadic rational.
+
+    Raises:
+        ValueError: L above ``MAX_IMAGE_SCALE`` (raised before any
+            elimination or pivot).
+    """
     ratios = [[v.as_integer_ratio() for v in vector.tolist()] for vector in vectors]
     scale = max(den for ratio in ratios for _, den in ratio)
+    if scale > MAX_IMAGE_SCALE:
+        raise ValueError(
+            f"exact membership needs the weights times 2**{scale.bit_length() - 1} "
+            f"to make them integers, above the cap of 2**{MAX_IMAGE_SCALE.bit_length() - 1}; "
+            f"weights of at least 2**-76 (about 1.3e-23) stay within it"
+        )
     return [[num * (scale // den) for num, den in ratio] for ratio in ratios], scale
-
-
-def _numerators(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integers k_i and the least d > 0 with ``values[i] = k_i / d``."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 # Relative margin of the float pre-check: a component of the float solution
@@ -383,27 +376,29 @@ def cone_hull_membership(
     residual is clearly nonzero or some component is clearly negative),
     never a verdict.  Every other case (short rank, more members than
     points, non-members and near-members) runs the exact phase-1 simplex on
-    an integer tableau, as below.
+    the image itself, as below.
 
     If the system is infeasible, phase 1 ends with a positive objective and
     its duals y form a Farkas functional: ``<y, b> > 0`` and ``<y, A_j> <= 0``
     for every member.  Since ``<y, b> <= <y, b - A x> <= ||y||_1 ||A x - b||_inf``
     for every x >= 0, the sup-norm defect of every conic combination is at
     least ``<y, b> / ||y||_1``; when that bound exceeds ``tol`` the verdict is
-    "non_member" with f = y.  Only near-members, whose bound is at most
+    "non_member" with f = y; with tol = p / q (q a power of two), the test
+    runs in integers on the image.  Only near-members, whose bound is at most
     ``tol``, run a second phase 1, on the band ``|A x - b| <= tol, x >= 0``
-    (see ``_band_program``): the verdict is "member" when the band is
-    feasible, that is when the least sup-norm defect is at most ``tol``, and
-    otherwise the first n components of its Farkas duals separate.  Exact
-    integer checks on the image pass before a certificate is issued in
-    nearest doubles: member coefficients reconstruct the target to within 0
-    (elimination or first solve) or ``tol`` (band solve), and a separating
-    functional satisfies its sign conditions.
+    scaled to integers (see ``_band_program``): the verdict is "member" when
+    the band is feasible, that is when the least sup-norm defect is at most
+    ``tol``, and otherwise the first n components of its Farkas duals
+    separate.  Integer sums on the image verify a certificate before it is
+    issued in nearest doubles: member coefficients reconstruct the target to
+    within 0 (elimination or first solve) or ``tol`` (band solve: within
+    ``floor(d L tol)`` on the image for coefficients over d), and a
+    separating functional satisfies its sign conditions.
 
     Raises:
         ValueError: ground set above the supported size, a tol that is not
-            positive and finite, mismatched dimensions, or a degenerate
-            all-zero family.
+            positive and finite, mismatched dimensions, a degenerate
+            all-zero family, or an image scale L above ``MAX_IMAGE_SCALE``.
     """
     if mu0.n > MAX_GROUND_SET:
         raise ValueError(f"ground set capped at {MAX_GROUND_SET} points")
@@ -421,29 +416,33 @@ def cone_hull_membership(
         if solution is not None and min(solution[0]) >= 0:
             return _member_certificate(*solution, 0, image, image_b)
 
-    b = _fractions(mu0.weights)
-    cols = [_fractions(m.weights) for m in family.members]
-    defect, x, y = _Simplex(cols, b).solve()
+    defect, x, y, d = _Simplex(image, image_b).solve()
     if defect == 0:
-        return _member_certificate(*_numerators(x), 0, image, image_b)
-    # Phase 1 ended positive, so defect = <y, b> and y is a Farkas functional.
-    exact_tol = Fraction(tol)
-    if defect > exact_tol * sum(abs(v) for v in y):
-        return _separating_certificate(y, image, image_b)
+        return _member_certificate(x, d, 0, image, image_b)
+    # Phase 1 ended positive, so y / d is a Farkas functional and the data's
+    # defect is defect / (d L) = <y, b> / d; with tol = p / q, the test
+    # defect / (d L) > tol ||y / d||_1 runs in integers.
+    p, q = tol.as_integer_ratio()
+    if defect * q > p * scale * sum(map(abs, y)):
+        return _separating_certificate(y, d, image, image_b)
 
-    excess, x, y = _Simplex(*_band_program(b, cols, exact_tol)).solve()
+    excess, x, y, d = _Simplex(*_band_program(image, image_b, scale, tol)).solve()
     if excess == 0:
-        x, d = _numerators(x[: len(cols)])
-        return _member_certificate(x, d, math.floor(exact_tol * d * scale), image, image_b)
-    return _separating_certificate(y[: mu0.n], image, image_b)
+        return _member_certificate(x[: len(image)], d, p * d * scale // q, image, image_b)
+    return _separating_certificate(y[: mu0.n], d, image, image_b)
 
 
-def _band_program(b: list[Fraction], cols: list[list[Fraction]], tol: Fraction):
-    """Columns and rhs of a system, with slacks s, w >= 0, that is feasible
-    exactly when some x >= 0 has ``||sum x_j col_j - b||_inf <= tol``:
+def _band_program(image: list[list[int]], image_b: list[int], scale: int, tol: float):
+    """Integer columns and rhs of a system, with slacks s, w >= 0, that is
+    feasible exactly when some x >= 0 has ``||sum x_j col_j - b||_inf <= tol``,
+    for the data A and b whose image of scale L is ``[image | image_b]``:
 
     rows i:      (A x)_i + s_i = b_i + tol
     rows n + i:  s_i + w_i     = 2 tol
+
+    every row times M = max(L, q), q the denominator of tol = p / q (both
+    powers of two): the image times M / L, the least power of two that
+    makes tol integral on it.
 
     Every rhs is positive.  A Farkas functional y of an infeasible band gives
     ``sum_i y_i (col_j)_i <= 0`` from the x columns, ``y_i + y_{n+i} <= 0``
@@ -451,25 +450,27 @@ def _band_program(b: list[Fraction], cols: list[list[Fraction]], tol: Fraction):
     positive pairing with the rhs forces ``sum_i y_i b_i > 0``:
     f = (y_0, ..., y_{n-1}) separates b from the cone.
     """
-    n = len(b)
-    columns = [col + [_ZERO] * n for col in cols]
-    columns += [[_ONE if r in (i, n + i) else _ZERO for r in range(2 * n)] for i in range(n)]
-    columns += [[_ONE if r == n + i else _ZERO for r in range(2 * n)] for i in range(n)]
-    return columns, [bi + tol for bi in b] + [2 * tol] * n
+    p, q = tol.as_integer_ratio()
+    unit = max(scale, q)
+    lift, band_tol = unit // scale, p * unit // q
+    n = len(image_b)
+    columns = [[lift * v for v in col] + [0] * n for col in image]
+    columns += [[unit if r in (i, n + i) else 0 for r in range(2 * n)] for i in range(n)]
+    columns += [[unit if r == n + i else 0 for r in range(2 * n)] for i in range(n)]
+    return columns, [lift * bi + band_tol for bi in image_b] + [2 * band_tol] * n
 
 
-def _separating_certificate(f, image, image_b) -> MembershipCertificate:
-    """Non-member certificate for f after exact checks of its sign
-    conditions on the integer image (f scaled to integers by a positive
-    factor, which keeps every sign)."""
-    g, _ = _numerators(f)
-    if sum(gi * bi for gi, bi in zip(g, image_b)) <= 0 or any(
-        sum(gi * ci for gi, ci in zip(g, col)) > 0 for col in image
+def _separating_certificate(f, d, image, image_b) -> MembershipCertificate:
+    """Non-member certificate for the functional ``f / d`` (integers f and
+    d > 0) after exact checks of its sign conditions on the integer image,
+    which d and the image's scale leave unchanged."""
+    if sum(map(operator.mul, f, image_b)) <= 0 or any(
+        sum(map(operator.mul, f, col)) > 0 for col in image
     ):
         raise ArithmeticError("separating functional failed exact verification")
     return MembershipCertificate(
         verdict="non_member",
-        separating_f=np.array([float(v) for v in f]),
+        separating_f=np.array([v / d for v in f]),
     )
 
 
@@ -486,35 +487,6 @@ def _member_certificate(x, d, bound: int, image, image_b) -> MembershipCertifica
         verdict="member",
         coefficients=tuple((j, xj / d) for j, xj in enumerate(x) if xj != 0),
     )
-
-
-def condition_i_predicate(
-    mu0: FiniteMeasure, family: MeasureFamily, f: np.ndarray
-) -> bool:
-    """Test direction i) of the equivalence: if ``<f, mu0> < 0`` then some
-    family member must also pair non-positively with f; otherwise the
-    predicate holds vacuously."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (mu0.n,):
-        raise ValueError("functional dimension must match the ground set")
-    if float(f @ mu0.weights) >= 0.0:
-        return True
-    return any(float(f @ m.weights) <= 0.0 for m in family.members)
-
-
-def condition_ii_violator(mu0: FiniteMeasure, f: np.ndarray) -> np.ndarray:
-    """Shift a separating functional into a violator of condition ii).
-
-    ``f0 = <f, mu0>/mu0(X) - f`` pairs to exactly zero with mu0 while
-    pairing strictly positively with every positive-mass measure that f
-    separates, witnessing the failure of "positive on the family implies
-    positive on the target".
-    """
-    if mu0.total_mass <= 0.0:
-        raise ValueError("the target measure must have positive mass")
-    f = np.asarray(f, dtype=float)
-    mean = float(f @ mu0.weights) / mu0.total_mass
-    return mean - f
 
 
 @dataclass(frozen=True)
@@ -587,9 +559,10 @@ def _greedy_trace(
     Each step computes ``max(|(running + candidates) / denominator - target|)``
     per candidate into buffers allocated once, laid out coordinates by
     candidates, (n, m): ``by_coord`` is a contiguous copy of
-    ``candidates.T``, ``tiled`` the target repeated across the m columns, the
-    running sum an (n, 1) column and the weighted denominators a (1, m) row,
-    so the subtraction runs on two arrays of one shape and the maximum
+    ``candidates.T``, ``tiled`` the target repeated across the m columns and
+    ``tiled_masses`` the masses repeated down the n rows, and the running sum
+    is an (n, 1) column, so the weighted denominators ``total + m_j``, their
+    division and the subtraction run on arrays of one shape and the maximum
     reduces down the columns.  The trace is bit-identical to the plain
     (m, n) expression: every trial element is the same IEEE operation on the
     same operands (``running_i + c_ji``, then ``/ k`` or ``/ (total + m_j)``,
@@ -616,8 +589,8 @@ def _greedy_trace(
     column = np.zeros((n, 1))
     running = column[:, 0]
     trial = np.empty((n, m))
-    masses_row = masses[None, :]
-    denominators = np.empty((1, m))
+    tiled_masses = np.repeat(masses[None, :], n, axis=0)
+    denominators = np.empty((n, m))
     dists = np.empty(m)
     rows = list(candidates)
     mass_of = masses.tolist()
@@ -633,7 +606,7 @@ def _greedy_trace(
         for k in range(len(picks) + 1, min(next_try, k_max) + 1):
             add(column, by_coord, out=trial)
             if weighted:
-                add(total_mass, masses_row, out=denominators)
+                add(total_mass, tiled_masses, out=denominators)
                 divide(trial, denominators, out=trial)
             else:
                 divide(trial, float(k), out=trial)

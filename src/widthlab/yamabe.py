@@ -41,10 +41,11 @@ Cost: each state is evaluated once, by the fused kernel
 and ``u^6`` from one chain of products, ``R = S / u^5``, and the volume and
 the curvature integral as dots with one weight vector, using
 ``R u^6 = S u``.  ``AxisymProfile.evaluation`` keeps its result for
-``flow_state``, ``step`` and the energy functions; ``run`` calls the kernel
-directly and keeps no array on its sampled profiles.  ``run`` allocates its
-work arrays once per call, a ``LatitudeGrid.workspace()``, the state and
-``r - R``, and steps in place: the kernel, the right-hand side
+``flow_state``, ``step``, the energy functions and the initial state of
+``run``, which calls the kernel directly on every later state and keeps no
+array on its sampled profiles.  ``run`` allocates its work arrays once per
+call, a ``LatitudeGrid.workspace()``, the state and ``r - R``, and steps in
+place: the kernel, the right-hand side
 ``(dt/4) u (r - R)`` (two passes), the DCT-I solve (two ``numpy.fft`` calls
 with ``out``) and the renormalization write into them, never into the
 shared grid.  It forms ``r - R`` of each state once, for its monitor
@@ -306,7 +307,7 @@ def run(
         ValueError: for non-positive or non-finite dt/t_end, more than
             ``MAX_STEPS`` outer steps, or sample_every < 1.
         ProfileError: for an initial profile that fails the floating-point
-            rule of ``AxisymProfile.evaluation``, checked once per run.
+            rule of ``AxisymProfile.evaluation``, whose result run reads.
         FlowError: when a step leaves floating point or the valid profiles
             (see ``FlowError``).
     """
@@ -333,10 +334,7 @@ def run(
     status = "completed"
     taken = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scalar, target_volume, r = grid.evaluate(u, work)
-        fault = _evaluation_fault(u, scalar, target_volume, r)
-        if fault:
-            raise ProfileError(fault)
+        scalar, target_volume, r = profile.evaluation
         np.subtract(r, scalar, out=deviation)
         lo = float(np.minimum.reduce(u))
         states = [_state(profile, 0.0, target_volume, r, _sup(deviation, work.scratch))]

@@ -17,23 +17,26 @@ package ran before, stays as an independent cross-check of the flow's
 convergence.  The
 membership LP is kept here as the dense two-phase simplex over
 ``fractions.Fraction`` whose phase 1 the integer tableau in
-``widthlab.equidist`` must match pivot for pivot, with the LP that
+``widthlab.equidist`` must match pivot for pivot (``integer_phase_one``
+feeds that tableau the integer image of rational data and reads its
+integers back as rationals), with the LP that
 minimizes the sup-norm defect of a conic combination as the reference for
 near-member verdicts, and the greedy Cesaro loop as the allocating numpy
 loop whose traces the buffered one must equal.  Tests compare the package against these
 routes.
 
 The test-only constructions live here as well, so the package holds only
-what its commands and criteria run: the tilted sphere area at one level
-(the package's own closed form, the per-level reference of the certified
-sweep-out maximum), the curvature integral over a latitude sphere, and the
-volume-preserving conformal variation with its integral over the maximal
-sphere.
+what its commands and criteria run: the profile writer, the tilted sphere
+area at one level (the package's own closed form, the per-level reference
+of the certified sweep-out maximum), the curvature integral over a latitude
+sphere, and the volume-preserving conformal variation with its integral
+over the maximal sphere.
 
 The membership equivalence harness (``equivalence_harness``) drives the
-package's membership LP, certificates, condition checks and Cesaro
-sequences on seeded random instances against ``bruteforce_member``, an
-oracle that enumerates generator subsets and solves each in exact rationals.
+package's membership LP, certificates and Cesaro sequences, and the paper's
+conditions i) and ii) as a predicate and a violator (both kept here), on
+seeded random instances against ``bruteforce_member``, an oracle that
+enumerates generator subsets and solves each in exact rationals.
 """
 
 from __future__ import annotations
@@ -64,12 +67,12 @@ from widthlab.equidist import (
     FamilyStructure,
     FiniteMeasure,
     MeasureFamily,
+    _Simplex,
     cesaro_sequence,
-    condition_i_predicate,
-    condition_ii_violator,
     cone_hull_membership,
     weighted_cesaro_structured,
 )
+from widthlab._fsio import atomic_write_text, json_text
 from widthlab.numerics import QuadratureConfig, integrate_adaptive, latitude_grid
 
 ROUND_S3_VOLUME = 2.0 * np.pi**2
@@ -538,10 +541,19 @@ def flow_reference(
 
 
 # ---------------------------------------------------------------------------
-# Constructions only the tests use: the tilted sphere area at one level, the
-# curvature integral over a latitude sphere, and the volume-preserving
-# conformal variation with its integral over the maximal sphere.
+# Constructions only the tests use: the profile writer, the tilted sphere
+# area at one level, the curvature integral over a latitude sphere, and the
+# volume-preserving conformal variation with its integral over the maximal
+# sphere.
 # ---------------------------------------------------------------------------
+
+
+def save_profile(profile: AxisymProfile, path: str, description: str | None = None) -> None:
+    """Write a profile as the JSON that ``conformal.load_profile`` reads."""
+    payload: dict = {"n": profile.n, "u": [float(v) for v in profile.u]}
+    if description is not None:
+        payload["description"] = description
+    atomic_write_text(path, json_text(payload))
 
 
 def tilted_sphere_area(profile: AxisymProfile, alpha: float, c: float) -> float:
@@ -643,6 +655,24 @@ _ONE = Fraction(1)
 def fractions(values) -> list[Fraction]:
     """Exact rationals of float data, one ``Fraction(float(v))`` per value."""
     return [Fraction(float(v)) for v in values]
+
+
+def integer_phase_one(columns: list[list[Fraction]], b: list[Fraction], simplex=_Simplex):
+    """Phase 1 of the package's integer simplex (``simplex``, a subclass of
+    ``widthlab.equidist._Simplex`` that may record its pivots) on rational
+    data, for comparison with ``FractionSimplex``.
+
+    The integer input is the data times the lcm L of its denominators; the
+    integer outputs over d come back as rationals, the objective over d L,
+    which is the data's own.  Returns ``(objective, x, y)`` and the simplex.
+    """
+    scale = math.lcm(*(v.denominator for col in columns for v in col),
+                     *(v.denominator for v in b))
+    solver = simplex([[int(v * scale) for v in col] for col in columns],
+                     [int(v * scale) for v in b])
+    objective, x, y, d = solver.solve()
+    rationals = [Fraction(v, d) for v in x], [Fraction(v, d) for v in y]
+    return (Fraction(objective, d * scale), *rationals), solver
 
 
 class FractionSimplex:
@@ -866,6 +896,35 @@ def bruteforce_member(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
     return False
 
 
+def condition_i_predicate(
+    mu0: FiniteMeasure, family: MeasureFamily, f: np.ndarray
+) -> bool:
+    """Test direction i) of the equivalence: if ``<f, mu0> < 0`` then some
+    family member must also pair non-positively with f; otherwise the
+    predicate holds vacuously."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (mu0.n,):
+        raise ValueError("functional dimension must match the ground set")
+    if float(f @ mu0.weights) >= 0.0:
+        return True
+    return any(float(f @ m.weights) <= 0.0 for m in family.members)
+
+
+def condition_ii_violator(mu0: FiniteMeasure, f: np.ndarray) -> np.ndarray:
+    """Shift a separating functional into a violator of condition ii).
+
+    ``f0 = <f, mu0>/mu0(X) - f`` pairs to exactly zero with mu0 while
+    pairing strictly positively with every positive-mass measure that f
+    separates, witnessing the failure of "positive on the family implies
+    positive on the target".
+    """
+    if mu0.total_mass <= 0.0:
+        raise ValueError("the target measure must have positive mass")
+    f = np.asarray(f, dtype=float)
+    mean = float(f @ mu0.weights) / mu0.total_mass
+    return mean - f
+
+
 @dataclass(frozen=True)
 class HarnessReport:
     """Cross-check results over random instances of the equivalence."""
@@ -972,7 +1031,7 @@ def equivalence_harness(
         else:
             non_member_count += 1
             f = certificate.separating_f
-            # The package verifies the sign conditions in exact rationals before
+            # The package verifies the sign conditions by integer sums before
             # converting f to float; here allow roundoff on pairings whose
             # exact value is zero (boundary-touching members).
             pairing_noise = 1e-12 * (1.0 + float(np.max(np.abs(f))))

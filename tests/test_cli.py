@@ -15,21 +15,21 @@ import widthlab.conformal as cf
 import widthlab.equidist as eq
 import widthlab.yamabe as yamabe
 
-from oracles import parse_scan_csv
+from oracles import parse_scan_csv, save_profile
 from test_reports import write_reports
 
 
 @pytest.fixture
 def round_profile_path(tmp_path):
     path = str(tmp_path / "round.json")
-    cf.save_profile(cf.AxisymProfile.round_profile(61), path)
+    save_profile(cf.AxisymProfile.round_profile(61), path)
     return path
 
 
 @pytest.fixture
 def bump_profile_path(tmp_path):
     path = str(tmp_path / "bump.json")
-    cf.save_profile(
+    save_profile(
         cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 201), path
     )
     return path
@@ -466,7 +466,7 @@ class TestConformalAnalyze:
         # its dataclass's fields.
         path = str(tmp_path / "double.json")
         profile = cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(2 * t), 41)
-        cf.save_profile(profile, path)
+        save_profile(profile, path)
         out = tmp_path / "ana.json"
         assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
         data = json.loads(out.read_text())
@@ -508,7 +508,7 @@ class TestConformalAnalyze:
         # negative, index 1 + 3 + ... + 11 = 36.  A count capped at degree
         # 4 reported 25.
         path = str(tmp_path / "wide.json")
-        cf.save_profile(cf.AxisymProfile.from_function(
+        save_profile(cf.AxisymProfile.from_function(
             lambda t: 1.0 + 0.5 * np.exp(-(((t - np.pi / 2) / 0.3) ** 2)), 801), path)
         out = tmp_path / "ana.json"
         assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
@@ -525,7 +525,7 @@ class TestConformalAnalyze:
         # 0.0012 rad from a neighbour near pi/2: every sphere that
         # minimal_coordinate_spheres finds is critical.
         path = str(tmp_path / "narrow.json")
-        cf.save_profile(cf.AxisymProfile.from_function(
+        save_profile(cf.AxisymProfile.from_function(
             lambda t: 1.0 + height * np.exp(-(((t - center) / width) ** 2)), n), path)
         out = tmp_path / "ana.json"
         assert cli.main(["conformal-analyze", "--input", path, "--output", str(out)]) == 0
@@ -656,7 +656,7 @@ class TestYamabeRun:
     def test_nonfinite_volume_is_numerical_failure(self, tmp_path, capsys):
         # On u ~ 1e-40 one step of 1e-3 moves u by ~1e117, so u^6 overflows.
         path = str(tmp_path / "thin.json")
-        cf.save_profile(
+        save_profile(
             cf.AxisymProfile.from_function(lambda t: 1e-40 * (1.0 + 0.3 * np.cos(t)), 11),
             path,
         )
@@ -678,7 +678,7 @@ class TestYamabeRun:
         # the flow broke the profile, so this is no input error.
         monkeypatch.setattr(yamabe, "STABILIZER", 0.75)
         path = str(tmp_path / "bump.json")
-        cf.save_profile(
+        save_profile(
             cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 401), path
         )
         out = str(tmp_path / "flow.json")
@@ -782,6 +782,24 @@ class TestEquidistCommands:
         out = tmp_path / "out"
         assert cli.main([command, "--input", str(path), "--output", str(out)]) == 1
         assert_only_error_line(capsys, f"{path}: measure weights must have a finite total mass")
+        assert not out.exists()
+
+    def test_image_scale_above_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Eighth-dyadic members, a target off their cone and one subnormal
+        # member weight, which would make the integer image's scale 2**1074:
+        # refused before any elimination or pivot.
+        rows = np.random.default_rng(1074).integers(1, 9, size=(32, 32)) / 8.0
+        rows[:, -1] = 0.0
+        rows[0, 0] = 5e-324
+        path = str(tmp_path / "subnormal.json")
+        eq.save_instance(path, eq.FiniteMeasure(np.ones(32)),
+                         eq.MeasureFamily(members=tuple(map(eq.FiniteMeasure, rows))))
+        for name in ("_eliminate", "_Simplex"):
+            monkeypatch.setattr(eq, name, None)
+        out = tmp_path / "cert.json"
+        assert cli.main(["equidist-check", "--input", path, "--output", str(out)]) == 1
+        assert_only_error_line(capsys, "weights times 2**1074 to make them integers, "
+                                       "above the cap of 2**128")
         assert not out.exists()
 
     def test_sequence_rejects_non_member(self, tmp_path, nonmember_instance_path,

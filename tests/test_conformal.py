@@ -17,6 +17,7 @@ from oracles import (
     curvature_integral_over_sphere,
     mc_tilted_sphere_area,
     reference_star_scan,
+    save_profile,
     tilted_sphere_area,
 )
 
@@ -75,7 +76,7 @@ class TestAxisymProfile:
     def test_json_round_trip(self, tmp_path):
         p = bump(101)
         path = tmp_path / "profile.json"
-        cf.save_profile(p, str(path), description="one-bump test profile")
+        save_profile(p, str(path), description="one-bump test profile")
         loaded = cf.load_profile(str(path))
         assert loaded.n == p.n
         np.testing.assert_allclose(loaded.u, p.u, rtol=0, atol=0)
@@ -229,7 +230,7 @@ class TestSphereArea:
         spheres = [cf.max_latitude_sphere(profile), *cf.minimal_coordinate_spheres(profile),
                    *cf.star_scan(profile).minimal_spheres]
         path, out = tmp_path / "profile.json", tmp_path / "analyze.json"
-        cf.save_profile(profile, str(path))
+        save_profile(profile, str(path))
         assert cli.main(["conformal-analyze", "--input", str(path), "--output", str(out)]) == 0
         reported = json.loads(out.read_text())["minimal_spheres"]
         assert len(reported) == len(cf.minimal_coordinate_spheres(profile)) >= 1
@@ -672,7 +673,7 @@ class TestStarScan:
             assert cf.jacobi_spectrum(p, PI / 2).nullity == 3
         assert calls["critical_points"] == 1
         path = tmp_path / "bump.json"
-        cf.save_profile(double_bump(201), str(path))
+        save_profile(double_bump(201), str(path))
         out = tmp_path / "analyze.json"
         assert cli.main(["conformal-analyze", "--input", str(path), "--output", str(out)]) == 0
         assert calls["critical_points"] == 2

@@ -11,9 +11,12 @@ import pytest
 import widthlab.equidist as eq
 from oracles import (
     FractionSimplex,
+    condition_i_predicate,
+    condition_ii_violator,
     defect_program,
     equivalence_harness,
     fractions,
+    integer_phase_one,
     random_instance,
     reference_greedy_trace,
 )
@@ -176,7 +179,7 @@ class TestConeHullMembership:
 class TestConditionI:
     def test_vacuous_true(self):
         mu0 = fm(1.0, 1.0)
-        assert eq.condition_i_predicate(mu0, fam(fm(1.0, 0.0)), np.array([1.0, 1.0]))
+        assert condition_i_predicate(mu0, fam(fm(1.0, 0.0)), np.array([1.0, 1.0]))
 
     def test_holds_on_member_instances(self):
         m1, m2 = fm(1.0, 0.0, 0.5), fm(0.25, 1.0, 0.0)
@@ -191,18 +194,18 @@ class TestConditionI:
             if float(f @ mu0.weights) >= 0.0:
                 continue
             tested += 1
-            assert eq.condition_i_predicate(mu0, family, f)
+            assert condition_i_predicate(mu0, family, f)
         assert tested > 10
 
     def test_detects_failure_off_members(self):
         # f is negative on the target but positive on the only member.
-        assert not eq.condition_i_predicate(
+        assert not condition_i_predicate(
             fm(0.0, 1.0), fam(fm(1.0, 0.0)), np.array([1.0, -1.0])
         )
 
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="dimension"):
-            eq.condition_i_predicate(fm(1.0, 1.0), fam(fm(1.0, 1.0)), np.ones(3))
+            condition_i_predicate(fm(1.0, 1.0), fam(fm(1.0, 1.0)), np.ones(3))
 
 
 class TestConditionIIViolator:
@@ -210,13 +213,13 @@ class TestConditionIIViolator:
         mu0 = fm(1.0, 2.0)
         ray = fm(1.0, 1.0)
         cert = eq.cone_hull_membership(mu0, fam(ray))
-        f0 = eq.condition_ii_violator(mu0, cert.separating_f)
+        f0 = condition_ii_violator(mu0, cert.separating_f)
         assert abs(float(f0 @ mu0.weights)) <= 1e-12
         assert float(f0 @ ray.weights) > 0.0
 
     def test_zero_mass_error(self):
         with pytest.raises(ValueError, match="positive mass"):
-            eq.condition_ii_violator(fm(0.0, 0.0), np.array([1.0, -1.0]))
+            condition_ii_violator(fm(0.0, 0.0), np.array([1.0, -1.0]))
 
 
 class TestRationalApproximation:
@@ -400,7 +403,7 @@ class TestEquivalenceHarness:
             f = rng.standard_normal(3)
             if float(f @ mu0.weights) >= 0.0:
                 f = -f
-            assert eq.condition_i_predicate(mu0, family, f)
+            assert condition_i_predicate(mu0, family, f)
         trace = eq.cesaro_sequence(mu0, family, 2000)
         assert trace.cesaro_errors[-1] < 5e-2
 
@@ -412,7 +415,7 @@ class TestEquivalenceHarness:
         assert cert.verdict == "non_member"
         f = cert.separating_f
         assert float(f @ mu0.weights) > 0.0 and float(f @ ray.weights) <= 1e-12
-        f0 = eq.condition_ii_violator(mu0, f)
+        f0 = condition_ii_violator(mu0, f)
         assert abs(float(f0 @ mu0.weights)) <= 1e-12
         assert float(f0 @ ray.weights) > 0.0
         with pytest.raises(ValueError):
@@ -592,8 +595,7 @@ def assert_same_phase_one(columns, b):
     """The integer tableau makes the reference's phase-1 pivots and returns
     its x and objective, and its duals where the system is infeasible."""
     reference = ReferencePhaseOne(columns, b, [Fraction(0)] * len(columns))
-    integer = IntegerRecording(columns, b)
-    objective, x, y = integer.solve()
+    (objective, x, y), integer = integer_phase_one(columns, b, IntegerRecording)
     reference_objective, reference_x, reference_y = reference.solve()
     assert (integer.pivots, integer.basis) == reference.phase_one
     assert (objective, x) == (reference_objective, reference_x)
@@ -621,10 +623,29 @@ class TestIntegerSimplex:
                 a[:, -1] = a[:, 0] + a[:, 1]
             b = rng.integers(1, 17, size=n) / 16.0
             cols = [fractions(a[:, j]) for j in range(m)]
-            tol = Fraction(float(rng.choice([1e-9, 1 / 16, 1 / 4])))
-            band = eq._band_program(fractions(b), cols, tol)
+            tol = float(rng.choice([1e-9, 1 / 16, 1 / 4]))
+            image, scale = eq._integer_image([*a.T, b])
+            image_b = image.pop()
+            columns, rhs = eq._band_program(image, image_b, scale, tol)
+            # The band on the rationals, every row times max(L, q) for tol = p / q.
+            unit = max(scale, tol.as_integer_ratio()[1])
+            exact_columns, exact_rhs = rational_band(fractions(b), cols, Fraction(tol))
+            assert columns == [[unit * v for v in col] for col in exact_columns]
+            assert rhs == [unit * v for v in exact_rhs]
+            band = [list(map(Fraction, col)) for col in columns], list(map(Fraction, rhs))
             feasible.append(assert_same_phase_one(*band) == 0)
         assert any(feasible) and not all(feasible)
+
+
+def rational_band(b, cols, tol):
+    """Columns and rhs of the band program over the rationals, with slacks
+    s, w >= 0: ``(A x)_i + s_i = b_i + tol`` and ``s_i + w_i = 2 tol``."""
+    n = len(b)
+    zero, one = Fraction(0), Fraction(1)
+    columns = [col + [zero] * n for col in cols]
+    columns += [[one if r in (i, n + i) else zero for r in range(2 * n)] for i in range(n)]
+    columns += [[one if r == n + i else zero for r in range(2 * n)] for i in range(n)]
+    return columns, [bi + tol for bi in b] + [2 * tol] * n
 
 
 def planted_non_member(rng, n):
@@ -686,7 +707,7 @@ class TestFarkasExit:
             mu0, family = planted_non_member(rng, int(rng.integers(2, 9)))
             b = fractions(mu0.weights)
             cols = [fractions(m.weights) for m in family.members]
-            defect, _, y = eq._Simplex(cols, b).solve()
+            (defect, _, y), _ = integer_phase_one(cols, b)
             assert defect > 0
             assert sum(fi * bi for fi, bi in zip(y, b)) == defect
             assert defect > Fraction(tol) * sum(abs(v) for v in y)
@@ -739,10 +760,10 @@ class TestFarkasExit:
         # band before a member certificate is issued.
         class Forging(eq._Simplex):
             def solve(self):
-                objective, x, y = super().solve()
+                objective, x, y, d = super().solve()
                 if self.m == 6:
-                    x[0] += Fraction(1, 2**20)
-                return objective, x, y
+                    x[0] += d >> 20  # about 2**-20 on the first coefficient
+                return objective, x, y, d
 
         monkeypatch.setattr(eq, "_Simplex", Forging)
         with pytest.raises(ArithmeticError, match="member certificate"):
@@ -784,12 +805,12 @@ def phase_one_route(mu0, family, tol=1e-9):
     tol: the route of every query that the elimination does not decide."""
     b = fractions(mu0.weights)
     cols = [fractions(m.weights) for m in family.members]
-    defect, x, y = eq._Simplex(cols, b).solve()
+    (defect, x, y), _ = integer_phase_one(cols, b)
     exact_tol = Fraction(tol)
     if defect > 0:
         if defect > exact_tol * sum(abs(v) for v in y):
             return "non_member", None, [float(v).hex() for v in y]
-        excess, x, y = eq._Simplex(*eq._band_program(b, cols, exact_tol)).solve()
+        (excess, x, y), _ = integer_phase_one(*rational_band(b, cols, exact_tol))
         if excess > 0:
             return "non_member", None, [float(v).hex() for v in y[: mu0.n]]
     coefficients = [(j, float(v).hex()) for j, v in enumerate(x[: len(cols)]) if v != 0]
@@ -931,7 +952,7 @@ class TestCapSizes:
         assert cert.verdict == "non_member"
         b = fractions(mu0.weights)
         cols = [fractions(m.weights) for m in family.members]
-        _, _, y = eq._Simplex(cols, b).solve()
+        (_, _, y), _ = integer_phase_one(cols, b)
         assert exact_sign_conditions(y, mu0, family)
         assert list(cert.separating_f) == [float(v) for v in y]
 

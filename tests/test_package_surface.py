@@ -74,3 +74,18 @@ def test_cross_module_private_names_are_pinned():
     assert not new, f"private names used across modules outside the pinned set: {new}"
     gone = sorted(CROSS_MODULE_PRIVATE - found)
     assert not gone, f"pinned cross-module private names no longer used: {gone}"
+
+
+def test_membership_runs_on_integers():
+    # The exact simplex, the band LP and their certificates work on the
+    # integer image; the Fraction simplex is the tests' reference.
+    assert not hasattr(importlib.import_module("widthlab.equidist"), "Fraction")
+
+
+@pytest.mark.parametrize("name, moved", [
+    ("equidist", ("condition_i_predicate", "condition_ii_violator")),
+    ("conformal", ("save_profile",)),
+])
+def test_test_only_names_live_in_oracles(name, moved):
+    module = importlib.import_module(f"widthlab.{name}")
+    assert [attr for attr in moved if hasattr(module, attr)] == []

@@ -18,6 +18,8 @@ import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
 
+from oracles import save_profile
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 COMMANDS = [
@@ -42,12 +44,12 @@ def write_reports(directory) -> None:
     here = os.getcwd()
     os.chdir(directory)
     try:
-        cf.save_profile(
+        save_profile(
             cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 41),
             "bump.json",
         )
         # Three spheres: at 0.72, pi/2 (index 0) and 2.42.
-        cf.save_profile(
+        save_profile(
             cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(2 * t), 41),
             "double_bump.json",
         )

@@ -23,6 +23,7 @@ from oracles import (
     implicit_flow_reference,
     maximum_test_direction,
     reference_implicit_advance,
+    save_profile,
     textbook_evaluation,
 )
 
@@ -250,7 +251,7 @@ class TestStep:
         u[{"interior": [n // 2], "pole-0": [0, 1], "pole-n-1": [-2, -1]}[node]] = 1e-70
         profile = AxisymProfile(u)
         path = tmp_path / "p.json"
-        conformal.save_profile(profile, str(path))
+        save_profile(profile, str(path))
         with pytest.raises(conformal.ProfileError) as loaded:
             conformal.load_profile(str(path))
         for quantity in (yamabe.flow_state, average_curvature,
@@ -335,13 +336,13 @@ class TestRun:
 
     @pytest.mark.parametrize("job, evaluations", [
         ("chained-steps", 11), ("conformal-analyze", 1), ("roundcheck", 2),
-        ("yamabe-run", 102),
+        ("yamabe-run", 101),
     ])
     def test_each_profile_is_evaluated_once(self, monkeypatch, tmp_path, job, evaluations):
         # Every evaluation forms the curvature; a profile keeps its own, so
         # step does not evaluate its input again and the CLI reports what
-        # load_profile evaluated.  run evaluates its initial profile and
-        # each of its 100 steps itself.
+        # load_profile evaluated.  run starts from the evaluation its
+        # initial profile keeps and evaluates each of its 100 steps itself.
         curvature = LatitudeGrid.scalar_curvature
         calls = []
 
@@ -351,7 +352,7 @@ class TestRun:
 
         monkeypatch.setattr(LatitudeGrid, "scalar_curvature", counting)
         path = str(tmp_path / "profile.json")
-        conformal.save_profile(bump_profile(201), path)
+        save_profile(bump_profile(201), path)
         out = ["--output", str(tmp_path / "report.json")]
         if job == "chained-steps":
             state = yamabe.flow_state(bump_profile(201))
