@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fsio import atomic_write_text, csv_text, is_number_list, json_text, read_json
+from ._fsio import atomic_write_text, csv_text, is_number_list, read_json
 
 __all__ = [
     "FiniteMeasure",
@@ -47,7 +47,6 @@ __all__ = [
     "rational_approximation",
     "cesaro_sequence",
     "weighted_cesaro_structured",
-    "save_instance",
     "load_instance",
     "certificate_payload",
     "write_trace_csv",
@@ -61,6 +60,8 @@ MAX_FAMILY = 64
 MAX_IMAGE_SCALE = 2**128
 # Cap on the greedy steps of one Cesaro sequence (100x the CLI default).
 MAX_SEQUENCE_STEPS = 1_000_000
+# Cap on the common denominators one rational approximation sweeps.
+MAX_DENOMINATOR = 10**8
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,10 @@ class _Simplex:
     other row to ``(p * row - f * pivot_row) / det`` with exact division.
     The ratio test admits only positive pivot elements, so ``det`` stays
     positive, and entering columns and ratio-test rows are chosen by sign and
-    by cross-multiplication.  Scaling rational data by a positive factor c
-    (the image's L, say) multiplies every reduced cost of a column, and every
-    ratio of the ratio test, by one positive factor, so the pivot sequence, x
-    and the duals y are those of the same simplex over the rationals, and the
-    objective is c times theirs.
+    by cross-multiplication.  A column times c > 0 has its reduced cost and
+    its ratio-test ratios times c, so the pivots and the duals y stay and its
+    x is divided by c; all rows times c (the image's L) leave the pivots, x
+    and y of the rationals, with the objective c times theirs.
     """
 
     def __init__(self, columns: list[list[int]], b: list[int]):
@@ -386,9 +386,9 @@ def cone_hull_membership(
     "non_member" with f = y; with tol = p / q (q a power of two), the test
     runs in integers on the image.  Only near-members, whose bound is at most
     ``tol``, run a second phase 1, on the band ``|A x - b| <= tol, x >= 0``
-    scaled to integers (see ``_band_program``): the verdict is "member" when
-    the band is feasible, that is when the least sup-norm defect is at most
-    ``tol``, and otherwise the first n components of its Farkas duals
+    with the image as its matrix and tol in its rhs (``_band_program``):
+    "member" when it is feasible, that is when the least sup-norm defect is
+    at most ``tol``, and otherwise the first n components of its Farkas duals
     separate.  Integer sums on the image verify a certificate before it is
     issued in nearest doubles: member coefficients reconstruct the target to
     within 0 (elimination or first solve) or ``tol`` (band solve: within
@@ -426,13 +426,15 @@ def cone_hull_membership(
     if defect * q > p * scale * sum(map(abs, y)):
         return _separating_certificate(y, d, image, image_b)
 
-    excess, x, y, d = _Simplex(*_band_program(image, image_b, scale, tol)).solve()
+    unit = max(scale, q)
+    lift, band_tol = unit // scale, p * unit // q
+    excess, x, y, d = _Simplex(*_band_program(image, image_b, lift, band_tol)).solve()
     if excess == 0:
-        return _member_certificate(x[: len(image)], d, p * d * scale // q, image, image_b)
+        return _member_certificate(x[: len(image)], d * lift, d * band_tol, image, image_b)
     return _separating_certificate(y[: mu0.n], d, image, image_b)
 
 
-def _band_program(image: list[list[int]], image_b: list[int], scale: int, tol: float):
+def _band_program(image: list[list[int]], image_b: list[int], lift: int, band_tol: int):
     """Integer columns and rhs of a system, with slacks s, w >= 0, that is
     feasible exactly when some x >= 0 has ``||sum x_j col_j - b||_inf <= tol``,
     for the data A and b whose image of scale L is ``[image | image_b]``:
@@ -441,8 +443,10 @@ def _band_program(image: list[list[int]], image_b: list[int], scale: int, tol: f
     rows n + i:  s_i + w_i     = 2 tol
 
     every row times M = max(L, q), q the denominator of tol = p / q (both
-    powers of two): the image times M / L, the least power of two that
-    makes tol integral on it.
+    powers of two), in ``x' = lift x``, ``s' = M s``, ``w' = M w`` with
+    lift = M / L and ``band_tol = p M / q``: the image padded with n zeros,
+    0/1 slacks, and tol in the rhs alone.  Columns times positive factors
+    keep the pivots and duals y (``_Simplex``), and the solution is x'.
 
     Every rhs is positive.  A Farkas functional y of an infeasible band gives
     ``sum_i y_i (col_j)_i <= 0`` from the x columns, ``y_i + y_{n+i} <= 0``
@@ -450,14 +454,11 @@ def _band_program(image: list[list[int]], image_b: list[int], scale: int, tol: f
     positive pairing with the rhs forces ``sum_i y_i b_i > 0``:
     f = (y_0, ..., y_{n-1}) separates b from the cone.
     """
-    p, q = tol.as_integer_ratio()
-    unit = max(scale, q)
-    lift, band_tol = unit // scale, p * unit // q
     n = len(image_b)
-    columns = [[lift * v for v in col] + [0] * n for col in image]
-    columns += [[unit if r in (i, n + i) else 0 for r in range(2 * n)] for i in range(n)]
-    columns += [[unit if r == n + i else 0 for r in range(2 * n)] for i in range(n)]
-    return columns, [lift * bi + band_tol for bi in image_b] + [2 * band_tol] * n
+    # Slack k is 1 on rows k and n + k: s_i for k = i, w_i for k = n + i.
+    slacks = [[int(r in (k, n + k)) for r in range(2 * n)] for k in range(2 * n)]
+    rhs = [lift * bi + band_tol for bi in image_b] + [2 * band_tol] * n
+    return [col + [0] * n for col in image] + slacks, rhs
 
 
 def _separating_certificate(f, d, image, image_b) -> MembershipCertificate:
@@ -505,7 +506,8 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     returning (self-checking postcondition).
 
     Raises:
-        ValueError: non-positive alphas or eps.
+        ValueError: non-positive alphas or eps, or an eps whose sweep would
+            pass ``MAX_DENOMINATOR`` without meeting the bound.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -516,10 +518,11 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
         raise ValueError(f"eps must be positive, got {eps}")
     count = alphas.size
     target = eps / count
-    # Rounding alone achieves 1/(2d) < eps/N once d > N/(2 eps); the
-    # positivity clamp on numerators can only delay success while some
-    # alpha_i < target, which the extra 1/min(alpha) margin absorbs.
-    d_cap = int(np.ceil(count / (2.0 * eps) + 1.0 / float(np.min(alphas)))) + 2
+    # Rounding alone achieves 1/(2d) < eps/N once d > N/(2 eps), and the
+    # positivity clamp to numerator 1 succeeds once d > 1/(min(alpha) + eps/N),
+    # a margin below N/eps however small the alphas.
+    reach = np.ceil(count / (2.0 * eps) + 1.0 / (float(np.min(alphas)) + target)) + 2
+    d_cap = int(min(reach, MAX_DENOMINATOR))
     block = 4096
     start = 1
     while start <= d_cap:
@@ -536,6 +539,10 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
             ), "rational approximation failed its own bound"
             return RationalApproximation(d=d, numerators=c)
         start = stop
+    if reach > MAX_DENOMINATOR:
+        raise ValueError(
+            f"eps = {eps} needs a common denominator above {MAX_DENOMINATOR:,}"
+        )
     raise ArithmeticError("denominator sweep exhausted; eps bound unreachable")
 
 
@@ -752,21 +759,6 @@ def weighted_cesaro_structured(
 # ---------------------------------------------------------------------------
 
 
-def save_instance(path: str, mu0: FiniteMeasure, family: MeasureFamily) -> None:
-    """Write an instance as JSON with fields n, mu0, Y and optional structure."""
-    payload: dict = {
-        "n": mu0.n,
-        "mu0": [float(v) for v in mu0.weights],
-        "Y": [[float(v) for v in m.weights] for m in family.members],
-    }
-    if family.structure is not None:
-        payload["structure"] = {
-            "W": [[float(v) for v in m.weights] for m in family.structure.base],
-            "mass_bounds": [float(v) for v in family.structure.mass_bounds],
-        }
-    atomic_write_text(path, json_text(payload))
-
-
 def _measures(rows, key: str) -> tuple[FiniteMeasure, ...]:
     if not isinstance(rows, list) or not all(is_number_list(row) for row in rows):
         raise ValueError(f"{key!r} must be a list of rows of numbers")
@@ -774,8 +766,8 @@ def _measures(rows, key: str) -> tuple[FiniteMeasure, ...]:
 
 
 def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
-    """Read an instance written by save_instance.  A file that is not a JSON
-    object with an integer ``n`` equal to the length of ``mu0``, numeric rows
+    """Read an instance file.  A file that is not a JSON object with an
+    integer ``n`` equal to the length of ``mu0``, numeric rows
     ``Y`` (and, in an optional object ``structure``, numeric rows ``W`` and a
     pair ``mass_bounds``) raises a ``ValueError`` that names the file; other
     keys are ignored."""

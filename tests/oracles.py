@@ -26,11 +26,11 @@ loop whose traces the buffered one must equal.  Tests compare the package agains
 routes.
 
 The test-only constructions live here as well, so the package holds only
-what its commands and criteria run: the profile writer, the tilted sphere
-area at one level (the package's own closed form, the per-level reference
-of the certified sweep-out maximum), the curvature integral over a latitude
-sphere, and the volume-preserving conformal variation with its integral
-over the maximal sphere.
+what its commands and criteria run: the profile and instance writers, the
+tilted sphere area at one level (the package's own closed form, the
+per-level reference of the certified sweep-out maximum), the curvature
+integral over a latitude sphere, and the volume-preserving conformal
+variation with its integral over the maximal sphere.
 
 The membership equivalence harness (``equivalence_harness``) drives the
 package's membership LP, certificates and Cesaro sequences, and the paper's
@@ -541,10 +541,10 @@ def flow_reference(
 
 
 # ---------------------------------------------------------------------------
-# Constructions only the tests use: the profile writer, the tilted sphere
-# area at one level, the curvature integral over a latitude sphere, and the
-# volume-preserving conformal variation with its integral over the maximal
-# sphere.
+# Constructions only the tests use: the profile and instance writers, the
+# tilted sphere area at one level, the curvature integral over a latitude
+# sphere, and the volume-preserving conformal variation with its integral
+# over the maximal sphere.
 # ---------------------------------------------------------------------------
 
 
@@ -553,6 +553,22 @@ def save_profile(profile: AxisymProfile, path: str, description: str | None = No
     payload: dict = {"n": profile.n, "u": [float(v) for v in profile.u]}
     if description is not None:
         payload["description"] = description
+    atomic_write_text(path, json_text(payload))
+
+
+def save_instance(path: str, mu0: FiniteMeasure, family: MeasureFamily) -> None:
+    """Write an instance as the JSON that ``equidist.load_instance`` reads:
+    fields n, mu0, Y and optional structure."""
+    payload: dict = {
+        "n": mu0.n,
+        "mu0": [float(v) for v in mu0.weights],
+        "Y": [[float(v) for v in m.weights] for m in family.members],
+    }
+    if family.structure is not None:
+        payload["structure"] = {
+            "W": [[float(v) for v in m.weights] for m in family.structure.base],
+            "mass_bounds": [float(v) for v in family.structure.mass_bounds],
+        }
     atomic_write_text(path, json_text(payload))
 
 

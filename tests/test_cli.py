@@ -15,7 +15,7 @@ import widthlab.conformal as cf
 import widthlab.equidist as eq
 import widthlab.yamabe as yamabe
 
-from oracles import parse_scan_csv, save_profile
+from oracles import parse_scan_csv, save_instance, save_profile
 from test_reports import write_reports
 
 
@@ -38,7 +38,7 @@ def bump_profile_path(tmp_path):
 @pytest.fixture
 def member_instance_path(tmp_path):
     path = str(tmp_path / "member.json")
-    eq.save_instance(
+    save_instance(
         path,
         eq.FiniteMeasure(np.array([1.0, 1.0])),
         eq.MeasureFamily(
@@ -54,7 +54,7 @@ def member_instance_path(tmp_path):
 @pytest.fixture
 def nonmember_instance_path(tmp_path):
     path = str(tmp_path / "nonmember.json")
-    eq.save_instance(
+    save_instance(
         path,
         eq.FiniteMeasure(np.array([1.0, 2.0])),
         eq.MeasureFamily(members=(eq.FiniteMeasure(np.array([1.0, 1.0])),)),
@@ -735,7 +735,7 @@ class TestEquidistCommands:
         path = str(tmp_path / "structured.json")
         base = (eq.FiniteMeasure(np.array([2.0, 0.0])),
                 eq.FiniteMeasure(np.array([0.0, 1.0])))
-        eq.save_instance(
+        save_instance(
             path,
             eq.FiniteMeasure(np.array([2.0, 1.0])),
             eq.MeasureFamily(
@@ -792,8 +792,8 @@ class TestEquidistCommands:
         rows[:, -1] = 0.0
         rows[0, 0] = 5e-324
         path = str(tmp_path / "subnormal.json")
-        eq.save_instance(path, eq.FiniteMeasure(np.ones(32)),
-                         eq.MeasureFamily(members=tuple(map(eq.FiniteMeasure, rows))))
+        save_instance(path, eq.FiniteMeasure(np.ones(32)),
+                      eq.MeasureFamily(members=tuple(map(eq.FiniteMeasure, rows))))
         for name in ("_eliminate", "_Simplex"):
             monkeypatch.setattr(eq, name, None)
         out = tmp_path / "cert.json"

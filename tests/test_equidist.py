@@ -19,6 +19,7 @@ from oracles import (
     integer_phase_one,
     random_instance,
     reference_greedy_trace,
+    save_instance,
 )
 
 
@@ -244,6 +245,20 @@ class TestRationalApproximation:
         assert result.numerators[0] >= 1
         assert abs(1e-3 - result.numerators[0] / result.d) < 0.5
 
+    def test_subnormal_alpha(self):
+        # The clamp to numerator 1 meets the bound from d = 11 on, however
+        # small alpha is; 1 / alpha itself overflows.
+        result = eq.rational_approximation([5e-324], 0.1)
+        assert (result.d, result.numerators) == (11, (1,))
+
+    def test_sweep_stops_at_max_denominator(self):
+        # 1/d >= 1e-8 stays 1e-8 from alpha = 1e-20, so no d up to the cap
+        # meets eps = 1e-12; a bound met early is still returned.
+        with pytest.raises(ValueError, match=r"eps = 1e-12 .* above 100,000,000"):
+            eq.rational_approximation([1e-20], 1e-12)
+        result = eq.rational_approximation([0.5], 1e-300)
+        assert (result.d, result.numerators) == (2, (1,))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             eq.rational_approximation([0.5, 0.0], 0.1)
@@ -427,7 +442,7 @@ class TestInstanceIO:
         path = str(tmp_path / "instance.json")
         mu0 = fm(1.0, 0.5, 0.25)
         family = fam(fm(1.0, 0.0, 0.0), fm(0.0, 1.0, 1.0))
-        eq.save_instance(path, mu0, family)
+        save_instance(path, mu0, family)
         loaded_mu0, loaded_family = eq.load_instance(path)
         np.testing.assert_array_equal(loaded_mu0.weights, mu0.weights)
         assert len(loaded_family.members) == 2
@@ -440,7 +455,7 @@ class TestInstanceIO:
             members=base,
             structure=eq.FamilyStructure(base=base, mass_bounds=(1.0, 2.0)),
         )
-        eq.save_instance(path, fm(2.0, 1.0), family)
+        save_instance(path, fm(2.0, 1.0), family)
         _, loaded = eq.load_instance(path)
         assert loaded.structure is not None
         assert loaded.structure.mass_bounds == (1.0, 2.0)
@@ -454,10 +469,10 @@ class TestInstanceIO:
         family = eq.MeasureFamily(
             members=base, structure=eq.FamilyStructure(base=base, mass_bounds=(1.0, 2.0))
         )
-        eq.save_instance(path, fm(2.0, 1.0), family)
+        save_instance(path, fm(2.0, 1.0), family)
         written = open(path).read()
         assert set(json.loads(written)["structure"]) == {"W", "mass_bounds"}
-        eq.save_instance(path, *eq.load_instance(path))
+        save_instance(path, *eq.load_instance(path))
         assert open(path).read() == written
 
     def test_structure_with_unread_multiplicity_bound_loads(self, tmp_path):
@@ -601,7 +616,7 @@ def assert_same_phase_one(columns, b):
     assert (objective, x) == (reference_objective, reference_x)
     if objective > 0:
         assert y == reference_y
-    return objective
+    return objective, reference.phase_one
 
 
 class TestIntegerSimplex:
@@ -626,14 +641,23 @@ class TestIntegerSimplex:
             tol = float(rng.choice([1e-9, 1 / 16, 1 / 4]))
             image, scale = eq._integer_image([*a.T, b])
             image_b = image.pop()
-            columns, rhs = eq._band_program(image, image_b, scale, tol)
-            # The band on the rationals, every row times max(L, q) for tol = p / q.
-            unit = max(scale, tol.as_integer_ratio()[1])
+            p, q = tol.as_integer_ratio()
+            unit = max(scale, q)
+            columns, rhs = eq._band_program(image, image_b, unit // scale, p * unit // q)
+            # The image padded with zeros, unit slack columns, and the rhs of
+            # the band on the rationals times max(L, q) for tol = p / q.
             exact_columns, exact_rhs = rational_band(fractions(b), cols, Fraction(tol))
-            assert columns == [[unit * v for v in col] for col in exact_columns]
+            assert columns[:m] == [col + [0] * n for col in image]
+            assert columns[m:] == [[int(v) for v in col] for col in exact_columns[m:]]
             assert rhs == [unit * v for v in exact_rhs]
             band = [list(map(Fraction, col)) for col in columns], list(map(Fraction, rhs))
-            feasible.append(assert_same_phase_one(*band) == 0)
+            objective, pivots = assert_same_phase_one(*band)
+            feasible.append(objective == 0)
+            # Columns scaled, not rows: the pivots of the band on the rationals.
+            rational = ReferencePhaseOne(exact_columns, exact_rhs,
+                                         [Fraction(0)] * len(exact_columns))
+            rational.solve()
+            assert rational.phase_one == pivots
         assert any(feasible) and not all(feasible)
 
 
@@ -687,6 +711,17 @@ def near_member(rng):
     mu0 = (rng.integers(0, 9, size=len(rows)) / 8.0) @ rows
     shift = float(rng.choice([1e-12, 1e-10, 5e-10, 9e-10, 1.1e-9, 2e-9, 5e-9, 1e-8]))
     mu0 = np.maximum(mu0 + shift * rng.choice([-1.0, 0.0, 1.0], size=n), 0.0)
+    family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
+    return eq.FiniteMeasure(mu0), family
+
+
+def tall_near_member(rng, n, shift):
+    """A tall eighth-dyadic family of n / 2 members on n points and a conic
+    combination of it moved by ``shift`` in n / 4 coordinates, off its span."""
+    rows = rng.integers(0, 9, size=(n // 2, n)) / 8.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    mu0 = (rng.integers(1, 9, size=n // 2) / 8.0) @ rows
+    mu0[rng.permutation(n)[: n // 4]] += shift
     family = eq.MeasureFamily(members=tuple(eq.FiniteMeasure(r) for r in rows))
     return eq.FiniteMeasure(mu0), family
 
@@ -756,18 +791,23 @@ class TestFarkasExit:
         assert (solves, eliminations) == ([2], [])
 
     def test_forged_band_coefficients_are_refused(self, monkeypatch):
-        # Coefficients from the band solve are checked exactly against the
-        # band before a member certificate is issued.
+        # Coefficients from the band solve, over d * lift with
+        # lift = max(L, q) / L for tol = p / q, are checked exactly against
+        # the band before a member certificate is issued.
+        mu0, family = self.nudged()
+        _, scale = eq._integer_image([m.weights for m in family.members] + [mu0.weights])
+        lift = max(scale, (1e-9).as_integer_ratio()[1]) // scale
+
         class Forging(eq._Simplex):
             def solve(self):
                 objective, x, y, d = super().solve()
                 if self.m == 6:
-                    x[0] += d >> 20  # about 2**-20 on the first coefficient
+                    x[0] += (d * lift) >> 20  # about 2**-20 on the first coefficient
                 return objective, x, y, d
 
         monkeypatch.setattr(eq, "_Simplex", Forging)
         with pytest.raises(ArithmeticError, match="member certificate"):
-            eq.cone_hull_membership(*self.nudged(), tol=1e-9)
+            eq.cone_hull_membership(mu0, family, tol=1e-9)
 
     def test_near_member_verdicts_match_reference_defect_program(self, monkeypatch):
         # Dyadic members nudged by 1e-12 .. 1e-8 on either side of tol; the
@@ -787,6 +827,55 @@ class TestFarkasExit:
             if len(solves) == 2:
                 band_verdicts.add(verdict)
         assert band_verdicts == {"member", "non_member"}
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_tall_band_member_matches_rational_band(self, monkeypatch, n):
+        # Moved 1e-12 off the span: the band decides, and its coefficients
+        # over d * lift are the rational band's solution.
+        solves = self.count_solves(monkeypatch)
+        issued = []
+        certify = eq._member_certificate
+
+        def recording(x, d, *args):
+            issued.append([Fraction(v, d) for v in x])
+            return certify(x, d, *args)
+
+        monkeypatch.setattr(eq, "_member_certificate", recording)
+        mu0, family = tall_near_member(np.random.default_rng([53, n]), n, 1e-12)
+        cert = eq.cone_hull_membership(mu0, family)
+        assert (cert.verdict, solves) == ("member", [n, 2 * n])
+        cols = [fractions(m.weights) for m in family.members]
+        columns, rhs = rational_band(fractions(mu0.weights), cols, Fraction(1e-9))
+        _, x, _ = FractionSimplex(columns, rhs, [Fraction(0)] * len(columns)).solve()
+        assert issued == [x[: len(cols)]]
+        assert cert.coefficients == tuple((j, float(v)) for j, v in enumerate(x[: len(cols)]) if v)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_tall_band_non_member_separates_exactly(self, monkeypatch, n):
+        # Moved 5e-9 off the span: some draws pass the Farkas bound and are
+        # refused by the band, whose functional must separate exactly.
+        solves = self.count_solves(monkeypatch)
+        issued = []
+        separate = eq._separating_certificate
+
+        def recording(f, d, *args):
+            issued.append([Fraction(v, d) for v in f])
+            return separate(f, d, *args)
+
+        monkeypatch.setattr(eq, "_separating_certificate", recording)
+        rng = np.random.default_rng([59, n])
+        banded = 0
+        for _ in range(4):
+            mu0, family = tall_near_member(rng, n, 5e-9)
+            solves.clear()
+            issued.clear()
+            cert = eq.cone_hull_membership(mu0, family)
+            assert cert.verdict == "non_member"
+            (f,) = issued
+            assert exact_sign_conditions(f, mu0, family)
+            assert list(cert.separating_f) == [float(v) for v in f]
+            banded += solves == [n, 2 * n]
+        assert banded
 
     def test_verdicts_match_reference_defect_program(self):
         rng = np.random.default_rng(37)

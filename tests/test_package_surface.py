@@ -83,7 +83,7 @@ def test_membership_runs_on_integers():
 
 
 @pytest.mark.parametrize("name, moved", [
-    ("equidist", ("condition_i_predicate", "condition_ii_violator")),
+    ("equidist", ("condition_i_predicate", "condition_ii_violator", "save_instance")),
     ("conformal", ("save_profile",)),
 ])
 def test_test_only_names_live_in_oracles(name, moved):

@@ -18,7 +18,7 @@ import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
 
-from oracles import save_profile
+from oracles import save_instance, save_profile
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -55,10 +55,10 @@ def write_reports(directory) -> None:
         )
         unit = (eq.FiniteMeasure(np.array([1.0, 0.0])),
                 eq.FiniteMeasure(np.array([0.0, 1.0])))
-        eq.save_instance("member.json", eq.FiniteMeasure(np.array([1.0, 2.0])),
-                         eq.MeasureFamily(members=unit))
-        eq.save_instance("nonmember.json", eq.FiniteMeasure(np.array([1.0, 2.0])),
-                         eq.MeasureFamily(members=(eq.FiniteMeasure(np.array([1.0, 1.0])),)))
+        save_instance("member.json", eq.FiniteMeasure(np.array([1.0, 2.0])),
+                      eq.MeasureFamily(members=unit))
+        save_instance("nonmember.json", eq.FiniteMeasure(np.array([1.0, 2.0])),
+                      eq.MeasureFamily(members=(eq.FiniteMeasure(np.array([1.0, 1.0])),)))
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in COMMANDS:
                 assert cli.main(argv) == 0, argv
