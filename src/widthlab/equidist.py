@@ -296,34 +296,6 @@ def _integer_image(vectors: list[np.ndarray]) -> tuple[list[list[int]], int]:
     return [[num * (scale // den) for num, den in ratio] for ratio in ratios], scale
 
 
-# Relative margin of the float pre-check: a component of the float solution
-# below -_FLOAT_MARGIN * max|x| marks a target that the elimination cannot
-# certify, while a member's zero coefficients, off by rounding, stay above it;
-# likewise a tall system whose float residual exceeds _FLOAT_MARGIN * max|b|
-# is taken to be inconsistent.
-_FLOAT_MARGIN = 1e-9
-
-
-def _elimination_worth_trying(mu0: FiniteMeasure, family: MeasureFamily) -> bool:
-    """Whether a float solve of ``A x = b`` (LU where A is square, the normal
-    equations ``A^T A x = A^T b`` where it is tall) is nonsingular, leaves no
-    residual above the margin and has no clearly negative component; it
-    chooses the path, never a verdict."""
-    a = np.array([m.weights for m in family.members]).T
-    b = mu0.weights
-    try:
-        with np.errstate(all="ignore"):
-            if a.shape[0] == a.shape[1]:
-                x = np.linalg.solve(a, b)
-            else:
-                x = np.linalg.solve(a.T @ a, a.T @ b)
-                if not np.max(np.abs(a @ x - b)) <= _FLOAT_MARGIN * np.max(np.abs(b)):
-                    return False
-            return bool(np.all(x >= -_FLOAT_MARGIN * np.max(np.abs(x))))
-    except np.linalg.LinAlgError:  # singular
-        return False
-
-
 def _eliminate(columns: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
     """The solution ``x = X / d`` (integers X, d > 0) of ``A x = b`` for
     integer columns A and rhs b, by fraction-free Gauss elimination with the
@@ -371,11 +343,10 @@ def cone_hull_membership(
     system is consistent and its solution x is >= 0, that x is the only
     solution, hence the point where phase 1 would stop (every pivot phase 1
     makes after its objective reaches 0 is degenerate), and the verdict is
-    "member" with that x.  A float solve of ``A x = b`` decides only whether
-    the elimination is tried (not when it is singular, a tall system's
-    residual is clearly nonzero or some component is clearly negative),
-    never a verdict.  Every other case (short rank, more members than
-    points, non-members and near-members) runs the exact phase-1 simplex on
+    "member" with that x.  The route depends on the shape alone: m <= n
+    members on n points try the elimination first, whatever the data.  Every
+    case it does not decide (short rank, an inconsistent system, a negative
+    component, more members than points) runs the exact phase-1 simplex on
     the image itself, as below.
 
     If the system is infeasible, phase 1 ends with a positive objective and
@@ -411,7 +382,7 @@ def cone_hull_membership(
 
     image, scale = _integer_image([m.weights for m in family.members] + [mu0.weights])
     image_b = image.pop()
-    if len(image) <= mu0.n and _elimination_worth_trying(mu0, family):
+    if len(image) <= mu0.n:
         solution = _eliminate(image, image_b)
         if solution is not None and min(solution[0]) >= 0:
             return _member_certificate(*solution, 0, image, image_b)
@@ -501,21 +472,27 @@ class RationalApproximation:
 def rational_approximation(alphas, eps: float) -> RationalApproximation:
     """Smallest common denominator d with |alpha_i - c_i/d| < eps/N for all i.
 
-    Sweeps denominators in increasing order, rounding each numerator to the
-    nearest positive integer; the output bound is re-verified before
-    returning (self-checking postcondition).
+    Sweeps denominators in increasing order, each numerator the nearest
+    positive integer to alpha_i d.  The sweep runs in doubles against the
+    bound plus a few ulps of slack, so it drops no d that meets the bound;
+    it only filters.  Each d it keeps is decided exactly in integers, from
+    the ratios of the doubles alpha_i and eps, and the sweep goes on past a
+    d that fails.  A kept d whose numerators share a factor g > 1 with it
+    repeats the fractions of d / g, which the sweep has already refused, so
+    it is dropped without the exact test.
 
     Raises:
-        ValueError: non-positive alphas or eps, or an eps whose sweep would
-            pass ``MAX_DENOMINATOR`` without meeting the bound.
+        ValueError: non-positive alphas, an eps that is not positive and
+            finite, or an eps whose sweep would pass ``MAX_DENOMINATOR``
+            without meeting the bound.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must form a non-empty 1-D array")
     if np.any(alphas <= 0.0) or not np.all(np.isfinite(alphas)):
         raise ValueError("all alphas must be positive finite reals")
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     count = alphas.size
     target = eps / count
     # Rounding alone achieves 1/(2d) < eps/N once d > N/(2 eps), and the
@@ -523,27 +500,54 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     # a margin below N/eps however small the alphas.
     reach = np.ceil(count / (2.0 * eps) + 1.0 / (float(np.min(alphas)) + target)) + 2
     d_cap = int(min(reach, MAX_DENOMINATOR))
+    # The float distance is off the exact one by at most a few ulps of alpha_i
+    # and of eps/N, also where rint(alpha_i d) takes the other neighbour of a
+    # midpoint, so this bound keeps every d that meets the exact one.
+    bound = target + 2.0**-50 * (alphas + target)
+    ratios = [a.as_integer_ratio() for a in alphas.tolist()]
+    eps_num, eps_den = float(eps).as_integer_ratio()
     block = 4096
     start = 1
     while start <= d_cap:
         stop = min(start + block, d_cap + 1)
         ds = np.arange(start, stop, dtype=float)[:, None]
-        numerators = np.maximum(np.rint(alphas[None, :] * ds), 1.0)
-        ok = np.all(np.abs(alphas[None, :] - numerators / ds) < target, axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            d = int(ds[hits[0], 0])
-            c = tuple(int(v) for v in numerators[hits[0]])
-            assert all(
-                abs(a - ci / d) < target for a, ci in zip(alphas, c)
-            ), "rational approximation failed its own bound"
-            return RationalApproximation(d=d, numerators=c)
+        products = alphas[None, :] * ds
+        numerators = np.maximum(np.rint(products), 1.0)
+        rows = np.flatnonzero(np.all(np.abs(alphas - numerators / ds) <= bound, axis=1))
+        if rows.size:
+            # A float numerator is the exact one where alpha_i d is below
+            # 2**53 and, to within its own rounding, off the midpoints; others
+            # count as 1, which shares no factor.
+            kept = products[rows]
+            sure = (kept < 2.0**53) & (np.abs(kept - np.rint(kept)) < 0.5 - np.spacing(kept))
+            exact = np.where(sure, numerators[rows], 1.0).astype(np.int64)
+            rows = rows[np.gcd(np.gcd.reduce(exact, axis=1), rows + start) == 1]
+        for d in (rows + start).tolist():
+            c = _exact_numerators(ratios, d, eps_num, eps_den * count)
+            if c is not None:
+                return RationalApproximation(d=d, numerators=c)
         start = stop
     if reach > MAX_DENOMINATOR:
         raise ValueError(
             f"eps = {eps} needs a common denominator above {MAX_DENOMINATOR:,}"
         )
     raise ArithmeticError("denominator sweep exhausted; eps bound unreachable")
+
+
+def _exact_numerators(ratios, d: int, p: int, q: int) -> tuple[int, ...] | None:
+    """The nearest positive numerators c_i (ties to even) of alpha_i d, for
+    alpha_i = a_i / b_i given as ``ratios``, if every |alpha_i - c_i / d| is
+    below p / q; None otherwise.  Integer arithmetic throughout."""
+    numerators = []
+    for a, b in ratios:
+        c, r = divmod(a * d, b)
+        if 2 * r > b or (2 * r == b and c % 2):
+            c += 1
+        c = max(c, 1)
+        if abs(a * d - c * b) * q >= p * b * d:
+            return None
+        numerators.append(c)
+    return tuple(numerators)
 
 
 # Speculative blocks (see _greedy_trace): picks matched, picks searched,

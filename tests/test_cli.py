@@ -614,6 +614,21 @@ class TestProfileInput:
         assert_only_error_line(capsys, f"{flag}: profile file {path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload", [{"u": [1.0] * 11}, {"n": 11}, [1.0] * 11])
+    @pytest.mark.parametrize(
+        "command, flag", [("conformal-analyze", "--input"), ("yamabe-run", "--profile")]
+    )
+    def test_profile_needs_n_and_u(self, tmp_path, capsys, payload, command, flag):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(cf.ProfileError, match="must contain 'n' and 'u'") as refused:
+            cf.load_profile(str(path))
+        assert f"profile file {path} " in str(refused.value)
+        out = tmp_path / "out.json"
+        assert cli.main([command, flag, str(path), "--output", str(out)]) == 1
+        assert_only_error_line(capsys, f"{flag}: profile file {path} must contain")
+        assert not out.exists()
+
     def test_node_cap_admits_cap(self, tmp_path):
         path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES)
         assert cf.load_profile(path).n == cf.MAX_PROFILE_NODES

@@ -64,6 +64,12 @@ class TestMeasureFamily:
         with pytest.raises(ValueError, match="ground set"):
             fam(fm(1.0, 0.0), fm(1.0, 0.0, 0.0))
 
+    def test_family_size_cap(self):
+        members = tuple(fm(1.0, float(j)) for j in range(eq.MAX_FAMILY + 1))
+        assert len(eq.MeasureFamily(members=members[:-1]).members) == eq.MAX_FAMILY
+        with pytest.raises(ValueError, match=f"family size capped at {eq.MAX_FAMILY}"):
+            eq.MeasureFamily(members=members)
+
     def test_structure_validation(self):
         base = (fm(1.0, 0.0),)
         with pytest.raises(ValueError, match="mass bounds"):
@@ -246,10 +252,52 @@ class TestRationalApproximation:
         assert abs(1e-3 - result.numerators[0] / result.d) < 0.5
 
     def test_subnormal_alpha(self):
-        # The clamp to numerator 1 meets the bound from d = 11 on, however
-        # small alpha is; 1 / alpha itself overflows.
+        # The clamp to numerator 1 meets the bound from d = 10 on, however
+        # small alpha is; 1 / alpha itself overflows.  1/10 - alpha is below
+        # the double 0.1, which exceeds 1/10 by about 5.6e-18, although in
+        # doubles it rounds to 0.1 itself.
         result = eq.rational_approximation([5e-324], 0.1)
-        assert (result.d, result.numerators) == (11, (1,))
+        assert (result.d, result.numerators) == (10, (1,))
+
+    def test_bound_is_decided_exactly(self):
+        # The double 0.3 is 3/10 - 1.11e-17 (to three digits), which rounds
+        # to 0.3 itself in doubles; no d up to the cap comes within 1e-17.
+        assert Fraction(3, 10) - Fraction(0.3) > Fraction(1e-17)
+        with pytest.raises(ValueError, match=r"eps = 1e-17 .* above 100,000,000"):
+            eq.rational_approximation([0.3], 1e-17)
+        result = eq.rational_approximation([0.3], 2e-17)
+        assert (result.d, result.numerators) == (10, (3,))
+
+    @staticmethod
+    def reference(alphas, eps):
+        """Smallest d whose nearest positive numerators meet the bound, by
+        Fraction arithmetic."""
+        exact = [Fraction(a) for a in alphas]
+        bound = Fraction(eps) / len(alphas)
+        d = 1
+        while True:
+            c = [max(round(a * d), 1) for a in exact]
+            if all(abs(a - Fraction(ci, d)) < bound for a, ci in zip(exact, c)):
+                return d, tuple(c)
+            d += 1
+
+    def test_matches_exact_reference_at_the_bound(self):
+        # eps at the exact worst distance of a planted d0, rounded to a
+        # double, and one ulp either side: the float sweep cannot see which
+        # side of the bound d0 lies on.
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            alphas = rng.uniform(0.05, 1.0, size=n)
+            if rng.integers(2):
+                alphas = rng.integers(1, 64, size=n) / 64.0
+            d0 = int(rng.integers(2, 60))
+            worst = max(abs(Fraction(a) - Fraction(max(round(Fraction(a) * d0), 1), d0))
+                        for a in alphas)
+            eps = float(worst * n)
+            for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+                result = eq.rational_approximation(alphas, float(e))
+                assert (result.d, result.numerators) == self.reference(alphas, float(e))
 
     def test_sweep_stops_at_max_denominator(self):
         # 1/d >= 1e-8 stays 1e-8 from alpha = 1e-20, so no d up to the cap
@@ -264,6 +312,8 @@ class TestRationalApproximation:
             eq.rational_approximation([0.5, 0.0], 0.1)
         with pytest.raises(ValueError, match="eps"):
             eq.rational_approximation([0.5], -1.0)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            eq.rational_approximation([0.5], float("inf"))
 
     def test_random_vectors_meet_bound(self):
         rng = np.random.default_rng(5)
@@ -382,6 +432,14 @@ class TestWeightedCesaroStructured:
         family = self.structured(base, base, (0.5, 2.0))
         with pytest.raises(ValueError, match="outside"):
             eq.weighted_cesaro_structured(fm(1.0, 1.0), family, 10)
+
+    def test_k_max_and_target_mass_checked(self):
+        base = (fm(1.0, 0.0), fm(0.0, 1.0))
+        family = self.structured(base, base, (0.5, 2.0))
+        with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
+            eq.weighted_cesaro_structured(fm(1.0, 1.0), family, 0)
+        with pytest.raises(ValueError, match="target measure must have positive mass"):
+            eq.weighted_cesaro_structured(fm(0.0, 0.0), family, 10)
 
     def test_outside_base_cone_error(self):
         base = (fm(1.0, 0.0),)
@@ -774,21 +832,22 @@ class TestFarkasExit:
         return eq.FiniteMeasure(base.weights + np.array([1e-12, 0.0, 0.0])), fam(base)
 
     def test_near_member_reaches_band_program(self, monkeypatch):
-        # The float solve of the one-member family is positive, so the
-        # elimination runs first, finds the system inconsistent and hands over.
+        # One member on three points: the elimination runs first, finds the
+        # system inconsistent and hands over.
         solves = self.count_solves(monkeypatch)
         eliminations = count_eliminations(monkeypatch)
         assert eq.cone_hull_membership(*self.nudged(), tol=1e-9).verdict == "member"
         assert (solves, eliminations) == ([3, 6], [1])
 
     def test_clear_non_member_skips_band_program(self, monkeypatch):
-        # The tall system's float residual (0.5) rules out the elimination.
+        # The tall system is inconsistent, so the elimination hands over to
+        # one phase 1, whose Farkas bound clears tol.
         solves = self.count_solves(monkeypatch)
         eliminations = count_eliminations(monkeypatch)
         assert eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0))).verdict == (
             "non_member"
         )
-        assert (solves, eliminations) == ([2], [])
+        assert (solves, eliminations) == ([2], [1])
 
     def test_forged_band_coefficients_are_refused(self, monkeypatch):
         # Coefficients from the band solve, over d * lift with
@@ -808,6 +867,26 @@ class TestFarkasExit:
         monkeypatch.setattr(eq, "_Simplex", Forging)
         with pytest.raises(ArithmeticError, match="member certificate"):
             eq.cone_hull_membership(mu0, family, tol=1e-9)
+
+    @pytest.mark.parametrize("forge", ["flip_target_sign", "lift_a_member"])
+    def test_forged_separating_functional_is_refused(self, monkeypatch, forge):
+        # The phase-1 Farkas functional of a clear non-member is checked
+        # exactly against the image before a non-member certificate is issued:
+        # <f, b> > 0 and <f, col> <= 0 for every member column.
+        mu0, family = fm(1.0, 2.0), fam(fm(1.0, 1.0))
+
+        class Forging(eq._Simplex):
+            def solve(self):
+                objective, x, y, d = super().solve()
+                if forge == "flip_target_sign":
+                    y = [-v for v in y]
+                else:
+                    y = [v + d for v in y]  # now positive on the member (1, 1)
+                return objective, x, y, d
+
+        monkeypatch.setattr(eq, "_Simplex", Forging)
+        with pytest.raises(ArithmeticError, match="separating functional"):
+            eq.cone_hull_membership(mu0, family)
 
     def test_near_member_verdicts_match_reference_defect_program(self, monkeypatch):
         # Dyadic members nudged by 1e-12 .. 1e-8 on either side of tol; the
@@ -980,12 +1059,12 @@ class TestElimination:
         monkeypatch.undo()
         assert certificate_bits(cert) == phase_one_route(mu0, family)
 
-    def test_planted_non_member_runs_one_solve_and_no_elimination(self, monkeypatch):
+    def test_planted_non_member_runs_one_elimination_then_one_solve(self, monkeypatch):
         solves = TestFarkasExit.count_solves(monkeypatch)
         eliminations = count_eliminations(monkeypatch)
         mu0, family = planted_non_member(np.random.default_rng(6), 6)
         assert eq.cone_hull_membership(mu0, family).verdict == "non_member"
-        assert (solves, eliminations) == ([6], [])
+        assert (solves, eliminations) == ([6], [6])
 
     def test_eliminate_cases(self):
         # Full rank, after a row swap: x = (1/3, 2/3) over d = |det A| = 9,

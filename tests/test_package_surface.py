@@ -82,6 +82,13 @@ def test_membership_runs_on_integers():
     assert not hasattr(importlib.import_module("widthlab.equidist"), "Fraction")
 
 
+def test_membership_makes_no_lapack_call():
+    # Membership takes its route from the exact elimination; no float solve
+    # picks it, so the module calls no LAPACK routine.
+    source = inspect.getsource(importlib.import_module("widthlab.equidist"))
+    assert "np.linalg" not in source and "numpy.linalg" not in source
+
+
 @pytest.mark.parametrize("name, moved", [
     ("equidist", ("condition_i_predicate", "condition_ii_violator", "save_instance")),
     ("conformal", ("save_profile",)),

@@ -13,10 +13,13 @@ import os
 import pathlib
 
 import numpy as np
+import pytest
 
 import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
+
+from widthlab._fsio import atomic_write_text
 
 from oracles import save_instance, save_profile
 
@@ -72,3 +75,14 @@ def test_every_report_matches_its_frozen_bytes(tmp_path):
     assert written == {p.name for p in GOLDEN.iterdir()}
     for name in sorted(written):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    # The rename onto a directory fails after the temp file is written; the
+    # temp file is removed and the target is left as it was.
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(target), "{}\n")
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

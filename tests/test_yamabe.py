@@ -512,6 +512,13 @@ class TestTheorem1Monitor:
         r_values = trace.monitors["r_avg"]
         assert np.all(r_values >= r_values[-1] - 1e-6)
 
+    @pytest.mark.parametrize("times", [(0.0, 0.0), (0.0, 2e-4, 1e-4)])
+    def test_trace_times_must_increase(self, converging_trace, times):
+        states = [dataclasses.replace(converging_trace.states[0], time=t) for t in times]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            yamabe.FlowTrace(states=states, status="completed",
+                             target_volume=1.0, monitors={})
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             yamabe.theorem1_monitor(
