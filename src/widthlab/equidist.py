@@ -20,10 +20,15 @@ then issued as their nearest doubles, exact where the rationals are dyadic.
 The equidistribution side builds sequences whose Cesaro means of
 normalized measures (or mass-weighted means, for structured families)
 converge to the normalized target; selection is greedy nearest-mean in sup
-norm with lowest-index tie-breaking.  Where the orbit repeats its picks,
-the next steps are guessed from the repeat and evaluated as one batch with
-the step's ufuncs on the step's operands; the prefix up to the first wrong
-guess is kept, so every trace is the one-step loop's, bit for bit.
+norm with lowest-index tie-breaking.  Each step divides a candidate's trial
+sum by its mass; with unit masses that mass is the step count, a scalar
+divisor with the same bits as the column of masses, and cheaper.  One rule
+speculates: after every 32 single steps, the last 32 picks are looked up
+among the recent ones, and on a repeat the next steps are guessed from it
+and evaluated as one batch with the step's ufuncs on the step's operands.
+The prefix up to the first wrong guess is kept, so every trace is the
+one-step loop's, bit for bit; a batch that verifies whole is followed by
+another lookup at once.
 """
 
 from __future__ import annotations
@@ -473,9 +478,12 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     """Smallest common denominator d with |alpha_i - c_i/d| < eps/N for all i.
 
     Sweeps denominators in increasing order, each numerator the nearest
-    positive integer to alpha_i d.  The sweep runs in doubles against the
-    bound plus a few ulps of slack, so it drops no d that meets the bound;
-    it only filters.  Each d it keeps is decided exactly in integers, from
+    positive integer to alpha_i d, from the least d with 1/d below
+    min(alpha) + eps/N: every numerator is at least 1, so no smaller d meets
+    the bound, and an eps for which that d passes ``MAX_DENOMINATOR`` is
+    refused before any sweep.  The sweep runs in doubles against the bound
+    plus a few ulps of slack, so it drops no d that meets the bound; it only
+    filters.  Each d it keeps is decided exactly in integers, from
     the ratios of the doubles alpha_i and eps, and the sweep goes on past a
     d that fails.  A kept d whose numerators share a factor g > 1 with it
     repeats the fractions of d / g, which the sweep has already refused, so
@@ -506,22 +514,30 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     bound = target + 2.0**-50 * (alphas + target)
     ratios = [a.as_integer_ratio() for a in alphas.tolist()]
     eps_num, eps_den = float(eps).as_integer_ratio()
+    # Every numerator is at least 1, so a d that meets the bound has
+    # 1/d < min(alpha) + eps/N: the sweep starts at the least such d.  When
+    # that d is past the cap, so is reach, and eps is refused without a sweep.
+    a, b = ratios[int(np.argmin(alphas))]
+    start = b * eps_den * count // (a * eps_den * count + eps_num * b) + 1
     block = 4096
-    start = 1
     while start <= d_cap:
         stop = min(start + block, d_cap + 1)
         ds = np.arange(start, stop, dtype=float)[:, None]
-        products = alphas[None, :] * ds
-        numerators = np.maximum(np.rint(products), 1.0)
-        rows = np.flatnonzero(np.all(np.abs(alphas - numerators / ds) <= bound, axis=1))
-        if rows.size:
-            # A float numerator is the exact one where alpha_i d is below
-            # 2**53 and, to within its own rounding, off the midpoints; others
-            # count as 1, which shares no factor.
-            kept = products[rows]
-            sure = (kept < 2.0**53) & (np.abs(kept - np.rint(kept)) < 0.5 - np.spacing(kept))
-            exact = np.where(sure, numerators[rows], 1.0).astype(np.int64)
-            rows = rows[np.gcd(np.gcd.reduce(exact, axis=1), rows + start) == 1]
+        # A product alpha_i d that overflows passes the filter, and the exact
+        # test decides it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = alphas[None, :] * ds
+            numerators = np.maximum(np.rint(products), 1.0)
+            close = np.abs(alphas - numerators / ds) <= bound
+            rows = np.flatnonzero(np.all(close | np.isinf(products), axis=1))
+            if rows.size:
+                # A float numerator is the exact one where alpha_i d is below
+                # 2**53 and, to within its own rounding, off the midpoints;
+                # others count as 1, which shares no factor.
+                kept = products[rows]
+                sure = (kept < 2.0**53) & (np.abs(kept - np.rint(kept)) < 0.5 - np.spacing(kept))
+                exact = np.where(sure, numerators[rows], 1.0).astype(np.int64)
+                rows = rows[np.gcd(np.gcd.reduce(exact, axis=1), rows + start) == 1]
         for d in (rows + start).tolist():
             c = _exact_numerators(ratios, d, eps_num, eps_den * count)
             if c is not None:
@@ -551,50 +567,42 @@ def _exact_numerators(ratios, d: int, p: int, q: int) -> tuple[int, ...] | None:
 
 
 # Speculative blocks (see _greedy_trace): picks matched, picks searched,
-# cap on B * m * n, longest run of single steps after a miss.
+# cap on B * m * n.
 _WINDOW = 32
 _LOOKBACK = 4096
 _BLOCK_ELEMENTS = 1 << 15
-_MAX_PAUSE = 256
 
 
 def _greedy_trace(
-    target: np.ndarray,
-    candidates: np.ndarray,
-    masses: np.ndarray,
-    k_max: int,
-    weighted: bool,
+    target: np.ndarray, candidates: np.ndarray, masses: np.ndarray, k_max: int
 ) -> EquidistTrace:
     """Greedy nearest-mean selection shared by both Cesaro variants.
 
-    Each step computes ``max(|(running + candidates) / denominator - target|)``
-    per candidate into buffers allocated once, laid out coordinates by
-    candidates, (n, m): ``by_coord`` is a contiguous copy of
-    ``candidates.T``, ``tiled`` the target repeated across the m columns and
-    ``tiled_masses`` the masses repeated down the n rows, and the running sum
-    is an (n, 1) column, so the weighted denominators ``total + m_j``, their
-    division and the subtraction run on arrays of one shape and the maximum
-    reduces down the columns.  The trace is bit-identical to the plain
-    (m, n) expression: every trial element is the same IEEE operation on the
-    same operands (``running_i + c_ji``, then ``/ k`` or ``/ (total + m_j)``,
-    then ``- t_i``, then ``abs``), a maximum is exact in any order, and
-    ``argmin`` on the same distances takes the same lowest index.
+    Step k picks the lowest j minimizing ``max(|(running + c_j) / (total +
+    m_j) - target|)``, total the mass picked so far.  Each step runs into
+    buffers allocated once, laid out coordinates by candidates, (n, m), so
+    the running-sum column, the tiled target and masses and the trial values
+    share one shape and the maximum reduces down the columns; each trial
+    element is the same IEEE operation on the same operands as in the (m, n)
+    expression, and ``argmin`` takes the same lowest index, so the trace is
+    that expression's bit for bit.  With every mass exactly 1.0, each
+    ``total + m_j`` is the double k, and the step divides by the scalar
+    ``float(k)``: the same bits, where the column division costs about 1.04
+    times the step.
 
-    Speculate and verify: from step 2 * ``_WINDOW`` on, the last ``_WINDOW``
-    picks are looked up in the last ``_LOOKBACK``.  If they occurred at lag
-    P, the next B picks are guessed as the periodic continuation, and
-    ``_verified_block`` evaluates those B steps as one batch on the same
-    (n, m) arrays, keeping them up to and including the first whose pick
-    differs from its guess.  A fully verified block is followed at once by
-    one of twice the size (up to ``_BLOCK_ELEMENTS`` trial values); after a
-    miss B falls back to ``_WINDOW``, and a miss or a failed search is
-    followed by a run of single steps that doubles each time, from
-    ``_WINDOW`` to ``_MAX_PAUSE``.  A guess decides only how many steps one
-    batch evaluates, never a pick or an error.
+    Speculate and verify: after each ``_WINDOW`` single steps from step
+    2 * ``_WINDOW`` on, the last ``_WINDOW`` picks are looked up in the last
+    ``_LOOKBACK``.  On a hit, the next picks are guessed as the periodic
+    continuation, as many as one batch holds or as remain, and
+    ``_verified_block`` keeps them up to and including the first pick that
+    differs from its guess.  A fully verified block is followed by another
+    lookup at once, anything else by ``_WINDOW`` single steps.  A guess only
+    sizes a batch; it never decides a pick or an error.
     """
     add, divide, subtract, absolute = np.add, np.divide, np.subtract, np.absolute
     column_max = np.maximum.reduce
     m, n = candidates.shape
+    unit = bool(np.all(masses == 1.0))
     by_coord = np.ascontiguousarray(candidates.T)
     tiled = np.repeat(target[:, None], m, axis=1)
     column = np.zeros((n, 1))
@@ -612,15 +620,15 @@ def _greedy_trace(
     # A block's running sums, total masses, trials, denominators, distances.
     buffers = (np.empty((n, capacity)), np.empty(capacity), np.empty((n, m, capacity)),
                np.empty((m, capacity)), np.empty((m, capacity)))
-    size, pause, next_try = _WINDOW, _WINDOW, 2 * _WINDOW
+    next_try = 2 * _WINDOW
     while len(picks) < k_max:
         for k in range(len(picks) + 1, min(next_try, k_max) + 1):
             add(column, by_coord, out=trial)
-            if weighted:
+            if unit:
+                divide(trial, float(k), out=trial)
+            else:
                 add(total_mass, tiled_masses, out=denominators)
                 divide(trial, denominators, out=trial)
-            else:
-                divide(trial, float(k), out=trial)
             subtract(trial, tiled, out=trial)
             absolute(trial, out=trial)
             column_max(trial, axis=0, out=dists)
@@ -635,33 +643,30 @@ def _greedy_trace(
         at = picks.rfind(picks[-_WINDOW:], max(0, done - _LOOKBACK), done - 1)
         if at >= 0:
             period = picks[at + _WINDOW:]
-            count = min(size, capacity, k_max - done)
+            count = min(capacity, k_max - done)
             guess = (period * (count // len(period) + 1))[:count]
             kept, block_errors, total_mass = _verified_block(
-                guess, done + 1, running, total_mass, tiled, by_coord, masses,
-                weighted, buffers)
+                guess, running, total_mass, tiled, by_coord, masses, buffers)
             picks += kept
             errors += block_errors
             if kept == guess:
-                size, pause, next_try = min(2 * size, capacity), _WINDOW, len(picks)
+                next_try = len(picks)
                 continue
-            size = _WINDOW
-        next_try = len(picks) + pause
-        pause = min(2 * pause, _MAX_PAUSE)
+        next_try = len(picks) + _WINDOW
     return EquidistTrace(sequence=tuple(picks), cesaro_errors=tuple(errors))
 
 
-def _verified_block(guess, k, running, total_mass, tiled, by_coord, masses,
-                    weighted, buffers):
-    """Greedy steps k, k + 1, ... as one batch, on the guess that they pick
+def _verified_block(guess, running, total_mass, tiled, by_coord, masses, buffers):
+    """The next greedy steps as one batch, on the guess that they pick
     ``guess`` (bytes).
 
     ``running`` (n,), ``tiled`` and ``by_coord`` (n, m) are the arrays of
     ``_greedy_trace``.  ``np.add.accumulate`` over
     ``[running, candidates[guess[:-1]]]`` forms the running sum before each
     step by the loop's additions in its order, and the total masses
-    likewise; the loop's ufuncs then run on an (n, m, B) stack, steps last
-    so that each runs over contiguous steps.  Every step up to the first pick
+    likewise; the loop's ufuncs then run on an (n, m, B) stack, steps last.
+    Every step divides by ``total + m_j``, which for unit masses is the
+    double k, the loop's scalar divisor.  Every step up to the first pick
     that differs from its guess had the loop's operands, so it is the loop's
     step.  Returns those picks (bytes), their errors and the total mass
     after them, and advances ``running`` past them in place.
@@ -676,11 +681,8 @@ def _verified_block(guess, k, running, total_mass, tiled, by_coord, masses,
     np.take(masses, order[:-1], out=totals[1:])
     np.add.accumulate(totals, out=totals)
     np.add(sums[:, None, :], by_coord[:, :, None], out=trial)
-    if weighted:
-        np.add(totals, masses[:, None], out=denominators)
-        np.divide(trial, denominators, out=trial)
-    else:
-        np.divide(trial, np.arange(k, k + count, dtype=float), out=trial)
+    np.add(totals, masses[:, None], out=denominators)
+    np.divide(trial, denominators, out=trial)
     np.subtract(trial, tiled[:, :, None], out=trial)
     np.absolute(trial, out=trial)
     np.maximum.reduce(trial, axis=0, out=dists)
@@ -694,6 +696,21 @@ def _verified_block(guess, k, running, total_mass, tiled, by_coord, masses,
             totals.item(kept - 1) + masses.item(last))
 
 
+def _cesaro_trace(mu0, family, cone, candidates, masses, k_max, tol) -> EquidistTrace:
+    """The checks both Cesaro variants share, then the greedy trace toward
+    the normalized ``mu0``; ``cone`` names ``family``'s cone in a refusal."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if mu0.total_mass <= 0.0:
+        raise ValueError("the target measure must have positive mass")
+    if cone_hull_membership(mu0, family, tol).verdict != "member":
+        raise ValueError(
+            f"target is not in the {cone} cone; see cone_hull_membership "
+            "for the separating certificate"
+        )
+    return _greedy_trace(mu0.weights / mu0.total_mass, candidates, masses, k_max)
+
+
 def cesaro_sequence(
     mu0: FiniteMeasure, family: MeasureFamily, k_max: int, tol: float = 1e-9
 ) -> EquidistTrace:
@@ -701,24 +718,14 @@ def cesaro_sequence(
     the normalized target in sup norm.
 
     Raises:
-        ValueError: k_max < 1, zero-mass target or member, or a target
+        ValueError: a zero-mass member or target, k_max < 1, or a target
             outside the cone (run cone_hull_membership for the certificate).
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    if mu0.total_mass <= 0.0:
-        raise ValueError("the target measure must have positive mass")
     if any(m.total_mass <= 0.0 for m in family.members):
         raise ValueError("every family member needs positive mass for normalization")
-    if cone_hull_membership(mu0, family, tol).verdict != "member":
-        raise ValueError(
-            "target is not in the family cone; see cone_hull_membership "
-            "for the separating certificate"
-        )
-    target = mu0.weights / mu0.total_mass
     candidates = np.stack([m.weights / m.total_mass for m in family.members])
-    masses = np.ones(len(family.members))
-    return _greedy_trace(target, candidates, masses, k_max, weighted=False)
+    return _cesaro_trace(mu0, family, "family", candidates, np.ones(len(candidates)),
+                         k_max, tol)
 
 
 def weighted_cesaro_structured(
@@ -731,31 +738,21 @@ def weighted_cesaro_structured(
 
     Raises:
         ValueError: missing structure, base measures outside the declared
-            mass bounds, k_max < 1, or a target outside the base cone.
+            mass bounds, k_max < 1, a zero-mass target, or a target outside
+            the base cone.
     """
     if family.structure is None:
         raise ValueError("weighted selection needs a structured family")
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    if mu0.total_mass <= 0.0:
-        raise ValueError("the target measure must have positive mass")
-    structure = family.structure
-    low, high = structure.mass_bounds
-    for i, m in enumerate(structure.base):
+    base = family.structure.base
+    low, high = family.structure.mass_bounds
+    for i, m in enumerate(base):
         if not (low <= m.total_mass <= high):
             raise ValueError(
                 f"base measure {i} has mass {m.total_mass} outside [{low}, {high}]"
             )
-    base_family = MeasureFamily(members=structure.base)
-    if cone_hull_membership(mu0, base_family, tol).verdict != "member":
-        raise ValueError(
-            "target is not in the base-set cone; see cone_hull_membership "
-            "for the separating certificate"
-        )
-    target = mu0.weights / mu0.total_mass
-    candidates = np.stack([m.weights for m in structure.base])
-    masses = np.array([m.total_mass for m in structure.base])
-    return _greedy_trace(target, candidates, masses, k_max, weighted=True)
+    return _cesaro_trace(mu0, MeasureFamily(members=base), "base-set",
+                         np.stack([m.weights for m in base]),
+                         np.array([m.total_mass for m in base]), k_max, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,32 @@ class TestRationalApproximation:
         result = eq.rational_approximation([0.5], 1e-300)
         assert (result.d, result.numerators) == (2, (1,))
 
+    @pytest.mark.parametrize("alphas, eps, d", [
+        ([1e305, 1 / 2001], 2e-7, 2001),
+        ([1e305, 0.3], 1e-6, 10),
+    ])
+    def test_overflowing_product_goes_to_the_exact_test(self, alphas, eps, d):
+        # 1e305 * d is infinite in doubles from d = 1798 on, yet 1e305 is an
+        # integer, so every d fits that coordinate exactly; the sweep must let
+        # the infinite product through to the exact test, without a warning.
+        result = eq.rational_approximation(alphas, eps)
+        assert result.d == d
+        assert all(abs(Fraction(a) - Fraction(c, d)) < Fraction(eps) / len(alphas)
+                   for a, c in zip(alphas, result.numerators))
+
+    @pytest.mark.parametrize("alphas", [[1e-20], [1e-20, 0.5, 0.25, 0.7]])
+    def test_unreachable_eps_is_refused_before_the_sweep(self, alphas, monkeypatch):
+        # Every numerator is at least 1, so a d that meets eps = 1e-12 has
+        # 1/d < 1e-20 + 1e-12/N, about 1e12 / N: above the cap before any
+        # denominator is swept or tested.
+        def swept(*args, **kwargs):
+            raise AssertionError("the denominator sweep ran")
+
+        monkeypatch.setattr(eq, "_exact_numerators", swept)
+        monkeypatch.setattr(np, "arange", swept)
+        with pytest.raises(ValueError, match=r"eps = 1e-12 .* above 100,000,000"):
+            eq.rational_approximation(alphas, 1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             eq.rational_approximation([0.5, 0.0], 0.1)
@@ -446,6 +472,38 @@ class TestWeightedCesaroStructured:
         family = self.structured(base, base, (0.5, 2.0))
         with pytest.raises(ValueError, match="cone_hull_membership"):
             eq.weighted_cesaro_structured(fm(0.0, 1.0), family, 10)
+
+    @pytest.mark.parametrize("orbit", ["verified", "unverified"])
+    def test_unit_masses_give_the_plain_sequence(self, orbit, monkeypatch):
+        # With every base mass exactly 1.0, each weighted denominator is the
+        # double k, so the weighted sequence is the plain one bit for bit:
+        # on the alternation of point masses, whose blocks verify, and on a
+        # sixteenth-dyadic family at n = m = 12 that verifies none.
+        if orbit == "verified":
+            base, mu0 = (fm(1.0, 0.0), fm(0.0, 1.0)), fm(1.0, 1.0)
+        else:
+            rng = np.random.default_rng(6)
+            base = tuple(eq.FiniteMeasure(rng.multinomial(16, [1 / 12] * 12) / 16.0)
+                         for _ in range(12))
+            mu0 = eq.FiniteMeasure(
+                (rng.integers(1, 9, size=12) / 8.0) @ np.stack([m.weights for m in base]))
+        assert all(m.total_mass == 1.0 for m in base)
+        outcomes = []
+        evaluate = eq._verified_block
+
+        def recording(guess, *args):
+            result = evaluate(guess, *args)
+            outcomes.append(result[0] == guess)
+            return result
+
+        monkeypatch.setattr(eq, "_verified_block", recording)
+        family = self.structured(base, base, (1.0, 1.0))
+        plain = eq.cesaro_sequence(mu0, family, 3000)
+        weighted = eq.weighted_cesaro_structured(mu0, family, 3000)
+        assert weighted.sequence == plain.sequence
+        assert ([e.hex() for e in weighted.cesaro_errors]
+                == [e.hex() for e in plain.cesaro_errors])
+        assert any(outcomes) == (orbit == "verified")
 
 
 class TestEquivalenceHarness:
@@ -1164,8 +1222,8 @@ class TestGreedyTrace:
         target, candidates, masses, weighted = (
             np.array(v, dtype=float) if isinstance(v, list) else v for v in instance
         )
-        args = (target, candidates, masses, k_max, weighted)
-        return eq._greedy_trace(*args), reference_greedy_trace(*args)
+        got = eq._greedy_trace(target, candidates, masses, k_max)
+        return got, reference_greedy_trace(target, candidates, masses, k_max, weighted)
 
     @staticmethod
     def assert_bit_identical(got, want):
@@ -1175,14 +1233,16 @@ class TestGreedyTrace:
     @pytest.fixture
     def blocks(self, monkeypatch):
         """Record each call of the block evaluator as (first step, guess,
-        kept picks), optionally after ``alter(guess)`` rewrites the guess."""
+        kept picks), optionally after ``alter(guess)`` rewrites the guess.
+        The first step is read off the total mass, so it holds for unit
+        masses only."""
         calls = []
         evaluate = eq._verified_block
 
-        def recording(guess, k, *args):
+        def recording(guess, running, total_mass, *args):
             guess = recording.alter(guess)
-            result = evaluate(guess, k, *args)
-            calls.append((k, bytes(guess), bytes(result[0])))
+            result = evaluate(guess, running, total_mass, *args)
+            calls.append((int(total_mass) + 1, bytes(guess), bytes(result[0])))
             return result
 
         recording.alter = lambda guess: guess
@@ -1247,7 +1307,6 @@ class TestGreedyTrace:
         k, guess, kept = blocks.calls[-1]
         assert kept == guess
         assert k - 1 + len(guess) == k_max
-        assert len(guess) < 2 * len(blocks.calls[-2][1])
 
     @pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 63, 64, 65])
     def test_k_max_around_two_windows(self, k_max, blocks):
