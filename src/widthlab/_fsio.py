@@ -13,8 +13,6 @@ import tempfile
 from dataclasses import fields, is_dataclass
 from itertools import chain
 
-import numpy as np
-
 __all__ = ["atomic_write_text", "json_text", "report_text", "csv_text", "read_json",
            "is_number_list"]
 
@@ -38,8 +36,6 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")

@@ -177,7 +177,7 @@ def _run_yamabe_run(cfg: RunConfig) -> None:
 def _run_equidist_check(cfg: RunConfig) -> None:
     mu0, family = equidist.load_instance(cfg.input_path)
     certificate = equidist.cone_hull_membership(mu0, family, tol=cfg.params["tol"])
-    text = report_text(cfg.as_dict(), **equidist.certificate_payload(certificate))
+    text = report_text(cfg.as_dict(), **vars(certificate))
     atomic_write_text(cfg.output_path, text)
     print(f"{cfg.input_path}: {certificate.verdict}")
 

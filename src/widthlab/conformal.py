@@ -836,15 +836,13 @@ class IsoperimetricCheck:
     passed: bool
 
 
-def isoperimetric_check(profile: AxisymProfile, tol: float = 1e-3) -> IsoperimetricCheck:
+def isoperimetric_check(profile: AxisymProfile) -> IsoperimetricCheck:
     """Judge ``width_upper_bound`` against the round equator of the profile's
-    volume (both kept); raise ValueError unless ``tol`` is finite and >= 0."""
+    volume (both kept), with a slack of 1e-3 in area."""
     max_area, vol = width_upper_bound(profile), volume(profile)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"isoperimetric tolerance must be finite and >= 0, got {tol}")
     round_area = 4.0 * np.pi * (vol / (2.0 * np.pi**2)) ** (2.0 / 3.0)
     return IsoperimetricCheck(max_profile_area=max_area, round_equator_area_same_volume=round_area,
-                              passed=max_area <= round_area + tol)
+                              passed=max_area <= round_area + 1e-3)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ __all__ = [
     "cesaro_sequence",
     "weighted_cesaro_structured",
     "load_instance",
-    "certificate_payload",
     "write_trace_csv",
 ]
 
@@ -148,7 +147,7 @@ class MembershipCertificate:
 
     verdict: str
     coefficients: tuple[tuple[int, float], ...] | None = None
-    separating_f: np.ndarray | None = None
+    separating_f: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.verdict not in ("member", "non_member"):
@@ -445,10 +444,7 @@ def _separating_certificate(f, d, image, image_b) -> MembershipCertificate:
         sum(map(operator.mul, f, col)) > 0 for col in image
     ):
         raise ArithmeticError("separating functional failed exact verification")
-    return MembershipCertificate(
-        verdict="non_member",
-        separating_f=np.array([v / d for v in f]),
-    )
+    return MembershipCertificate(verdict="non_member", separating_f=tuple(v / d for v in f))
 
 
 def _member_certificate(x, d, bound: int, image, image_b) -> MembershipCertificate:
@@ -478,14 +474,14 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     """Smallest common denominator d with |alpha_i - c_i/d| < eps/N for all i.
 
     Sweeps denominators in increasing order, each numerator the nearest
-    positive integer to alpha_i d, from the least d with 1/d below
-    min(alpha) + eps/N: every numerator is at least 1, so no smaller d meets
-    the bound, and an eps for which that d passes ``MAX_DENOMINATOR`` is
-    refused before any sweep.  The sweep runs in doubles against the bound
-    plus a few ulps of slack, so it drops no d that meets the bound; it only
-    filters.  Each d it keeps is decided exactly in integers, from
-    the ratios of the doubles alpha_i and eps, and the sweep goes on past a
-    d that fails.  A kept d whose numerators share a factor g > 1 with it
+    positive integer to alpha_i d, from the least d at which every
+    coordinate alone can meet the bound (found exactly, by
+    ``_least_denominator``), so no smaller d meets it, and an eps for which
+    that d passes ``MAX_DENOMINATOR`` is refused before any sweep.  The sweep
+    runs in doubles against the bound plus a few ulps of slack, so it drops
+    no d that meets the bound; it only filters.  Each d it keeps is decided
+    exactly in integers, from the ratios of the doubles alpha_i and eps, and
+    the sweep goes on past a d that fails.  A kept d whose numerators share a factor g > 1 with it
     repeats the fractions of d / g, which the sweep has already refused, so
     it is dropped without the exact test.
 
@@ -513,12 +509,14 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
     # midpoint, so this bound keeps every d that meets the exact one.
     bound = target + 2.0**-50 * (alphas + target)
     ratios = [a.as_integer_ratio() for a in alphas.tolist()]
-    eps_num, eps_den = float(eps).as_integer_ratio()
-    # Every numerator is at least 1, so a d that meets the bound has
-    # 1/d < min(alpha) + eps/N: the sweep starts at the least such d.  When
-    # that d is past the cap, so is reach, and eps is refused without a sweep.
-    a, b = ratios[int(np.argmin(alphas))]
-    start = b * eps_den * count // (a * eps_den * count + eps_num * b) + 1
+    p, q = float(eps).as_integer_ratio()
+    q *= count  # eps/N = p/q
+    # A d that meets the bound holds, for each i, a fraction c_i / d with
+    # c_i >= 1 in the open interval (max(alpha_i - eps/N, 0), alpha_i + eps/N),
+    # so the sweep starts at the largest of their least such d.  When that d
+    # is past the cap, so is reach, and eps is refused without a sweep.
+    start = max(_least_denominator(max(a * q - p * b, 0), b * q, a * q + p * b, b * q)
+                for a, b in ratios)
     block = 4096
     while start <= d_cap:
         stop = min(start + block, d_cap + 1)
@@ -539,7 +537,7 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
                 exact = np.where(sure, numerators[rows], 1.0).astype(np.int64)
                 rows = rows[np.gcd(np.gcd.reduce(exact, axis=1), rows + start) == 1]
         for d in (rows + start).tolist():
-            c = _exact_numerators(ratios, d, eps_num, eps_den * count)
+            c = _exact_numerators(ratios, d, p, q)
             if c is not None:
                 return RationalApproximation(d=d, numerators=c)
         start = stop
@@ -548,6 +546,28 @@ def rational_approximation(alphas, eps: float) -> RationalApproximation:
             f"eps = {eps} needs a common denominator above {MAX_DENOMINATOR:,}"
         )
     raise ArithmeticError("denominator sweep exhausted; eps bound unreachable")
+
+
+def _least_denominator(xn: int, xd: int, yn: int, yd: int) -> int:
+    """The least d for which some c / d lies in the open interval (xn / xd,
+    yn / yd), 0 <= x < y: the denominator of the simplest fraction there,
+    found by the continued-fraction walk down the Stern-Brocot tree (Graham,
+    Knuth and Patashnik, Concrete Mathematics, section 4.5).
+
+    Each pass either finds the simplest fraction z of the current interval
+    or writes z = f + 1 / w, f the shared integer part, and passes to the
+    interval of w; the fraction sought is then (h w + h0) / (k w + k0), of
+    which only the denominators k, k0 are kept."""
+    k, k0 = 0, 1
+    while True:
+        f = xn // xd
+        if (f + 1) * yd < yn:  # the interval holds the integer f + 1
+            return k * (f + 1) + k0
+        if xn == f * xd:  # (f, y): f + 1/m for the least m with 1/m < y - f
+            m = yd // (yn - f * yd) + 1
+            return k * (f * m + 1) + k0 * m
+        k, k0 = k * f + k0, k
+        xn, xd, yn, yd = yd, yn - f * yd, xd, xn - f * xd
 
 
 def _exact_numerators(ratios, d: int, p: int, q: int) -> tuple[int, ...] | None:
@@ -796,16 +816,6 @@ def load_instance(path: str) -> tuple[FiniteMeasure, MeasureFamily]:
         return mu0, MeasureFamily(members=members, structure=structure)
     except ValueError as exc:
         raise ValueError(f"instance file {path}: {exc}") from None
-
-
-def certificate_payload(certificate: MembershipCertificate) -> dict:
-    """The JSON fields of a membership certificate."""
-    coeffs, f = certificate.coefficients, certificate.separating_f
-    return {
-        "verdict": certificate.verdict,
-        "coefficients": None if coeffs is None else [[j, c] for j, c in coeffs],
-        "separating_f": None if f is None else [float(v) for v in f],
-    }
 
 
 def write_trace_csv(trace: EquidistTrace, path: str) -> None:

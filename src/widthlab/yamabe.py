@@ -108,6 +108,9 @@ STABILIZER = 1.5
 # Cap on the outer steps of one run (each holds six monitor entries); twice
 # the criterion-6 run of t_end = 5 at dt = 1e-5.
 MAX_STEPS = 1_000_000
+# Cap on nodes times outer steps of one run, which bounds its time: twice the
+# criterion-6 run at n = 401, or 20,048 steps at the 20,001-node profile cap.
+MAX_NODE_STEPS = 401 * MAX_STEPS
 
 
 class FlowError(RuntimeError):
@@ -305,7 +308,8 @@ def run(
 
     Raises:
         ValueError: for non-positive or non-finite dt/t_end, more than
-            ``MAX_STEPS`` outer steps, or sample_every < 1.
+            ``MAX_STEPS`` outer steps, more than ``MAX_NODE_STEPS`` nodes
+            times outer steps, or sample_every < 1.
         ProfileError: for an initial profile that fails the floating-point
             rule of ``AxisymProfile.evaluation``, whose result run reads.
         FlowError: when a step leaves floating point or the valid profiles
@@ -321,11 +325,16 @@ def run(
         )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    n_steps = max(int(round(t_end / dt)), 1)
+    if profile.n * n_steps > MAX_NODE_STEPS:
+        raise ValueError(
+            f"{profile.n} nodes times {n_steps} outer steps exceeds the cap of "
+            f"{MAX_NODE_STEPS} node-steps"
+        )
     grid = latitude_grid(profile.n)
     work = grid.workspace()
     u = profile.u.copy()  # the state, stepped in place
     deviation = np.empty_like(u)
-    n_steps = max(int(round(t_end / dt)), 1)
     mon_drift = np.empty(n_steps)
     mon_energy = np.empty(n_steps)
     mon_r = np.empty(n_steps)

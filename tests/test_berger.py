@@ -232,6 +232,18 @@ class TestProductBound:
 
 
 class TestReportValidation:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="report requires rho > 0"):
+            BergerReport(
+                rho=rho,
+                scalar_curvature=6.0,
+                ricci_positive=True,
+                volume=2.0 * np.pi**2,
+                width=4.0 * np.pi,
+                normalized_width=4.0 * np.pi / (2.0 * np.pi**2) ** (2.0 / 3.0),
+            )
+
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValueError):
             BergerReport(

@@ -4,6 +4,10 @@ formats, determinism, and exit codes."""
 import argparse
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -76,6 +80,24 @@ class TestArgumentHandling:
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        # The README's commands reach main through ``python -m widthlab.cli``:
+        # it writes what an in-process main writes for the same argv and path,
+        # and exits 1 with no subcommand.
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+        path = tmp_path / "roundcheck.json"
+        argv = ["roundcheck", "--output", str(path)]
+        child = subprocess.run([sys.executable, "-m", "widthlab.cli", *argv],
+                               capture_output=True, env=env)
+        assert child.returncode == 0
+        written = path.read_bytes()
+        path.unlink()
+        assert cli.main(argv) == 0
+        assert path.read_bytes() == written
+        bare = subprocess.run([sys.executable, "-m", "widthlab.cli"],
+                              capture_output=True, env=env)
+        assert bare.returncode == 1
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -704,6 +726,19 @@ class TestYamabeRun:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "pole regularity" in err
         assert not (tmp_path / "flow.json").exists()
+
+    def test_node_step_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("a flow step ran")
+
+        monkeypatch.setattr(yamabe, "_advance", stepped)
+        path = write_constant_profile(tmp_path / "p.json", 1.0, cf.MAX_PROFILE_NODES)
+        out = tmp_path / "flow.json"
+        code = cli.main(["yamabe-run", "--profile", path, "--t-end", "20049",
+                         "--dt", "1", "--output", str(out)])
+        assert code == 1
+        assert_only_error_line(capsys, "node-steps")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--t-end", "inf"], ["--dt", "1e-300"], ["--dt", "nan"]]

@@ -460,6 +460,15 @@ class TestSecondVariationOracle:
         with pytest.raises(ValueError):
             cf.second_variation_oracle(p, 0.0, 0, 1e-2)
 
+    def test_eps_beyond_the_band_is_refused(self):
+        # At u = 0.5 a height eps moves the latitude by eps / u^2 = 4 eps, so
+        # eps = 0.25, inside (0, 0.25], would take the graph past half the
+        # equator's distance to a pole, and eps = 0.19 would not.
+        p = cf.AxisymProfile.round_profile(201, radius_factor=0.5)
+        with pytest.raises(ValueError, match=r"too large for the sphere .* eps <= 0\.19635"):
+            cf.second_variation_oracle(p, PI / 2, 2, 0.25)
+        assert math.isfinite(cf.second_variation_oracle(p, PI / 2, 2, 0.19))
+
     def test_matches_eigenvalue_formula_off_round(self):
         # Dual route: the k = 2 quadratic form measured directly by the
         # oracle against k(k+1)/radius^2 - Q with Q in closed form.  The
@@ -746,17 +755,6 @@ class TestIsoperimetricCheck:
         assert not check.passed
         excess = check.max_profile_area - check.round_equator_area_same_volume
         assert excess == pytest.approx(0.046535, abs=1e-3)
-
-    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf, -math.inf])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
-            cf.isoperimetric_check(cf.AxisymProfile.round_profile(201), tol)
-
-    def test_zero_tolerance_accepted(self):
-        p = cf.AxisymProfile.round_profile(201)
-        strict, default = cf.isoperimetric_check(p, 0.0), cf.isoperimetric_check(p)
-        assert strict.max_profile_area == default.max_profile_area
-        assert strict.round_equator_area_same_volume == default.round_equator_area_same_volume
 
 
 class TestGreatSphereAverage:

@@ -2,6 +2,7 @@
 Cesaro equidistribution constructions."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import widthlab.equidist as eq
+from widthlab._fsio import json_text
 from oracles import (
     FractionSimplex,
     condition_i_predicate,
@@ -333,6 +335,55 @@ class TestRationalApproximation:
         with pytest.raises(ValueError, match=r"eps = 1e-12 .* above 100,000,000"):
             eq.rational_approximation(alphas, 1e-12)
 
+    @pytest.mark.parametrize("alphas, eps", [
+        ([0.3], 1e-17), ([0.3, 0.5, 0.7, 0.11], 1e-17), ([0.3], 1e-300),
+    ])
+    def test_rounding_eps_is_refused_before_the_sweep(self, alphas, eps, monkeypatch):
+        # No fraction of denominator up to the cap comes within eps/N of the
+        # double 0.3 (3/10 misses it by 1.1e-17), so the least d at which that
+        # coordinate alone meets the bound is past the cap, and eps is refused
+        # before any denominator is swept or tested.
+        def swept(*args, **kwargs):
+            raise AssertionError("the denominator sweep ran")
+
+        monkeypatch.setattr(eq, "_exact_numerators", swept)
+        monkeypatch.setattr(np, "arange", swept)
+        with pytest.raises(ValueError, match=rf"eps = {eps} .* above 100,000,000"):
+            eq.rational_approximation(alphas, eps)
+
+    @staticmethod
+    def least_denominator(x, y):
+        """The least d with some c / d in the open interval (x, y), by
+        trying every d in turn."""
+        d = 1
+        while not Fraction(math.floor(x * d) + 1, d) < y:
+            d += 1
+        return d
+
+    def test_least_denominator_matches_brute_force(self):
+        rng = np.random.default_rng(29)
+        intervals = [(Fraction(0), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2)),
+                     (Fraction(2), Fraction(3)), (Fraction(5, 7), Fraction(8, 11))]
+        for _ in range(300):
+            x = Fraction(int(rng.integers(0, 200)), int(rng.integers(1, 60)))
+            kind = int(rng.integers(3))
+            if kind == 0:  # the lower end clamped at 0
+                x = Fraction(0)
+            if kind == 2:  # both ends fractions of small denominator
+                y = x + Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 60)))
+            else:
+                y = x + Fraction(int(rng.integers(1, 1000)), int(rng.integers(1000, 10**6)))
+            intervals.append((x, y))
+        for x, y in intervals:
+            got = eq._least_denominator(x.numerator, x.denominator, y.numerator,
+                                        y.denominator)
+            assert got == self.least_denominator(x, y), (x, y)
+
+    @pytest.mark.parametrize("alphas", [[], [[0.5, 0.25]]])
+    def test_alphas_must_be_a_vector(self, alphas):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            eq.rational_approximation(alphas, 0.1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             eq.rational_approximation([0.5, 0.0], 0.1)
@@ -353,7 +404,31 @@ class TestRationalApproximation:
                 assert abs(a - c / result.d) < eps / n
 
 
+class TestMembershipCertificate:
+    @pytest.mark.parametrize("fields, message", [
+        ({"verdict": "maybe"}, "unknown verdict 'maybe'"),
+        ({"verdict": "member", "separating_f": (1.0,)}, "needs coefficients"),
+        ({"verdict": "non_member", "coefficients": ((0, 1.0),)},
+         "needs a separating functional"),
+    ])
+    def test_incomplete_certificate_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            eq.MembershipCertificate(**fields)
+
+    def test_equal_non_members_compare_and_hash_equal(self):
+        first, second = (eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0)))
+                         for _ in range(2))
+        assert first.verdict == "non_member"
+        assert type(first.separating_f) is tuple
+        assert all(type(v) is float for v in first.separating_f)
+        assert first == second and hash(first) == hash(second)
+
+
 class TestEquidistTrace:
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            eq.EquidistTrace(sequence=(0, 1), cesaro_errors=(0.5,))
+
     # A leading NaN makes min() return NaN, so the check must look further.
     @pytest.mark.parametrize("errors", [(float("nan"), -1.0), (0.5, float("nan"), -1e-300)])
     def test_negative_error_is_refused(self, errors):
@@ -638,11 +713,11 @@ class TestInstanceIO:
     def test_certificate_json(self):
         member = eq.cone_hull_membership(fm(3.0, 3.0), fam(fm(1.0, 1.0)))
         non_member = eq.cone_hull_membership(fm(1.0, 2.0), fam(fm(1.0, 1.0)))
-        data = eq.certificate_payload(member)
+        data = json.loads(json_text(member))
         assert data["verdict"] == "member"
         assert data["coefficients"] == [[0, 3.0]]
         assert data["separating_f"] is None
-        data = eq.certificate_payload(non_member)
+        data = json.loads(json_text(non_member))
         assert data["verdict"] == "non_member"
         assert data["coefficients"] is None
         assert len(data["separating_f"]) == 2

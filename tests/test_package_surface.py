@@ -89,6 +89,13 @@ def test_membership_makes_no_lapack_call():
     assert "np.linalg" not in source and "numpy.linalg" not in source
 
 
+def test_report_encoding_imports_no_numpy():
+    # Every record the package writes holds Python scalars, so the one report
+    # encoding has no numpy branch.
+    source = inspect.getsource(importlib.import_module("widthlab._fsio"))
+    assert "numpy" not in source and "np." not in source
+
+
 @pytest.mark.parametrize("name, moved", [
     ("equidist", ("condition_i_predicate", "condition_ii_violator", "save_instance")),
     ("conformal", ("save_profile",)),

@@ -19,7 +19,7 @@ import widthlab.cli as cli
 import widthlab.conformal as cf
 import widthlab.equidist as eq
 
-from widthlab._fsio import atomic_write_text
+from widthlab._fsio import atomic_write_text, json_text
 
 from oracles import save_instance, save_profile
 
@@ -75,6 +75,14 @@ def test_every_report_matches_its_frozen_bytes(tmp_path):
     assert written == {p.name for p in GOLDEN.iterdir()}
     for name in sorted(written):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("scalar", [np.int64(1), np.float32(0.5), np.bool_(True)])
+def test_numpy_scalar_is_not_encoded(scalar):
+    # Every record the package writes holds Python scalars; a numpy scalar
+    # in a report fails loudly instead of being converted.
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text({"value": scalar})
 
 
 def test_failed_atomic_write_leaves_no_temp_file(tmp_path):

@@ -231,6 +231,15 @@ class TestStep:
         with pytest.raises(yamabe.FlowError, match="stabilizer"):
             advance(grid, u, 1e-4, 1.0, grid.evaluate(np.ones(101)))
 
+    def test_step_out_of_floating_point_is_flow_error(self):
+        # One step of 1e307 on 1 + 0.9 sin^2(theta) takes the update out of
+        # floating point (min(u) is nan), which the positivity check reports
+        # before any volume is formed.
+        state = yamabe.flow_state(
+            AxisymProfile.from_function(lambda t: 1.0 + 0.9 * np.sin(t) ** 2, 101))
+        with pytest.raises(yamabe.FlowError, match="left the positive finite range"):
+            yamabe.step(state, 1e307)
+
     def test_underflowed_volume_rejected(self):
         # u^6 = 1e-360 underflows to 0, so the volume is 0.
         p = AxisymProfile.round_profile(101, 1e-60)
@@ -308,6 +317,23 @@ class TestRun:
             yamabe.run(p, t_end=1.0, dt=-1e-4)
         with pytest.raises(ValueError):
             yamabe.run(p, t_end=1.0, dt=1e-4, sample_every=0)
+
+    def test_node_steps_are_capped_before_any_step(self, monkeypatch):
+        # At the 20,001-node cap, 20,048 steps are within MAX_NODE_STEPS and
+        # reach the first step; 20,049 are refused before it.
+        class Stepped(Exception):
+            pass
+
+        def stepped(*args):
+            raise Stepped
+
+        monkeypatch.setattr(yamabe, "_advance", stepped)
+        profile = AxisymProfile.round_profile(conformal.MAX_PROFILE_NODES)
+        assert yamabe.MAX_NODE_STEPS // profile.n == 20_048
+        with pytest.raises(Stepped):
+            yamabe.run(profile, t_end=20_048.0, dt=1.0)
+        with pytest.raises(ValueError, match="20001 nodes times 20049 outer steps"):
+            yamabe.run(profile, t_end=20_049.0, dt=1.0)
 
     def test_sampling_cadence(self):
         trace = yamabe.run(
