@@ -21,17 +21,24 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a sibling temp file and rename.
 
     Readers never observe a partially written report: the content appears
-    atomically or not at all.
+    atomically or not at all.  The report gets the mode ``open`` would give
+    it (``0o666`` less the umask), and an ``OSError`` names ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wl-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wl-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)  # read back at once: the process has one thread
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -601,12 +601,14 @@ def _greedy_trace(
     Step k picks the lowest j minimizing ``max(|(running + c_j) / (total +
     m_j) - target|)``, total the mass picked so far.  Each step runs into
     buffers allocated once, laid out coordinates by candidates, (n, m), so
-    the running-sum column, the tiled target and masses and the trial values
-    share one shape and the maximum reduces down the columns; each trial
-    element is the same IEEE operation on the same operands as in the (m, n)
-    expression, and ``argmin`` takes the same lowest index, so the trace is
-    that expression's bit for bit.  With every mass exactly 1.0, each
-    ``total + m_j`` is the double k, and the step divides by the scalar
+    the trial values share one shape with the tiled target and masses and
+    with the running sum, kept in every column: the trial add is a
+    same-shape add, and after each pick one more adds the pick's tile (its
+    column repeated m times, made once; 2 MiB at the 64 x 64 cap).  Each
+    trial element is the same IEEE operation on the same operands as in the
+    (m, n) expression, and ``argmin`` takes the same lowest index, so the
+    trace is that expression's bit for bit.  With every mass exactly 1.0,
+    each ``total + m_j`` is the double k, and the step divides by the scalar
     ``float(k)``: the same bits, where the column division costs about 1.04
     times the step.
 
@@ -615,9 +617,10 @@ def _greedy_trace(
     ``_LOOKBACK``.  On a hit, the next picks are guessed as the periodic
     continuation, as many as one batch holds or as remain, and
     ``_verified_block`` keeps them up to and including the first pick that
-    differs from its guess.  A fully verified block is followed by another
-    lookup at once, anything else by ``_WINDOW`` single steps.  A guess only
-    sizes a batch; it never decides a pick or an error.
+    differs from its guess, and one broadcast copies the first column of the
+    sums it advanced to the others.  A fully verified block is followed by
+    another lookup at once, anything else by ``_WINDOW`` single steps.  A
+    guess only sizes a batch; it never decides a pick or an error.
     """
     add, divide, subtract, absolute = np.add, np.divide, np.subtract, np.absolute
     column_max = np.maximum.reduce
@@ -625,13 +628,12 @@ def _greedy_trace(
     unit = bool(np.all(masses == 1.0))
     by_coord = np.ascontiguousarray(candidates.T)
     tiled = np.repeat(target[:, None], m, axis=1)
-    column = np.zeros((n, 1))
-    running = column[:, 0]
+    tiles = list(np.repeat(candidates[:, :, None], m, axis=2))
+    sums = np.zeros((n, m))  # the running sum in every column
     trial = np.empty((n, m))
     tiled_masses = np.repeat(masses[None, :], n, axis=0)
     denominators = np.empty((n, m))
     dists = np.empty(m)
-    rows = list(candidates)
     mass_of = masses.tolist()
     total_mass = 0.0
     picks = bytearray()  # every pick is below MAX_FAMILY, so one byte
@@ -643,19 +645,19 @@ def _greedy_trace(
     next_try = 2 * _WINDOW
     while len(picks) < k_max:
         for k in range(len(picks) + 1, min(next_try, k_max) + 1):
-            add(column, by_coord, out=trial)
+            add(sums, by_coord, trial)
             if unit:
-                divide(trial, float(k), out=trial)
+                divide(trial, float(k), trial)
             else:
-                add(total_mass, tiled_masses, out=denominators)
-                divide(trial, denominators, out=trial)
-            subtract(trial, tiled, out=trial)
-            absolute(trial, out=trial)
+                add(total_mass, tiled_masses, denominators)
+                divide(trial, denominators, trial)
+            subtract(trial, tiled, trial)
+            absolute(trial, trial)
             column_max(trial, axis=0, out=dists)
             pick = int(dists.argmin())  # argmin takes the lowest index on ties
             picks.append(pick)
             errors.append(dists.item(pick))
-            add(running, rows[pick], out=running)
+            add(sums, tiles[pick], sums)
             total_mass += mass_of[pick]
         done = len(picks)
         if done == k_max:
@@ -666,7 +668,8 @@ def _greedy_trace(
             count = min(capacity, k_max - done)
             guess = (period * (count // len(period) + 1))[:count]
             kept, block_errors, total_mass = _verified_block(
-                guess, running, total_mass, tiled, by_coord, masses, buffers)
+                guess, sums[:, 0], total_mass, tiled, by_coord, masses, buffers)
+            sums[:, 1:] = sums[:, :1]
             picks += kept
             errors += block_errors
             if kept == guess:
@@ -680,10 +683,10 @@ def _verified_block(guess, running, total_mass, tiled, by_coord, masses, buffers
     """The next greedy steps as one batch, on the guess that they pick
     ``guess`` (bytes).
 
-    ``running`` (n,), ``tiled`` and ``by_coord`` (n, m) are the arrays of
-    ``_greedy_trace``.  ``np.add.accumulate`` over
-    ``[running, candidates[guess[:-1]]]`` forms the running sum before each
-    step by the loop's additions in its order, and the total masses
+    ``running`` (n,), the first column of the running sums, ``tiled`` and
+    ``by_coord`` (n, m) are arrays of ``_greedy_trace``.  ``np.add.accumulate``
+    over ``[running, candidates[guess[:-1]]]`` forms the running sum before
+    each step by the loop's additions in its order, and the total masses
     likewise; the loop's ufuncs then run on an (n, m, B) stack, steps last.
     Every step divides by ``total + m_j``, which for unit masses is the
     double k, the loop's scalar divisor.  Every step up to the first pick

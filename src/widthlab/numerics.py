@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy import add, copyto, divide, multiply, subtract
 
 __all__ = [
     "QuadratureConfig",
@@ -158,12 +159,17 @@ def integrate_adaptive(
 
 
 class Workspace(NamedTuple):
-    """Scratch arrays of one ``LatitudeGrid`` (see ``LatitudeGrid.workspace``).
+    """Scratch arrays of one ``LatitudeGrid`` and their views, made once.
 
     ``diff`` holds the n - 1 forward differences, ``even`` the 2n - 2
     values of the even extension and ``spectrum`` its n Fourier
     coefficients; every other array holds n values.  ``u6`` and ``u5`` hold
-    the powers of the last kernel call and ``stencil`` its S.
+    the powers of the last kernel call and ``stencil`` its S.  The views
+    ``stencil_head``, ``stencil_tail`` and ``scratch_head`` drop the last or
+    first node; ``rhs = even[:n]`` holds the solve's right-hand side, then
+    its solution; ``mirror = even[n:]`` takes ``mirrored = even[n-2:0:-1]``.
+    The 0-d ``operand`` carries each scalar into its ufunc call, to the bit
+    as a Python float would, minus numpy's 0.2 us conversion of one.
     """
 
     diff: np.ndarray
@@ -174,6 +180,13 @@ class Workspace(NamedTuple):
     scalar: np.ndarray
     even: np.ndarray
     spectrum: np.ndarray
+    stencil_head: np.ndarray
+    stencil_tail: np.ndarray
+    scratch_head: np.ndarray
+    rhs: np.ndarray
+    mirror: np.ndarray
+    mirrored: np.ndarray
+    operand: np.ndarray
 
 
 class LatitudeGrid:
@@ -182,7 +195,7 @@ class LatitudeGrid:
     Holds ``h``, ``h2``, ``thetas``, ``sin2 = sin(thetas)^2``, the composite
     Simpson weights ``simpson`` (with a 3/8 tail when the interval count is
     odd), the volume weights ``weights = 4 pi * simpson * sin2``, the
-    stencil coefficients ``ahead`` and ``behind`` (see ``scalar_curvature``)
+    stencil coefficients ``ahead`` and ``behind`` (see ``evaluate``)
     and the eigenvalues ``mu`` of the Neumann second difference (see
     ``neumann_solve``).  ``latitude_grid`` shares one instance per n, so its
     arrays are read-only; the grid has no other state.  Scratch arrays come
@@ -228,7 +241,7 @@ class LatitudeGrid:
             shared.flags.writeable = False
 
     def workspace(self) -> Workspace:
-        """Fresh scratch arrays for the kernel and the Neumann solve.
+        """Fresh scratch arrays and views for the kernel and the Neumann solve.
 
         The methods write into the workspace they are given and return
         arrays of it, so a caller that passes one workspace to several calls
@@ -236,63 +249,56 @@ class LatitudeGrid:
         returned.
         """
         n = self.thetas.size
+        scratch, stencil, u6, u5 = np.empty((4, n))
+        even = np.empty(2 * n - 2)
         return Workspace(
-            np.empty(n - 1), *np.empty((4, n)), np.empty(n), np.empty(2 * n - 2),
-            np.empty(n, dtype=complex),
+            np.empty(n - 1), scratch, stencil, u6, u5, np.empty(n), even,
+            np.empty(n, dtype=complex), stencil[:-1], stencil[1:], scratch[:-1],
+            even[:n], even[n:], even[n - 2:0:-1], np.empty(()),
         )
-
-    def scalar_curvature(self, u: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """Scalar curvature ``R = S / u^5`` of ``u^4 g_round``, with the
-        stencil ``S = -8 lap(u) + 6 u``.
-
-        ``lap(u) = u'' + 2 cot(theta) u'`` takes centered differences in the
-        interior and, at the poles, the even-symmetry ghost-node rows
-        ``lap(0) = 6 (u_1 - u_0) / h^2`` (and mirrored at pi): second order
-        for smooth axisymmetric profiles, and damping as flow dynamics.  S
-        sums ``ahead * d``, ``behind * d`` and ``6 u`` in that order over the
-        forward differences d (see ``__init__``): differences first, so a
-        constant u has S = 6 u exactly and the round profile R = 6 at every
-        node.  The powers come from one chain, ``u^2``, ``u^4``,
-        ``u^6 = u^4 u^2`` and ``u^5 = u^4 u``.  The call leaves S and
-        ``u^6`` in ``work`` for ``evaluate``; without ``work`` it takes a
-        fresh ``workspace``.
-        """
-        w = self.workspace() if work is None else work
-        d, scratch, stencil, u5 = w.diff, w.scratch, w.stencil, w.u5
-        np.subtract(u[1:], u[:-1], out=d)
-        np.multiply(self.ahead, d, out=stencil[:-1])
-        stencil[-1] = 0.0
-        np.multiply(self.behind, d, out=scratch[:-1])
-        np.add(stencil[1:], scratch[:-1], out=stencil[1:])
-        np.multiply(u, 6.0, out=scratch)
-        np.add(stencil, scratch, out=stencil)
-        _sixth_power(u, w.u6, u5)
-        np.multiply(u5, u, out=u5)
-        return np.divide(stencil, u5, out=w.scalar)
 
     def evaluate(
         self, u: np.ndarray, work: Workspace | None = None
     ) -> tuple[np.ndarray, float, float]:
-        """Scalar curvature, volume and volume-averaged curvature of u.
+        """Scalar curvature ``R = S / u^5`` of ``u^4 g_round``, volume and
+        volume-averaged curvature of u.
 
-        The volume is ``weights . u^6`` and the curvature integral is
-        ``weights . (S u)``, as ``R u^6 = S u``; both reuse what
-        ``scalar_curvature`` left in ``work``.  Nothing is checked here
-        (``conformal.AxisymProfile.evaluation`` holds the rule), so the
-        division is numpy's: a volume of 0 gives an r of inf or nan.  The
-        curvature field is an array of ``work`` (fresh without it).
+        ``S = -8 lap(u) + 6 u``, ``lap(u) = u'' + 2 cot(theta) u'`` by
+        centered differences inside and the even-symmetry ghost-node rows
+        ``lap(0) = 6 (u_1 - u_0) / h^2`` (mirrored at pi) at the poles:
+        second order for smooth axisymmetric profiles, and damping as flow
+        dynamics.  S sums ``ahead * d``, ``behind * d`` and ``6 u`` in that
+        order over the forward differences d (see ``__init__``), so a
+        constant u has S = 6 u exactly and the round profile R = 6.
+        ``volume`` gives the powers and ``weights . u^6``, then
+        ``u^5 = u^4 u``, and the curvature integral is ``weights . (S u)``,
+        as ``R u^6 = S u``.  Nothing is checked here
+        (``conformal.AxisymProfile.evaluation`` holds the rule), so a volume
+        of 0 gives an r of inf or nan.  The field is an array of ``work``
+        (fresh without it), which keeps S and ``u^6`` too.
         """
-        if work is None:
-            work = self.workspace()
-        scalar = self.scalar_curvature(u, work)
-        vol = self.weights.dot(work.u6)
-        r = self.weights.dot(np.multiply(work.stencil, u, out=work.scratch)) / vol
-        return scalar, float(vol), float(r)
+        w = self.workspace() if work is None else work
+        d, scratch, stencil, u5, behind = w.diff, w.scratch, w.stencil, w.u5, w.scratch_head
+        subtract(u[1:], u[:-1], d)
+        multiply(self.ahead, d, w.stencil_head)
+        stencil[-1] = 0.0
+        multiply(self.behind, d, behind)
+        add(w.stencil_tail, behind, w.stencil_tail)
+        w.operand[()] = 6.0
+        multiply(u, w.operand, scratch)
+        add(stencil, scratch, stencil)
+        vol = self.volume(u, w)
+        scalar = divide(stencil, multiply(u5, u, u5), w.scalar)
+        return scalar, vol, float(self.weights.dot(multiply(stencil, u, scratch)) / vol)
 
     def volume(self, u: np.ndarray, work: Workspace | None = None) -> float:
-        """Volume ``weights . u^6``, to the bit the volume of ``evaluate``."""
+        """Volume ``weights . u^6``, the powers from one chain: ``u^2``,
+        ``u^4`` (left in ``work.u5``) and ``u^6 = u^4 u^2`` (in ``work.u6``)."""
         w = self.workspace() if work is None else work
-        return float(self.weights.dot(_sixth_power(u, w.u6, w.u5)))
+        u6, u4 = w.u6, w.u5
+        multiply(u, u, u6)
+        multiply(u6, u6, u4)
+        return float(self.weights.dot(multiply(u4, u6, u6)))
 
     def neumann_solve(
         self, a: float, rhs: np.ndarray, work: Workspace | None = None
@@ -307,25 +313,26 @@ class LatitudeGrid:
         so the solve divides the DCT-I of rhs by ``1 + a mu_k`` and
         transforms back.  The DCT-I is the real FFT of the even extension
         ``rhs[0], ..., rhs[n-1], rhs[n-2], ..., rhs[1]``.  The solve writes
-        into ``work`` (its ``even``, ``spectrum`` and ``scratch``; fresh when
-        None) and x is a view of ``work.even``; rhs is copied first, so it
-        may be any array of ``work`` but ``even``.  The ``out`` arguments of
-        ``numpy.fft`` need numpy 2.
+        into ``work`` (its ``even``, ``spectrum``, ``scratch`` and
+        ``operand``; fresh when None) and x is ``work.rhs``, a view of
+        ``work.even``.  A caller that
+        forms rhs in ``work.rhs`` is solved in place; any other rhs is
+        copied there first, so it may be any array of ``work`` but ``even``.
+        The ``out`` arguments of ``numpy.fft`` need numpy 2.
         """
         w = self.workspace() if work is None else work
-        even = np.concatenate((rhs, rhs[-2:0:-1]), out=w.even)
-        spectrum = np.fft.rfft(even, out=w.spectrum)
-        denominators = np.multiply(self.mu, a, out=w.scratch)
-        denominators += 1.0
+        even, spectrum, x, operand = w.even, w.spectrum, w.rhs, w.operand
+        if rhs is not x:
+            copyto(x, rhs)
+        copyto(w.mirror, w.mirrored)
+        np.fft.rfft(even, out=spectrum)
+        operand[()] = a
+        denominators = multiply(self.mu, operand, w.scratch)
+        operand[()] = 1.0
+        add(denominators, operand, denominators)
         spectrum /= denominators
-        return np.fft.irfft(spectrum, even.size, out=even)[:rhs.size]
-
-
-def _sixth_power(u: np.ndarray, u6: np.ndarray, u4: np.ndarray) -> np.ndarray:
-    """``u^6 = u^4 u^2`` into u6, leaving ``u^4 = (u^2)^2`` in u4."""
-    np.multiply(u, u, out=u6)
-    np.multiply(u6, u6, out=u4)
-    return np.multiply(u4, u6, out=u6)
+        np.fft.irfft(spectrum, even.size, out=even)
+        return x
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)

@@ -37,24 +37,21 @@ order as the Euler step: criterion 6 converges at t = 0.93707, against
 0.93667 under explicit Euler.
 
 Cost: each state is evaluated once, by the fused kernel
-``LatitudeGrid.evaluate``: the stencil ``S`` on forward differences, ``u^5``
-and ``u^6`` from one chain of products, ``R = S / u^5``, and the volume and
-the curvature integral as dots with one weight vector, using
-``R u^6 = S u``.  ``AxisymProfile.evaluation`` keeps its result for
-``flow_state``, ``step``, the energy functions and the initial state of
+``LatitudeGrid.evaluate``.  ``AxisymProfile.evaluation`` keeps its result
+for ``flow_state``, ``step``, the energy functions and the initial state of
 ``run``, which calls the kernel directly on every later state and keeps no
-array on its sampled profiles.  ``run`` allocates its work arrays once per
-call, a ``LatitudeGrid.workspace()``, the state and ``r - R``, and steps in
-place: the kernel, the right-hand side
-``(dt/4) u (r - R)`` (two passes), the DCT-I solve (two ``numpy.fft`` calls
-with ``out``) and the renormalization write into them, never into the
-shared grid.  It forms ``r - R`` of each state once, for its monitor
-``sup|R - r|`` and for the next step, builds each sampled state from its
-step's evaluation, takes extremes with ``np.minimum.reduce`` and
-``np.maximum.reduce``, and carries min(u) and max(u) through the
-renormalization instead of reducing u again: rounding is monotone, so for a
-scale s > 0 the extremes of ``u * s`` are the extremes of u times s, to the
-bit.
+array on its sampled profiles.  ``run`` makes its work arrays once per
+call, a ``LatitudeGrid.workspace()`` with the views of its arrays, the
+state and ``r - R``, binds the step and the kernel once, and steps in
+place: the right-hand side ``(dt/4) u (r - R)`` is formed in the first n
+values of the even extension, which one ``copyto`` mirrors for the DCT-I
+(two ``numpy.fft`` calls with ``out``), and every scalar operand reaches
+its ufunc as a 0-d array.  It forms ``r - R`` of each state once, for its
+monitor ``sup|R - r|`` and for the next step, and carries min(u) and
+max(u) through the renormalization instead of reducing u again: rounding
+is monotone, so for a scale s > 0 the extremes of ``u * s`` are the
+extremes of u times s, to the bit.  Beyond its ufuncs, a step pays for
+the two ``numpy.fft`` wrappers and six Python calls.
 
 Diagnostics: the volume-normalized total-curvature energy
 ``E = (integral R dV) / V^(1/3)`` is non-increasing along the flow, and the
@@ -173,12 +170,8 @@ def flow_state(profile: AxisymProfile, time: float = 0.0) -> FlowState:
         ProfileError: by the rule of ``AxisymProfile.evaluation``.
     """
     scalar, vol, r = profile.evaluation
-    return _state(profile, time, vol, r, _sup(np.subtract(r, scalar)))
-
-
-def _sup(deviation: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """``max |r - R|`` of ``deviation = r - R``, through ``scratch``."""
-    return float(np.maximum.reduce(np.absolute(deviation, out=scratch)))
+    sup_dev = float(np.maximum.reduce(np.absolute(np.subtract(r, scalar))))
+    return _state(profile, time, vol, r, sup_dev)
 
 
 def _state(profile, time, vol, r, sup_dev) -> FlowState:
@@ -212,11 +205,12 @@ def _advance(
     a = dt * (STABILIZER * 2.0 / quartic) if quartic > 0.0 else math.inf
     if not a < math.inf:
         raise FlowError(f"stabilizer overflowed: min(u) = {lo:.3e} is too small")
-    if work is None:
-        work = grid.workspace()
-    rhs = np.multiply(u, 0.25 * dt, out=work.stencil)
-    rhs *= deviation
-    u = np.add(u, grid.neumann_solve(a, rhs, work), out=out)
+    w = grid.workspace() if work is None else work
+    operand = w.operand
+    operand[()] = 0.25 * dt
+    rhs = np.multiply(u, operand, w.rhs)
+    np.multiply(rhs, deviation, rhs)
+    u = np.add(u, grid.neumann_solve(a, rhs, w), out)
     # Positive and finite: a NaN passes through min and max and fails both.
     lo, hi = float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
     if not (lo > 0.0 and hi < math.inf):
@@ -224,7 +218,7 @@ def _advance(
             f"conformal factor left the positive finite range in a step of size "
             f"{dt:.3e} (min(u) = {lo:.3e}, max(u) = {hi:.3e})"
         )
-    vol = grid.volume(u, work)
+    vol = grid.volume(u, w)
     if not 0.0 < vol < math.inf:
         # u is positive and finite here, so u^6 overflowed (inf, or inf * 0 =
         # nan at a pole) or underflowed (0).
@@ -234,7 +228,8 @@ def _advance(
             f"max(u) = {hi:.3e})"
         )
     scale = (target_volume / vol) ** (1.0 / 6.0)
-    u *= scale
+    operand[()] = scale
+    np.multiply(u, operand, u)
     # Rounding is monotone, so lo * scale and hi * scale are min and max of u.
     irregularity = _pole_irregularity(u, hi * scale, grid.h)
     if irregularity:
@@ -307,9 +302,9 @@ def run(
     outer step; otherwise the status is ``"completed"``.
 
     Raises:
-        ValueError: for non-positive or non-finite dt/t_end, more than
-            ``MAX_STEPS`` outer steps, more than ``MAX_NODE_STEPS`` nodes
-            times outer steps, or sample_every < 1.
+        ValueError: for non-positive or non-finite dt/t_end, a dt above
+            t_end, more than ``MAX_STEPS`` outer steps, more than
+            ``MAX_NODE_STEPS`` nodes times outer steps, or sample_every < 1.
         ProfileError: for an initial profile that fails the floating-point
             rule of ``AxisymProfile.evaluation``, whose result run reads.
         FlowError: when a step leaves floating point or the valid profiles
@@ -319,13 +314,15 @@ def run(
         raise ValueError(
             f"t_end and dt must be positive and finite, got t_end={t_end}, dt={dt}"
         )
+    if dt > t_end:
+        raise ValueError(f"dt must not exceed t_end, got t_end={t_end}, dt={dt}")
     if t_end / dt > MAX_STEPS:
         raise ValueError(
             f"t_end/dt = {t_end / dt:.3g} outer steps exceeds the cap of {MAX_STEPS}"
         )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = max(int(round(t_end / dt)), 1)
+    n_steps = round(t_end / dt)  # at least 1, as dt <= t_end
     if profile.n * n_steps > MAX_NODE_STEPS:
         raise ValueError(
             f"{profile.n} nodes times {n_steps} outer steps exceeds the cap of "
@@ -333,6 +330,8 @@ def run(
         )
     grid = latitude_grid(profile.n)
     work = grid.workspace()
+    advance, evaluate = _advance, grid.evaluate  # bound once per run
+    scratch, operand = work.scratch, work.operand
     u = profile.u.copy()  # the state, stepped in place
     deviation = np.empty_like(u)
     mon_drift = np.empty(n_steps)
@@ -343,29 +342,29 @@ def run(
     status = "completed"
     taken = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states = [flow_state(profile)]
         scalar, target_volume, r = profile.evaluation
-        np.subtract(r, scalar, out=deviation)
+        np.subtract(r, scalar, deviation)
         lo = float(np.minimum.reduce(u))
-        states = [_state(profile, 0.0, target_volume, r, _sup(deviation, work.scratch))]
         for i in range(n_steps):
-            u, lo = _advance(grid, u, dt, target_volume, lo, deviation, work, u)
-            taken = i + 1
-            time = taken * dt
-            scalar, vol, r = grid.evaluate(u, work)
-            np.subtract(r, scalar, out=deviation)
-            sup_dev = _sup(deviation, work.scratch)
+            u, lo = advance(grid, u, dt, target_volume, lo, deviation, work, u)
+            scalar, vol, r = evaluate(u, work)
+            operand[()] = r
+            sup_dev = float(np.maximum.reduce(
+                np.absolute(np.subtract(operand, scalar, deviation), scratch)))
             if not sup_dev < math.inf:
                 raise FlowError(
                     f"a step of size {dt:.3e} left no valid profile: "
                     f"{_evaluation_fault(u, scalar, vol, r)}"
                 )
+            taken = i + 1
             mon_drift[i] = abs(vol - target_volume)
             mon_energy[i] = r * vol ** (2.0 / 3.0)
             mon_r[i] = r
             mon_sup[i] = sup_dev
             converged = sup_dev < convergence_tol
             if taken % sample_every == 0 or taken == n_steps or converged:
-                states.append(_state(AxisymProfile(u), time, vol, r, sup_dev))
+                states.append(_state(AxisymProfile(u), taken * dt, vol, r, sup_dev))
             if converged:
                 status = "converged"
                 break
@@ -438,7 +437,7 @@ def width_derivative_monitor(trace: FlowTrace) -> list[dict]:
         before, here, after = states[i - 1], states[i], states[i + 1]
         sampled = (after.width_bound - before.width_bound) / (after.time - before.time)
         # The kernel, as in run, so that no sampled profile keeps an evaluation.
-        field = latitude_grid(here.profile.n).scalar_curvature(here.profile.u)
+        field = latitude_grid(here.profile.n).evaluate(here.profile.u)[0]
         areas = area_profile(here.profile)
         lhs = float(_vertex(areas, here.profile.spacing)[3] @ (areas * (here.r_avg - field)))
         theta = here.max_sphere.theta

@@ -168,6 +168,23 @@ def test_criterion_07_product_bound_along_trace(flow_trace_401):
     )
 
 
+def test_grid_gap_inside_criterion_07_margin(flow_trace_401):
+    # Criterion 7's flow on every second node: its product at the width
+    # maximum moves from the n = 401 value by less than criterion 7's margin
+    # below 24 pi + 1e-3 (measured: a gap of 3.6e-4 against a margin of
+    # 2.1e-3), so the grid does not decide the verdict.  The gap behaves as
+    # second order (9.1e-5 from n = 401 to 801), so the n = 401 error is
+    # about a quarter of it.
+    profile = cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), 201)
+    coarse = ym.run(profile, t_end=5.0, dt=1e-5, sample_every=500, convergence_tol=1e-3)
+    fine_report = ym.theorem1_monitor(flow_trace_401, tol=1e-3)
+    coarse_report = ym.theorem1_monitor(coarse, tol=1e-3)
+    margin = fine_report.bound + 1e-3 - fine_report.product_at_max
+    gap = abs(fine_report.product_at_max - coarse_report.product_at_max)
+    assert coarse.status == "converged"
+    assert gap < margin
+
+
 def test_criterion_08_derivative_formula_refinement():
     def monitor_ratio(n: int, dt: float, sample_every: int):
         profile = cf.AxisymProfile.from_function(lambda t: 1.0 + 0.3 * np.cos(t), n)

@@ -751,6 +751,14 @@ class TestYamabeRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_dt_above_t_end_exits_one(self, tmp_path, round_profile_path, capsys):
+        out = tmp_path / "flow.json"
+        code = cli.main(["yamabe-run", "--profile", round_profile_path,
+                         "--t-end", "1e-4", "--dt", "1e-3", "--output", str(out)])
+        assert code == 1
+        assert_only_error_line(capsys, "t_end=0.0001, dt=0.001")
+        assert not out.exists()
+
 
 class TestEquidistCommands:
     def test_check_member(self, tmp_path, member_instance_path):

@@ -94,3 +94,33 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
         atomic_write_text(str(target), "{}\n")
     assert target.is_dir() and list(target.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_report_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # The temp file the report is renamed from is made private; the report
+    # itself gets 0o666 less the umask, as open() would give it.
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "report.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "report.json").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "plain.json").stat().st_mode & 0o777 == mode
+
+
+def test_write_error_names_the_report_path(tmp_path, capsys):
+    # A report in a missing directory fails before any temp file exists; the
+    # error names the path asked for, so the same command fails the same way
+    # every time.
+    target = str(tmp_path / "missing" / "roundcheck.json")
+    errors = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["roundcheck", "--output", target]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"error: [Errno 2] No such file or directory: '{target}'\n"
+    )

@@ -318,6 +318,12 @@ class TestRun:
         with pytest.raises(ValueError):
             yamabe.run(p, t_end=1.0, dt=1e-4, sample_every=0)
 
+    def test_dt_above_t_end_is_refused(self):
+        # One step of dt would end the run at ten times t_end.
+        with pytest.raises(ValueError, match=r"t_end=0\.0001, dt=0\.001"):
+            yamabe.run(bump_profile(101), t_end=1e-4, dt=1e-3)
+        assert yamabe.run(bump_profile(101), t_end=1e-4, dt=1e-4).monitors["t"].size == 1
+
     def test_node_steps_are_capped_before_any_step(self, monkeypatch):
         # At the 20,001-node cap, 20,048 steps are within MAX_NODE_STEPS and
         # reach the first step; 20,049 are refused before it.
@@ -365,18 +371,18 @@ class TestRun:
         ("yamabe-run", 101),
     ])
     def test_each_profile_is_evaluated_once(self, monkeypatch, tmp_path, job, evaluations):
-        # Every evaluation forms the curvature; a profile keeps its own, so
+        # Every evaluation runs the one kernel; a profile keeps its own, so
         # step does not evaluate its input again and the CLI reports what
         # load_profile evaluated.  run starts from the evaluation its
         # initial profile keeps and evaluates each of its 100 steps itself.
-        curvature = LatitudeGrid.scalar_curvature
+        evaluate = LatitudeGrid.evaluate
         calls = []
 
         def counting(grid, u, *work):
             calls.append(u.size)
-            return curvature(grid, u, *work)
+            return evaluate(grid, u, *work)
 
-        monkeypatch.setattr(LatitudeGrid, "scalar_curvature", counting)
+        monkeypatch.setattr(LatitudeGrid, "evaluate", counting)
         path = str(tmp_path / "profile.json")
         save_profile(bump_profile(201), path)
         out = ["--output", str(tmp_path / "report.json")]
@@ -796,7 +802,6 @@ class TestFusedKernel:
         profile = AxisymProfile.round_profile(n)
         grid = latitude_grid(n)
         assert np.all(grid.evaluate(profile.u)[0] == 6.0)
-        assert np.all(grid.scalar_curvature(profile.u) == 6.0)
         state = yamabe.flow_state(profile)
         assert np.all(state.profile.evaluation[0] == 6.0)
         assert state.sup_R_minus_r == abs(state.r_avg - 6.0) <= 4 * np.finfo(float).eps
